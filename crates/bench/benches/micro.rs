@@ -98,6 +98,7 @@ fn bench_dram() {
     let mut mc = DramController::new(DramConfig::default(), 7);
     let mut t = 0u64;
     let mut now = 0;
+    let mut done = Vec::new();
     bench("dram_tick_loaded", 200_000, || {
         while mc.can_enqueue() {
             t += 1;
@@ -112,7 +113,9 @@ fn bench_dram() {
             );
         }
         now += 1;
-        black_box(mc.tick(now));
+        done.clear();
+        mc.tick_into(now, &mut done);
+        black_box(&done);
     });
 }
 

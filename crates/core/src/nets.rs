@@ -98,7 +98,7 @@ impl Nets {
         self.net(class).can_inject(node, class, prio)
     }
 
-    /// Enable/disable the idle-router fast path on all physical networks
+    /// Enable/disable the bitset fast path on all physical networks
     /// (reference mode for equivalence testing).
     pub fn set_idle_skip(&mut self, on: bool) {
         match self {

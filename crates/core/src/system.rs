@@ -747,9 +747,10 @@ impl System {
         }
     }
 
-    /// Enable/disable the NoC's idle-router fast path (on by default).
-    /// Turning it off forces every router through full VA/SA each cycle —
-    /// the reference mode equivalence tests compare against.
+    /// Enable/disable the NoC's bitset fast path (on by default).
+    /// Turning it off makes every tick scan every input VC of every
+    /// router, ignoring the bitsets — the reference mode equivalence
+    /// tests compare against.
     pub fn set_noc_idle_skip(&mut self, on: bool) {
         self.nets.set_idle_skip(on);
     }

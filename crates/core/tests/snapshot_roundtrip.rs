@@ -6,7 +6,7 @@
 //! stats-reset in the middle.
 
 use clognet_core::{Snapshot, System, TickEngine};
-use clognet_proto::{Scheme, SystemConfig, Topology, VirtualNetConfig};
+use clognet_proto::{Scheme, SystemConfig, Topology, VirtualNetConfig, SNAP_VERSION};
 use clognet_telemetry::TelemetryConfig;
 
 /// Run `straight` to K+M in one go; fork `forked` at K through a full
@@ -196,4 +196,43 @@ fn scheme_switches_warm_apply() {
 
     assert_eq!(cold.report(), forked.report());
     assert!(forked.report().delegations > 0 || cold.report().delegations == 0);
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pin the snapshot bytes themselves. The round-trip tests above cannot
+/// catch a save/load pair that reorders state in step (say, router VCs
+/// written and read in a new order); a digest of the bytes can. The
+/// digests change only together with `SNAP_VERSION`: an internal layout
+/// change must leave them alone, and a deliberate format change bumps
+/// the version and re-records them.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    assert_eq!(
+        SNAP_VERSION, 3,
+        "new snapshot format: re-record the digests below"
+    );
+    let dr = SystemConfig::default().with_scheme(Scheme::DelegatedReplies);
+    let mut shared = dr.clone();
+    shared.noc.virtual_nets = Some(VirtualNetConfig {
+        request_vcs: 2,
+        reply_vcs: 2,
+    });
+    for (chip, cfg, want) in [
+        ("default DR chip", dr, 0x56d2_8260_9720_b96d),
+        ("shared-network chip", shared, 0xc0f0_2f6d_c69a_48dd),
+    ] {
+        let mut sys = System::new(cfg, "HS", "bodytrack");
+        sys.run(1_500);
+        let got = fnv1a(sys.snapshot().as_bytes());
+        assert_eq!(
+            got, want,
+            "{chip}: snapshot bytes moved (digest {got:#018x})"
+        );
+    }
 }

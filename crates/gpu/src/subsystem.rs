@@ -68,6 +68,10 @@ enum WarpState {
 struct Warp {
     state: WarpState,
     pending: Option<MemAccess>,
+    /// Stalled-retry memo: the core's `line_gen` when this warp's pending
+    /// read last failed as a resource-blocked miss (Private L1 only; not
+    /// serialized — see DESIGN.md §9.6).
+    blocked_at: Option<u64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +121,49 @@ struct Core {
     suppliers: VecDeque<CoreId>,
     next_flush: Option<Cycle>,
     stats: GpuCoreStats,
+    /// Bumped on every L1 fill, invalidate and flush and every MSHR
+    /// allocate and complete: while it holds still, no L1 probe or MSHR
+    /// lookup of this core can change its answer.
+    line_gen: u64,
+    /// Bit `w` set while warp `w` is not waiting on memory: the issue
+    /// loop visits only these (a waiting warp is a no-op there).
+    ready: Vec<u64>,
+}
+
+impl Core {
+    /// Block warp `w` on an outstanding read.
+    fn wait_mem(&mut self, w: usize) {
+        self.warps[w].state = WarpState::WaitMem;
+        self.ready[w / 64] &= !(1 << (w % 64));
+    }
+
+    /// Wake warp `w` with `compute` instructions before its next memory
+    /// instruction.
+    fn wake(&mut self, w: usize, compute: u32) {
+        self.warps[w].state = WarpState::Compute(compute);
+        self.ready[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Word `k` of `ready` as the warp states say it should be.
+    fn ready_word(&self, k: usize) -> u64 {
+        let warps = self.warps.iter().enumerate().skip(64 * k).take(64);
+        warps
+            .filter(|(_, warp)| warp.state != WarpState::WaitMem)
+            .fold(0, |m, (w, _)| m | 1 << (w % 64))
+    }
+
+    /// Recompute `ready` from the warp states.
+    fn rebuild_ready(&mut self) {
+        self.ready = (0..self.warps.len().div_ceil(64))
+            .map(|k| self.ready_word(k))
+            .collect();
+    }
+
+    /// Whether `ready` matches the warp states (allocation-free, for
+    /// per-cycle debug checks).
+    fn ready_consistent(&self) -> bool {
+        (0..self.ready.len()).all(|k| self.ready[k] == self.ready_word(k))
+    }
 }
 
 /// The whole GPU side of the chip.
@@ -156,11 +203,12 @@ impl GpuSubsystem {
         let cores = (0..n_cores)
             .map(|i| {
                 let id = CoreId(i as u16);
-                Core {
+                let mut core = Core {
                     warps: (0..cfg.warps_per_core)
                         .map(|_| Warp {
                             state: WarpState::Compute(0),
                             pending: None,
+                            blocked_at: None,
                         })
                         .collect(),
                     stream: GpuStream::new(profile.clone(), id, n_cores, seed),
@@ -176,7 +224,11 @@ impl GpuSubsystem {
                         .flush_interval
                         .map(|f| f + (i as u64 * f) / n_cores as u64),
                     stats: GpuCoreStats::default(),
-                }
+                    line_gen: 0,
+                    ready: Vec::new(),
+                };
+                core.rebuild_ready();
+                core
             })
             .collect();
         let l1s = (0..n_cores).map(|_| SetAssocCache::new(cfg.l1)).collect();
@@ -361,7 +413,9 @@ impl GpuSubsystem {
                 } else {
                     None
                 };
+                warp.blocked_at = None;
             }
+            c.rebuild_ready();
             c.stream.load_state(r)?;
             c.mshr.load_state(r, |r| {
                 Ok(match r.u8()? {
@@ -610,6 +664,7 @@ impl GpuSubsystem {
         } else {
             self.l1s[core.index()].fill(line, ());
         }
+        self.cores[core.index()].line_gen += 1;
     }
 
     fn l1_invalidate(&mut self, core: CoreId, line: LineAddr) {
@@ -619,6 +674,17 @@ impl GpuSubsystem {
         } else {
             self.l1s[core.index()].invalidate(line);
         }
+        self.cores[core.index()].line_gen += 1;
+    }
+
+    /// Add `target` to core `i`'s MSHR entry for `line`, bumping the
+    /// core's `line_gen` when the file changed.
+    fn mshr_allocate(&mut self, i: usize, line: LineAddr, target: Target) -> MshrOutcome {
+        let outcome = self.cores[i].mshr.allocate(line, target);
+        if matches!(outcome, MshrOutcome::Primary | MshrOutcome::Merged) {
+            self.cores[i].line_gen += 1;
+        }
+        outcome
     }
 
     fn predictor_ix(line: LineAddr) -> usize {
@@ -787,6 +853,7 @@ impl GpuSubsystem {
                     l1.flush();
                 }
                 for core in lo..hi.min(self.cores.len()) {
+                    self.cores[core].line_gen += 1;
                     out.push((CoreId(core as u16), GpuOut::Flushed));
                 }
             }
@@ -816,6 +883,7 @@ impl GpuSubsystem {
                 } else {
                     self.l1s[i].flush();
                 }
+                self.cores[i].line_gen += 1;
                 self.cores[i].next_flush =
                     Some(at + self.cfg.flush_interval.expect("flush scheduled"));
                 self.cores[i].stats.flushes += 1;
@@ -860,7 +928,7 @@ impl GpuSubsystem {
                         *remote_budget -= 1;
                     } else if self.delayed_hits && self.cores[i].mshr.contains(line) {
                         // Delayed hit: forward when the miss returns.
-                        match self.cores[i].mshr.allocate(line, Target::Remote(requester)) {
+                        match self.mshr_allocate(i, line, Target::Remote(requester)) {
                             MshrOutcome::Merged => {
                                 self.cores[i].stats.delegated_delayed += 1;
                             }
@@ -944,31 +1012,43 @@ impl GpuSubsystem {
             }
             self.flush_lines = lines;
         }
-        // 3. Local warp issue (up to issue_width).
+        // 3. Local warp issue (up to issue_width), in warp order over
+        //    the warps not waiting on memory.
+        debug_assert!(self.cores[i].ready_consistent(), "ready mask diverged");
         let mut issued = 0;
-        let n_warps = self.cores[i].warps.len();
         let mut stalled_mem = false;
-        for w in 0..n_warps {
-            if issued >= self.cfg.issue_width {
-                break;
-            }
-            match self.cores[i].warps[w].state {
-                WarpState::WaitMem => continue,
-                WarpState::Compute(left) if left > 0 => {
-                    self.cores[i].warps[w].state = WarpState::Compute(left - 1);
-                    self.cores[i].stats.retired += 1;
-                    issued += 1;
+        'issue: for word in 0..self.cores[i].ready.len() {
+            let mut ready = self.cores[i].ready[word];
+            while ready != 0 {
+                if issued >= self.cfg.issue_width {
+                    break 'issue;
                 }
-                WarpState::Compute(_) => {
-                    // Memory instruction is next.
-                    if self.cores[i].warps[w].pending.is_none() {
-                        let a = self.cores[i].stream.next_access();
-                        self.cores[i].warps[w].pending = Some(a);
+                let w = word * 64 + ready.trailing_zeros() as usize;
+                ready &= ready - 1;
+                match self.cores[i].warps[w].state {
+                    WarpState::WaitMem => unreachable!("warp {w} waits but is marked ready"),
+                    WarpState::Compute(left) if left > 0 => {
+                        self.cores[i].warps[w].state = WarpState::Compute(left - 1);
+                        self.cores[i].stats.retired += 1;
+                        issued += 1;
                     }
-                    let access = self.cores[i].warps[w].pending.expect("set above");
-                    match self.try_mem(i, w, access, budget, out) {
-                        true => issued += 1,
-                        false => stalled_mem = true,
+                    WarpState::Compute(_) => {
+                        // Memory instruction is next.
+                        if self.cores[i].warps[w].pending.is_none() {
+                            let a = self.cores[i].stream.next_access();
+                            let warp = &mut self.cores[i].warps[w];
+                            warp.pending = Some(a);
+                            warp.blocked_at = None;
+                        }
+                        let access = self.cores[i].warps[w].pending.expect("set above");
+                        if !access.write && self.retry_memoized(i, w, *budget) {
+                            stalled_mem = true;
+                            continue;
+                        }
+                        match self.try_mem(i, w, access, budget, out) {
+                            true => issued += 1,
+                            false => stalled_mem = true,
+                        }
                     }
                 }
             }
@@ -976,6 +1056,26 @@ impl GpuSubsystem {
         if stalled_mem {
             self.cores[i].stats.mem_stall_cycles += 1;
         }
+    }
+
+    /// Whether warp `w`'s pending read is a resource-blocked miss that
+    /// must fail again: it failed that way before, the core is still
+    /// blocked (no outbox budget or a full MSHR file), and `line_gen` has
+    /// not moved since, so neither the L1 probe nor the MSHR lookup can
+    /// answer differently. The retry then skips both.
+    fn retry_memoized(&self, i: usize, w: usize, budget: usize) -> bool {
+        let core = &self.cores[i];
+        let memoized = core.warps[w].blocked_at == Some(core.line_gen)
+            && (budget == 0 || core.mshr.available() == 0);
+        if memoized {
+            let access = core.warps[w].pending.expect("pending read");
+            let line = access.addr.line(self.cfg.l1.line_bytes as u64);
+            debug_assert!(
+                !self.l1_probe(CoreId(i as u16), line) && !core.mshr.contains(line),
+                "stalled-warp memo skipped a retry whose line is present"
+            );
+        }
+        memoized
     }
 
     /// Attempt the memory instruction of warp `w`; returns true if it
@@ -1009,13 +1109,17 @@ impl GpuSubsystem {
         }
         // Read. Probe first so a structurally-stalled retry does not
         // pollute hit/miss statistics or burn an L1 port every cycle.
+        let blocked = *budget == 0 || self.cores[i].mshr.available() == 0;
         let hit = self.l1_probe(id, line);
         let merged = !hit && self.cores[i].mshr.contains(line);
-        if !hit && !merged {
-            // A request must go out: check resources before committing.
-            if *budget == 0 || self.cores[i].mshr.available() == 0 {
-                return false;
+        if !hit && !merged && blocked {
+            // A request must go out but cannot. Shared-L1 slices change
+            // with other cores' traffic, so only private L1s memoize.
+            if self.org == L1Org::Private {
+                let core = &mut self.cores[i];
+                core.warps[w].blocked_at = Some(core.line_gen);
             }
+            return false;
         }
         if !self.claim_port(id, line) {
             return false;
@@ -1024,13 +1128,13 @@ impl GpuSubsystem {
             // Hit to an outstanding line: merges into the MSHR without
             // touching the tag array (GPGPU-sim's "hit_reserved" — not a
             // demand miss, so it does not distort the miss rate).
-            match self.cores[i].mshr.allocate(line, Target::Warp(w as u16)) {
+            match self.mshr_allocate(i, line, Target::Warp(w as u16)) {
                 MshrOutcome::Merged => {
                     let c = &mut self.cores[i];
                     c.stats.mem_ops += 1;
                     c.stats.retired += 1;
                     c.warps[w].pending = None;
-                    c.warps[w].state = WarpState::WaitMem;
+                    c.wait_mem(w);
                     return true;
                 }
                 // Target list full: structural stall, retry next cycle.
@@ -1045,13 +1149,13 @@ impl GpuSubsystem {
             c.warps[w].state = WarpState::Compute(cpm);
             return true;
         }
-        match self.cores[i].mshr.allocate(line, Target::Warp(w as u16)) {
+        match self.mshr_allocate(i, line, Target::Warp(w as u16)) {
             MshrOutcome::Merged => {
                 let c = &mut self.cores[i];
                 c.stats.mem_ops += 1;
                 c.stats.retired += 1;
                 c.warps[w].pending = None;
-                c.warps[w].state = WarpState::WaitMem;
+                c.wait_mem(w);
                 true
             }
             MshrOutcome::Primary => {
@@ -1133,7 +1237,7 @@ impl GpuSubsystem {
                 c.stats.mem_ops += 1;
                 c.stats.retired += 1;
                 c.warps[w].pending = None;
-                c.warps[w].state = WarpState::WaitMem;
+                c.wait_mem(w);
                 true
             }
             MshrOutcome::NoEntry | MshrOutcome::NoTarget => false,
@@ -1170,11 +1274,10 @@ impl GpuSubsystem {
                     }
                 }
                 let cpm = self.cores[i].stream.compute_per_mem();
+                self.cores[i].line_gen += 1;
                 for t in self.cores[i].mshr.complete(line) {
                     match t {
-                        Target::Warp(w) => {
-                            self.cores[i].warps[w as usize].state = WarpState::Compute(cpm);
-                        }
+                        Target::Warp(w) => self.cores[i].wake(w as usize, cpm),
                         Target::Remote(requester) => {
                             self.cores[i].stats.delegated_hits += 1;
                             out.push((

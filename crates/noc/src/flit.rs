@@ -4,7 +4,7 @@
 //! references its packet through a slab slot; payload never moves, only
 //! the 16-byte-channel-wide flits do.
 
-use clognet_proto::Cycle;
+use clognet_proto::{Cycle, Priority, TrafficClass};
 
 /// Slab slot referencing the in-flight [`clognet_proto::Packet`].
 pub(crate) type Slot = u32;
@@ -18,11 +18,20 @@ pub(crate) struct Flit {
     pub idx: u8,
     /// Total flits in the packet (so `idx + 1 == total` marks the tail).
     pub total: u8,
+    /// The packet's priority, cached so switch allocation and traversal
+    /// never read the packet slab.
+    pub prio: Priority,
+    /// The packet's traffic class, cached for the same reason.
+    pub class: TrafficClass,
     /// Cycle at which this flit becomes eligible for switch allocation in
     /// the router currently buffering it (models the RC/VA pipeline
     /// stages).
     pub eligible: Cycle,
 }
+
+// The cached priority and class sit in what was padding: a flit stays
+// 16 bytes, four to a cache line.
+const _: () = assert!(std::mem::size_of::<Flit>() == 16);
 
 impl Flit {
     /// Head flit of its packet?
@@ -46,6 +55,8 @@ mod tests {
             slot: 0,
             idx: 0,
             total: 9,
+            prio: Priority::Gpu,
+            class: TrafficClass::Reply,
             eligible: 0,
         };
         let mid = Flit { idx: 4, ..head };

@@ -6,9 +6,9 @@
 //! instantiates a single shared one with per-class VC partitions.
 
 use crate::flit::{Flit, Slot};
-use crate::router::{Alloc, Router};
+use crate::router::{Alloc, RouterState, VaWait};
 use crate::routing;
-use crate::shards::{Phase, ShardError, ShardPlan, ShardPool, ShardScratch};
+use crate::shards::{Phase, SaRequest, ShardError, ShardPlan, ShardPool, ShardScratch};
 use crate::stats::{class_ix, NocStats};
 use crate::topology::{PortLink, TopologyGraph};
 use clognet_proto::snap::{self, SnapError, SnapReader, SnapWriter};
@@ -97,11 +97,28 @@ impl NetParams {
     }
 }
 
+/// RC + VA delay of a `class` flit entering a router: RC + VA occupy
+/// pipeline-2 of the pipeline stages; SA and ST are explicit in the tick
+/// loop. Adaptive routing pays one extra stage for the heavier route
+/// computation / switch allocation (the crossbar-congestion overhead of
+/// Dally & Aoki cited by the paper as the reason adaptive schemes lose to
+/// CDR).
+fn proc_delay(params: &NetParams, class: TrafficClass) -> Cycle {
+    let adaptive = matches!(
+        params.policy_for(class),
+        RoutingPolicy::DyXY | RoutingPolicy::Footprint | RoutingPolicy::Hare
+    );
+    (params.pipeline - 2) as Cycle + Cycle::from(adaptive)
+}
+
 #[derive(Debug)]
 struct InjSlot {
     slot: Slot,
     next_idx: u8,
     total: u8,
+    /// The packet's priority and class, cached for its flits.
+    prio: Priority,
+    class: TrafficClass,
 }
 
 #[derive(Debug)]
@@ -111,8 +128,6 @@ struct Ni {
     /// One streaming slot per VC index (only indices within a carried
     /// class's range are ever used).
     inj: Vec<Option<InjSlot>>,
-    /// Per-VC: did a flit stream into the router on this VC last tick?
-    progress: Vec<bool>,
     /// Round-robin pointer over injection VCs (one flit per cycle total:
     /// a node has a single physical injection channel per network,
     /// regardless of topology — the premise behind the paper's
@@ -191,22 +206,31 @@ impl PacketSlab {
 pub struct Network {
     params: NetParams,
     topo: TopologyGraph,
-    routers: Vec<Router>,
+    /// Every router's VC buffers, allocations, credits and bitsets, in
+    /// flat structure-of-arrays form (see [`crate::router`]).
+    routers: RouterState,
     nis: Vec<Ni>,
+    /// `ni_progress[node * V + vc]`: did a flit stream from the node's NI
+    /// into its router on this VC during the last tick? Cleared per tick.
+    ni_progress: Vec<bool>,
+    /// Bit `n` set while NI `n` holds at least one live injection slot;
+    /// injection visits only those NIs.
+    ni_live: Vec<u64>,
     packets: PacketSlab,
     now: Cycle,
     stats: NocStats,
+    /// Credit returns (router, output port, VC) applied after the merge.
     credit_returns: Vec<(usize, usize, usize)>,
-    transfers: Vec<(usize, usize, usize, Flit)>,
+    /// Link transfers (router, input VC bit, flit) applied after the merge.
+    transfers: Vec<(usize, usize, Flit)>,
     total_vcs: usize,
+    /// RC + VA pipeline delay of a flit entering a router, by class.
+    proc_delay: [Cycle; 2],
     stats_epoch: Cycle,
-    /// Flits buffered in each router's input VCs, maintained on every
-    /// push/pop. `active[r] == 0` means router `r` has nothing to do in
-    /// VA/SA this cycle and the tick loop skips it entirely.
-    active: Vec<u32>,
-    /// Reference mode: when `false`, the idle-router fast path is
-    /// disabled and every router runs VA/SA each cycle (for equivalence
-    /// tests; results must be identical either way).
+    /// Reference mode: when `false`, the tick scans every input VC of
+    /// every router (and every NI) instead of following the occupancy,
+    /// allocation and free-VC bitsets (for equivalence tests; results
+    /// must be identical either way).
     idle_skip: bool,
     /// Spatial partition of the router range: one entry (all routers)
     /// for the sequential engine, per-row groups when sharded.
@@ -242,17 +266,14 @@ impl Network {
         assert!(total_vcs > 0, "need at least one VC");
         assert!(params.pipeline >= 2, "pipeline must be at least 2 stages");
         let topo = TopologyGraph::build(params.topology, params.width, params.height);
-        let routers = (0..topo.routers())
-            .map(|r| Router::new(topo.port_count(r), total_vcs, params.vc_buf_flits))
-            .collect();
-        let nis = (0..topo.nodes())
+        let routers = RouterState::new(&topo, total_vcs, params.vc_buf_flits);
+        let nis: Vec<Ni> = (0..topo.nodes())
             .map(|n| {
                 let (router, port) = topo.attach_of(NodeId(n as u16));
                 Ni {
                     router,
                     port,
                     inj: (0..total_vcs).map(|_| None).collect(),
-                    progress: vec![false; total_vcs],
                     inj_rr: 0,
                     want: [false; 2],
                     eject_used: 0,
@@ -266,9 +287,15 @@ impl Network {
             topo.route_table(params.policy_for(TrafficClass::Request)),
             topo.route_table(params.policy_for(TrafficClass::Reply)),
         ];
+        let proc_delay = [
+            proc_delay(&params, TrafficClass::Request),
+            proc_delay(&params, TrafficClass::Reply),
+        ];
         Network {
             params,
             routers,
+            ni_progress: vec![false; nis.len() * total_vcs],
+            ni_live: vec![0; nis.len().div_ceil(64)],
             nis,
             packets: PacketSlab::default(),
             now: 0,
@@ -276,8 +303,8 @@ impl Network {
             credit_returns: Vec::new(),
             transfers: Vec::new(),
             total_vcs,
+            proc_delay,
             stats_epoch: 0,
-            active: vec![0; n_routers],
             idle_skip: true,
             plan: ShardPlan::single(n_routers),
             scratch: vec![ShardScratch::default()],
@@ -288,10 +315,11 @@ impl Network {
         }
     }
 
-    /// Toggle the idle-router fast path (on by default). Turning it off
-    /// forces every router through VA/SA each cycle — a reference mode
-    /// for equivalence tests; simulated behavior is identical either
-    /// way, only wall-clock differs.
+    /// Toggle the bitset fast path (on by default). Turning it off makes
+    /// every tick scan every input VC of every router and every NI,
+    /// ignoring the occupancy, allocation and free-VC bitsets — a
+    /// reference mode for equivalence tests; simulated behavior is
+    /// identical either way, only wall-clock differs.
     pub fn set_idle_skip(&mut self, on: bool) {
         self.idle_skip = on;
     }
@@ -364,7 +392,7 @@ impl Network {
     /// post-reset window.
     pub fn reset_stats(&mut self) {
         let nodes = self.nis.len();
-        let routers = self.routers.len();
+        let routers = self.topo.routers();
         let mut fresh = NocStats::new(routers, |r| self.topo.port_count(r), nodes);
         fresh.cycles = 0;
         self.stats = fresh;
@@ -403,58 +431,8 @@ impl Network {
             w.u32(s);
         }
         w.usize(self.packets.live);
-        for r in &self.routers {
-            for port in &r.inputs {
-                for vc in port {
-                    w.usize(vc.buf.len());
-                    for f in &vc.buf {
-                        w.u32(f.slot);
-                        w.u8(f.idx);
-                        w.u8(f.total);
-                        w.u64(f.eligible);
-                    }
-                    match vc.alloc {
-                        Some(a) => {
-                            w.bool(true);
-                            w.u8(a.port);
-                            w.u8(a.vc);
-                            w.bool(a.eject);
-                        }
-                        None => w.bool(false),
-                    }
-                }
-            }
-            for port in &r.out_owner {
-                for o in port {
-                    match o {
-                        Some((i, v)) => {
-                            w.bool(true);
-                            w.u8(*i);
-                            w.u8(*v);
-                        }
-                        None => w.bool(false),
-                    }
-                }
-            }
-            for port in &r.credits {
-                for &c in port {
-                    w.u8(c);
-                }
-            }
-            for &g in &r.grant_ptr {
-                w.usize(g);
-            }
-            for &a in &r.accept_ptr {
-                w.usize(a);
-            }
-            for &h in &r.hare_score {
-                w.f64(h);
-            }
-            for &f in &r.footprint {
-                w.u64(f);
-            }
-        }
-        for ni in &self.nis {
+        self.routers.save_state(w);
+        for (n, ni) in self.nis.iter().enumerate() {
             for s in &ni.inj {
                 match s {
                     Some(s) => {
@@ -466,7 +444,7 @@ impl Network {
                     None => w.bool(false),
                 }
             }
-            for &p in &ni.progress {
+            for &p in &self.ni_progress[n * self.total_vcs..(n + 1) * self.total_vcs] {
                 w.bool(p);
             }
             w.usize(ni.inj_rr);
@@ -485,8 +463,8 @@ impl Network {
 
     /// Overlay state captured by [`Network::save_state`] onto a network
     /// built with the same [`NetParams`]. The current engine mode
-    /// (idle-skip, shard plan) is preserved; the idle-router activity
-    /// counts are recomputed from the restored buffers.
+    /// (idle-skip, shard plan) is preserved; the bitsets and cached flit
+    /// metadata are rebuilt from the restored buffers and packets.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.now = r.u64()?;
         let n = r.usize()?;
@@ -507,69 +485,31 @@ impl Network {
         if self.packets.live != live {
             return Err(SnapError::Corrupt("packet slab live count mismatch"));
         }
-        for router in &mut self.routers {
-            for port in &mut router.inputs {
-                for vc in port {
-                    vc.buf.clear();
-                    for _ in 0..r.usize()? {
-                        vc.buf.push_back(Flit {
-                            slot: r.u32()?,
-                            idx: r.u8()?,
-                            total: r.u8()?,
-                            eligible: r.u64()?,
-                        });
-                    }
-                    vc.alloc = if r.bool()? {
-                        Some(Alloc {
-                            port: r.u8()?,
-                            vc: r.u8()?,
-                            eject: r.bool()?,
-                        })
-                    } else {
-                        None
-                    };
-                }
-            }
-            for port in &mut router.out_owner {
-                for o in port {
-                    *o = if r.bool()? {
-                        Some((r.u8()?, r.u8()?))
-                    } else {
-                        None
-                    };
-                }
-            }
-            for port in &mut router.credits {
-                for c in port {
-                    *c = r.u8()?;
-                }
-            }
-            for g in &mut router.grant_ptr {
-                *g = r.usize()?;
-            }
-            for a in &mut router.accept_ptr {
-                *a = r.usize()?;
-            }
-            for h in &mut router.hare_score {
-                *h = r.f64()?;
-            }
-            for f in &mut router.footprint {
-                *f = r.u64()?;
-            }
-        }
-        for ni in &mut self.nis {
+        let packets = &self.packets;
+        self.routers.load_state(r, |slot| {
+            let p = packets.v.get(slot as usize)?.as_ref()?;
+            Some((p.prio, p.class()))
+        })?;
+        self.ni_live.fill(0);
+        for (n, ni) in self.nis.iter_mut().enumerate() {
             for s in &mut ni.inj {
                 *s = if r.bool()? {
+                    let (slot, next_idx, total) = (r.u32()?, r.u8()?, r.u8()?);
+                    let p = self.packets.v.get(slot as usize).and_then(Option::as_ref);
+                    let p = p.ok_or(SnapError::Corrupt("injection slot of a dead packet"))?;
+                    self.ni_live[n / 64] |= 1 << (n % 64);
                     Some(InjSlot {
-                        slot: r.u32()?,
-                        next_idx: r.u8()?,
-                        total: r.u8()?,
+                        slot,
+                        next_idx,
+                        total,
+                        prio: p.prio,
+                        class: p.class(),
                     })
                 } else {
                     None
                 };
             }
-            for p in &mut ni.progress {
+            for p in &mut self.ni_progress[n * self.total_vcs..(n + 1) * self.total_vcs] {
                 *p = r.bool()?;
             }
             ni.inj_rr = r.usize()?;
@@ -583,9 +523,6 @@ impl Network {
         self.eject_counts = r.bytes()?;
         self.stats_epoch = r.u64()?;
         self.stats.load_state(r)?;
-        for (i, router) in self.routers.iter().enumerate() {
-            self.active[i] = router.buffered_flits() as u32;
-        }
         self.transfers.clear();
         self.credit_returns.clear();
         Ok(())
@@ -599,13 +536,13 @@ impl Network {
 
     /// Flits buffered inside router input VCs (congestion diagnostic).
     pub fn buffered_flits(&self) -> usize {
-        self.routers.iter().map(|r| r.buffered_flits()).sum()
+        self.routers.buffered_total()
     }
 
     /// Flits buffered inside one router's input VCs — the per-router VC
     /// occupancy hook the telemetry sampler reads to find hot spots.
     pub fn router_buffered_flits(&self, router: usize) -> usize {
-        self.routers[router].buffered_flits()
+        self.routers.buffered(router)
     }
 
     /// Whether a new packet of (`class`, `prio`) could start streaming at
@@ -630,7 +567,8 @@ impl Network {
         }
         let mut slots = self.vc_partition(class, prio);
         let ni = &self.nis[node.index()];
-        slots.all(|v| ni.inj[v].is_some() && !ni.progress[v])
+        let progress = &self.ni_progress[node.index() * self.total_vcs..];
+        slots.all(|v| ni.inj[v].is_some() && !progress[v])
     }
 
     /// Hand a packet to the node's network interface.
@@ -652,20 +590,24 @@ impl Network {
             panic!("network does not carry {class}");
         }
         let mut slots = self.vc_partition(class, pkt.prio);
-        let ni = &mut self.nis[pkt.src.index()];
+        let n = pkt.src.index();
+        let ni = &mut self.nis[n];
         let Some(vc) = slots.find(|&v| ni.inj[v].is_none()) else {
             ni.want[class_ix(class)] = true;
             return Err(pkt);
         };
         self.stats.injected_pkts[class_ix(class)] += 1;
         self.stats.injected_flits[class_ix(class)] += pkt.flits as u64;
-        let total = pkt.flits;
+        let (total, prio) = (pkt.flits, pkt.prio);
         let slot = self.packets.insert(pkt);
         ni.inj[vc] = Some(InjSlot {
             slot,
             next_idx: 0,
             total,
+            prio,
+            class,
         });
+        self.ni_live[n / 64] |= 1 << (n % 64);
         Ok(())
     }
 
@@ -754,19 +696,6 @@ impl Network {
         self.nis[node.index()].ejected.len()
     }
 
-    fn proc_delay(&self, class: TrafficClass) -> Cycle {
-        // RC + VA occupy pipeline-2 of the pipeline stages; SA and ST
-        // are explicit in the tick loop. Adaptive routing pays one extra
-        // stage for the heavier route computation / switch allocation
-        // (the crossbar-congestion overhead of Dally & Aoki cited by the
-        // paper as the reason adaptive schemes lose to CDR).
-        let adaptive = matches!(
-            self.params.policy_for(class),
-            RoutingPolicy::DyXY | RoutingPolicy::Footprint | RoutingPolicy::Hare
-        );
-        (self.params.pipeline - 2) as Cycle + Cycle::from(adaptive)
-    }
-
     /// The VC sub-range a packet of (`class`, `prio`) may occupy.
     ///
     /// On the reply network the top VC of the class range is reserved for
@@ -830,18 +759,17 @@ impl Network {
     /// Steady-state ticks perform zero heap allocations: all per-cycle
     /// working sets (SA requests/grants/matches, link transfers, credit
     /// returns) live in per-shard scratch buffers that are drained in
-    /// place, and routers with no buffered flits (`active[r] == 0`) skip
-    /// VA/SA entirely.
+    /// place. The phases follow the per-router bitsets, so a tick pays
+    /// only for VCs that hold flits: VA visits occupied-and-unallocated
+    /// VCs, SA occupied-and-allocated ones, and a router whose occupancy
+    /// bitset is empty costs one word test.
     ///
     /// The VA and SA/ST phases run over the shard plan — inline for the
     /// sequential engine, fanned out over the worker pool when sharded
     /// — and the per-shard results merge in shard (= router) order, so
     /// both engines execute the identical state transition.
     pub fn tick(&mut self) {
-        // Reset per-tick NI progress flags.
-        for ni in &mut self.nis {
-            ni.progress.iter_mut().for_each(|p| *p = false);
-        }
+        self.ni_progress.fill(false);
         self.update_adaptive_state();
         // Pre-size the reassembly counters: slots are bounded by the
         // slab length, so the SA/ST phase (possibly parallel) indexes
@@ -863,25 +791,14 @@ impl Network {
         // Apply link transfers (arrivals become visible next tick).
         // Drained in place: capacity is retained across cycles and
         // nothing pushes to `transfers` during the apply loop.
-        for (r, p, vc, f) in self.transfers.drain(..) {
-            let buf = &mut self.routers[r].inputs[p][vc].buf;
-            assert!(
-                buf.len() < self.params.vc_buf_flits as usize,
-                "VC overflow at router {r} port {p} vc {vc}: credits violated"
-            );
-            buf.push_back(f);
-            self.active[r] += 1;
+        for (r, bit, f) in self.transfers.drain(..) {
+            self.routers.push(r, bit, f);
         }
         self.ni_injection();
         // Apply credit returns (one-cycle credit latency), drained in
         // place like the transfers above.
         for (r, p, vc) in self.credit_returns.drain(..) {
-            let c = &mut self.routers[r].credits[p][vc];
-            *c += 1;
-            assert!(
-                *c <= self.params.vc_buf_flits,
-                "credit overflow at router {r} port {p} vc {vc}"
-            );
+            self.routers.return_credit(r, p, vc);
         }
         // Injection-stall accounting.
         for (n, ni) in self.nis.iter_mut().enumerate() {
@@ -892,17 +809,29 @@ impl Network {
         }
         self.now += 1;
         self.stats.cycles = self.now - self.stats_epoch;
+        debug_assert!(
+            self.bitsets_consistent(),
+            "router or NI bitsets diverged from the VC state at cycle {}",
+            self.now
+        );
+    }
+
+    /// Whether every router's bitsets and free-VC masks, and the live-NI
+    /// bitset, equal the state they summarize.
+    fn bitsets_consistent(&self) -> bool {
+        let routers = (0..self.topo.routers()).all(|r| self.routers.bitsets_consistent(r));
+        let nis = self.nis.iter().enumerate().all(|(n, ni)| {
+            let live = self.ni_live[n / 64] & (1 << (n % 64)) != 0;
+            live == ni.inj.iter().any(Option::is_some)
+        });
+        routers && nis
     }
 
     /// VC allocation over shard `s`'s router range. Mutates only those
     /// routers' state, so shards run this concurrently.
     pub(crate) fn va_shard(&mut self, s: usize) {
-        let range = self.plan.router_range(s);
-        for r in range {
-            if self.idle_skip && self.active[r] == 0 {
-                continue;
-            }
-            self.va_router(r);
+        for r in self.plan.router_range(s) {
+            self.for_each_vc(r, false, |net, bit| net.va_vc(r, bit));
         }
     }
 
@@ -911,15 +840,45 @@ impl Network {
     /// locally attached NIs); everything crossing a boundary is deferred
     /// into the shard's scratch for the in-order merge.
     pub(crate) fn sa_st_shard(&mut self, s: usize) {
-        let range = self.plan.router_range(s);
         let mut sc = std::mem::take(&mut self.scratch[s]);
-        for r in range {
-            if self.idle_skip && self.active[r] == 0 {
-                continue;
+        for r in self.plan.router_range(s) {
+            sc.sa_requests.clear();
+            self.for_each_vc(r, true, |net, bit| net.sa_request(r, bit, &mut sc));
+            if !sc.sa_requests.is_empty() {
+                self.sa_st_router(r, &mut sc);
             }
-            self.sa_st_router(r, &mut sc);
         }
         self.scratch[s] = sc;
+    }
+
+    /// Visit router `r`'s occupied input VCs that hold an allocation
+    /// (`allocated`) or still need one, in ascending bit order: the set
+    /// bits of its bitsets, or in the reference mode every VC, tested
+    /// one by one.
+    fn for_each_vc(&mut self, r: usize, allocated: bool, mut visit: impl FnMut(&mut Self, usize)) {
+        if self.idle_skip {
+            let words = self.routers.words(r);
+            for w in words.clone() {
+                let base = (w - words.start) * 64;
+                let mut bits = if allocated {
+                    self.routers.allocated_word(w)
+                } else {
+                    self.routers.unallocated_word(w)
+                };
+                while bits != 0 {
+                    let bit = base + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    visit(self, bit);
+                }
+            }
+        } else {
+            for bit in 0..self.routers.bits(r) {
+                let ix = self.routers.vc_ix(r, bit);
+                if self.routers.alloc(ix).is_some() == allocated && self.routers.len(ix) > 0 {
+                    visit(self, bit);
+                }
+            }
+        }
     }
 
     /// Fold the per-shard scratches back into global state, in shard
@@ -963,57 +922,84 @@ impl Network {
         if !adaptive {
             return;
         }
-        for r in &mut self.routers {
-            for p in 0..r.hare_score.len() {
-                let free: u32 = r.credits[p].iter().map(|&c| c as u32).sum();
-                r.hare_score[p] = 0.9 * r.hare_score[p] + 0.1 * free as f64;
+        for r in 0..self.topo.routers() {
+            for p in 0..self.routers.ports(r) {
+                let free = self.routers.free_credits(r, p, 0, self.total_vcs);
+                let pix = self.routers.port_ix(r, p);
+                let h = &mut self.routers.hare_score[pix];
+                *h = 0.9 * *h + 0.1 * free as f64;
             }
         }
     }
 
-    /// VC allocation: give head flits at the front of their input VC an
-    /// output port + output VC.
-    fn va_router(&mut self, r: usize) {
-        let n_ports = self.routers[r].inputs.len();
-        for i in 0..n_ports {
-            for v in 0..self.total_vcs {
-                if self.routers[r].inputs[i][v].alloc.is_some() {
-                    continue;
+    /// VC allocation for router `r`'s input VC `bit` (occupied, not yet
+    /// allocated): give its head flit an output port + output VC.
+    fn va_vc(&mut self, r: usize, bit: usize) {
+        let ix = self.routers.vc_ix(r, bit);
+        if self.idle_skip {
+            if let Some(w) = self.routers.va_wait(ix) {
+                // The head already failed on its single candidate port;
+                // only a freed output VC there changes the answer.
+                let (p, lo, hi) = (w.port as usize, w.lo as usize, w.hi as usize);
+                let found = self.routers.first_free_out(r, p, lo, hi, true);
+                let memo = found.map(|vc| Alloc {
+                    port: w.port,
+                    vc: vc as u8,
+                    eject: false,
+                });
+                debug_assert_eq!(
+                    memo.ok_or(Some(w)),
+                    self.route_and_choose(r, ix),
+                    "VA wait memo disagrees with the full computation"
+                );
+                if let Some(alloc) = memo {
+                    self.allocate(r, bit, alloc);
                 }
-                let Some(&f) = self.routers[r].inputs[i][v].buf.front() else {
-                    continue;
-                };
-                debug_assert!(f.is_head(), "body flit at VC head without allocation");
-                if f.eligible > self.now {
-                    continue;
-                }
-                let pkt = self.packets.get(f.slot);
-                let class = pkt.class();
-                let prio = pkt.prio;
-                let dst = pkt.dst;
-                let policy = self.params.policy_for(class);
-                // Deterministic policies read the precomputed next-hop
-                // table; adaptive ones evaluate the routing relation per
-                // head flit.
-                let cand = match &self.route_tables[class_ix(class)] {
-                    Some(t) => {
-                        routing::Candidates::single(t[r * self.nis.len() + dst.index()] as usize)
-                    }
-                    None => routing::candidates(&self.topo, r, dst, policy),
-                };
-                if let Some(alloc) = self.choose_output(r, class, prio, dst, policy, &cand) {
-                    if !alloc.eject {
-                        self.routers[r].out_owner[alloc.port as usize][alloc.vc as usize] =
-                            Some((i as u8, v as u8));
-                    }
-                    self.routers[r].inputs[i][v].alloc = Some(alloc);
-                }
+                return;
             }
         }
+        let f = self.routers.front(ix).expect("occupied VC");
+        debug_assert!(f.is_head(), "body flit at VC head without allocation");
+        if f.eligible > self.now {
+            return;
+        }
+        match self.route_and_choose(r, ix) {
+            Ok(alloc) => self.allocate(r, bit, alloc),
+            Err(Some(wait)) if self.idle_skip => self.routers.set_va_wait(ix, wait),
+            Err(_) => {}
+        }
+    }
+
+    /// Route the (eligible) head flit of input VC `ix` at router `r` and
+    /// pick its output; see [`Self::choose_output`].
+    fn route_and_choose(&self, r: usize, ix: usize) -> Result<Alloc, Option<VaWait>> {
+        let f = self.routers.front(ix).expect("occupied VC");
+        let dst = self.packets.get(f.slot).dst;
+        let policy = self.params.policy_for(f.class);
+        // Deterministic policies read the precomputed next-hop table;
+        // adaptive ones evaluate the routing relation per head flit.
+        let cand = match &self.route_tables[class_ix(f.class)] {
+            Some(t) => routing::Candidates::single(t[r * self.nis.len() + dst.index()] as usize),
+            None => routing::candidates(&self.topo, r, dst, policy),
+        };
+        self.choose_output(r, f.class, f.prio, dst, policy, &cand)
+    }
+
+    /// Hand router `r`'s input VC `bit` its allocation, claiming the
+    /// output VC unless it ejects.
+    fn allocate(&mut self, r: usize, bit: usize, alloc: Alloc) {
+        if !alloc.eject {
+            let (i, v) = (bit / self.total_vcs, bit % self.total_vcs);
+            self.routers
+                .claim_out(r, alloc.port as usize, alloc.vc as usize, i, v);
+        }
+        self.routers.set_alloc(r, bit, alloc);
     }
 
     /// Pick (port, out VC) among the routing candidates according to the
-    /// policy's congestion preference; `None` if nothing is free.
+    /// policy's congestion preference. When nothing is free, a single
+    /// candidate's port and VC range come back as the [`VaWait`] the
+    /// head can wait on.
     #[allow(clippy::too_many_arguments)]
     fn choose_output(
         &self,
@@ -1023,11 +1009,11 @@ impl Network {
         dst: NodeId,
         policy: RoutingPolicy,
         cand: &routing::Candidates,
-    ) -> Option<Alloc> {
+    ) -> Result<Alloc, Option<VaWait>> {
         // Ejection port: no VC ownership, gated by the NI buffer in SA.
         let first = cand.escape_port();
-        if let PortLink::Node(_) = self.topo.link(r, first) {
-            return Some(Alloc {
+        if let PortLink::Node(_) = self.routers.link(r, first) {
+            return Ok(Alloc {
                 port: first as u8,
                 vc: 0,
                 eject: true,
@@ -1036,7 +1022,7 @@ impl Network {
         let range = self.params.classes.vc_range(class).expect("carried class");
         let part = self.vc_partition(class, prio);
         let floor = routing::vc_floor(&self.topo, r, dst);
-        let router = &self.routers[r];
+        let routers = &self.routers;
         // Order candidates by the policy's preference. At most 3
         // candidates exist (escape + adaptive alternatives), so a stack
         // array replaces the former per-call `Vec`.
@@ -1050,7 +1036,7 @@ impl Network {
                 // Most free credits first; escape wins ties.
                 ports.sort_by_key(|&p| {
                     (
-                        u32::MAX - router.free_credits(p, range.start, range.end),
+                        u32::MAX - routers.free_credits(r, p, range.start, range.end),
                         !cand.is_escape(p) as u8,
                     )
                 });
@@ -1059,12 +1045,13 @@ impl Network {
                 // Escape first unless the adaptive port was recently
                 // profitable or the escape route is out of credits.
                 let escape = cand.escape_port();
-                let escape_starved = router.free_credits(escape, range.start, range.end) == 0;
+                let escape_starved = routers.free_credits(r, escape, range.start, range.end) == 0;
                 ports.sort_by_key(|&p| {
                     if cand.is_escape(p) {
                         u8::from(escape_starved)
                     } else {
-                        let fresh = self.now.saturating_sub(router.footprint[p]) < 64;
+                        let last = routers.footprint[routers.port_ix(r, p)];
+                        let fresh = self.now.saturating_sub(last) < 64;
                         if escape_starved || fresh {
                             0
                         } else {
@@ -1074,9 +1061,10 @@ impl Network {
                 });
             }
             RoutingPolicy::Hare => {
+                let score = |p: usize| routers.hare_score[routers.port_ix(r, p)];
                 ports.sort_by(|&a, &b| {
-                    router.hare_score[b]
-                        .partial_cmp(&router.hare_score[a])
+                    score(b)
+                        .partial_cmp(&score(a))
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
             }
@@ -1094,173 +1082,171 @@ impl Network {
                 0
             };
             let lo = (range.start + start_off.max(floor)).max(part.start);
-            for vc in lo..part.end {
-                if self.routers[r].out_owner[p][vc].is_none() {
-                    return Some(Alloc {
-                        port: p as u8,
-                        vc: vc as u8,
-                        eject: false,
-                    });
-                }
+            if let Some(vc) = routers.first_free_out(r, p, lo, part.end, self.idle_skip) {
+                return Ok(Alloc {
+                    port: p as u8,
+                    vc: vc as u8,
+                    eject: false,
+                });
+            }
+            if n_cand == 1 {
+                return Err(Some(VaWait {
+                    port: p as u8,
+                    lo: lo as u8,
+                    hi: part.end as u8,
+                }));
             }
         }
-        None
+        Err(None)
     }
 
-    /// Switch allocation (iterative iSLIP with strict CPU priority)
-    /// followed by switch/link traversal for the winners.
-    ///
-    /// All working sets live in the `sa_*` buffers of the shard's
-    /// scratch: cleared (not reallocated) per router, so steady-state
-    /// cycles never touch the heap.
-    #[allow(clippy::needless_range_loop)] // indices drive router state arrays
-    fn sa_st_router(&mut self, r: usize, sc: &mut ShardScratch) {
-        let n_ports = self.routers[r].inputs.len();
-        // Gather requests: (out_port, in_port, in_vc, prio).
-        sc.sa_requests.clear();
-        for i in 0..n_ports {
-            for v in 0..self.total_vcs {
-                let ivc = &self.routers[r].inputs[i][v];
-                let Some(alloc) = ivc.alloc else { continue };
-                let Some(&f) = ivc.buf.front() else { continue };
-                if f.eligible > self.now {
-                    continue;
-                }
-                let ok = if alloc.eject {
-                    let node = match self.topo.link(r, alloc.port as usize) {
-                        PortLink::Node(n) => n,
-                        other => panic!("eject alloc to {other:?}"),
-                    };
-                    let ni = &self.nis[node.index()];
-                    // Head flits reserve the whole packet's reassembly
-                    // space up front so interleaved partial packets can
-                    // never wedge the ejection buffer.
-                    if f.is_head() {
-                        ni.eject_used + f.total as usize <= self.params.eject_buf_flits
-                    } else {
-                        true
-                    }
-                } else {
-                    self.routers[r].credits[alloc.port as usize][alloc.vc as usize] > 0
-                };
-                if ok {
-                    let prio = self.packets.get(f.slot).prio;
-                    sc.sa_requests.push((alloc.port as usize, i, v, prio));
-                }
-            }
-        }
-        if sc.sa_requests.is_empty() {
+    /// SA request gathering for router `r`'s input VC `bit` (occupied
+    /// and allocated): request the allocated output if the head flit is
+    /// eligible and has somewhere to go.
+    fn sa_request(&self, r: usize, bit: usize, sc: &mut ShardScratch) {
+        let ix = self.routers.vc_ix(r, bit);
+        let f = *self.routers.front(ix).expect("occupied VC");
+        if f.eligible > self.now {
             return;
         }
-        let n_out = self.routers[r].out_owner.len();
-        sc.sa_out_taken.clear();
-        sc.sa_out_taken.resize(n_out, false);
-        sc.sa_in_taken.clear();
-        sc.sa_in_taken.resize(n_ports, false);
+        let alloc = self.routers.alloc(ix).expect("allocated VC");
+        let ok = if alloc.eject {
+            let node = match self.routers.link(r, alloc.port as usize) {
+                PortLink::Node(n) => n,
+                other => panic!("eject alloc to {other:?}"),
+            };
+            // Head flits reserve the whole packet's reassembly space up
+            // front so interleaved partial packets can never wedge the
+            // ejection buffer.
+            !f.is_head()
+                || self.nis[node.index()].eject_used + f.total as usize
+                    <= self.params.eject_buf_flits
+        } else {
+            self.routers
+                .credits(r, alloc.port as usize, alloc.vc as usize)
+                > 0
+        };
+        if ok {
+            sc.sa_requests.push(SaRequest {
+                out: alloc.port as usize,
+                bit,
+                prio: f.prio,
+            });
+        }
+    }
+
+    /// Switch allocation (iterative iSLIP with strict CPU priority) over
+    /// router `r`'s gathered requests, followed by switch/link traversal
+    /// for the winners.
+    ///
+    /// Each round buckets the requests by output port in one pass (the
+    /// grant), then the grants by input port (the accept), so a round
+    /// costs O(requests + ports). Every (priority, pointer distance) key
+    /// is unique within a bucket, so the winners do not depend on the
+    /// visiting order; accepts are recorded in ascending input order, the
+    /// order traversal — and with it the ejection stream — follows.
+    fn sa_st_router(&mut self, r: usize, sc: &mut ShardScratch) {
+        let v_count = self.total_vcs;
+        let n_ports = self.routers.ports(r);
+        let id_space = n_ports * v_count;
+        let pb = self.routers.port_ix(r, 0);
         sc.sa_accepted.clear();
-        // Iterative separable matching: each round runs a grant pass per
-        // free output and an accept pass per free input; matched pairs
-        // are removed and the next round fills in the matching.
-        for round in 0..self.params.sa_iterations.max(1) {
-            // Grant: one request per free output port (CPU first, then
-            // rotating).
-            sc.sa_grants.clear(); // (out, in, vc)
-            for op in 0..n_out {
-                if sc.sa_out_taken[op] {
-                    continue;
-                }
-                let mut best: Option<(usize, usize, Priority, usize)> = None;
-                let ptr = self.routers[r].grant_ptr[op];
-                let id_space = n_ports * self.total_vcs;
-                for &(o, i, v, prio) in &sc.sa_requests {
-                    if o != op || sc.sa_in_taken[i] {
+        if sc.sa_requests.len() == 1 {
+            // A lone request wins its output's grant and its input's
+            // accept outright.
+            let q = sc.sa_requests[0];
+            let (i, v) = (q.bit / v_count, q.bit % v_count);
+            self.routers.grant_ptr[pb + q.out] = (q.bit + 1) % id_space;
+            self.routers.accept_ptr[pb + i] = (v + 1) % v_count;
+            sc.sa_accepted.push((q.bit, q.out));
+        } else {
+            if sc.sa_out_taken.len() < n_ports {
+                sc.sa_out_taken.resize(n_ports, false);
+                sc.sa_in_taken.resize(n_ports, false);
+                sc.sa_out_best.resize(n_ports, None);
+                sc.sa_in_best.resize(n_ports, None);
+            }
+            sc.sa_out_taken[..n_ports].fill(false);
+            sc.sa_in_taken[..n_ports].fill(false);
+            for round in 0..self.params.sa_iterations.max(1) {
+                // Grant: one request per free output port (CPU first,
+                // then rotating from the output's grant pointer).
+                sc.sa_out_best[..n_ports].fill(None);
+                for (k, q) in sc.sa_requests.iter().enumerate() {
+                    if sc.sa_out_taken[q.out] || sc.sa_in_taken[q.bit / v_count] {
                         continue;
                     }
-                    let id = i * self.total_vcs + v;
-                    let dist = (id + id_space - ptr) % id_space;
-                    let better = match best {
-                        None => true,
-                        Some((_, _, bp, bd)) => (prio, dist) < (bp, bd),
-                    };
-                    if better {
-                        best = Some((i, v, prio, dist));
+                    let ptr = self.routers.grant_ptr[pb + q.out];
+                    let key = (q.prio, (q.bit + id_space - ptr) % id_space);
+                    let best = &mut sc.sa_out_best[q.out];
+                    if best.is_none_or(|(_, b)| key < b) {
+                        *best = Some((k, key));
                     }
                 }
-                if let Some((i, v, _, _)) = best {
-                    sc.sa_grants.push((op, i, v));
-                }
-            }
-            if sc.sa_grants.is_empty() {
-                break;
-            }
-            // Accept: one grant per free input port (CPU first, then
-            // rotating).
-            let mut progress = false;
-            for i in 0..n_ports {
-                if sc.sa_in_taken[i] {
-                    continue;
-                }
-                let mut best: Option<(usize, usize, Priority, usize)> = None;
-                let ptr = self.routers[r].accept_ptr[i];
-                for &(op, gi, v) in &sc.sa_grants {
-                    if gi != i {
+                // Accept: one grant per free input port (CPU first, then
+                // rotating from the input's accept pointer).
+                sc.sa_in_best[..n_ports].fill(None);
+                for op in 0..n_ports {
+                    let Some((k, _)) = sc.sa_out_best[op] else {
                         continue;
-                    }
-                    let f = self.routers[r].inputs[i][v].buf.front().expect("requested");
-                    let prio = self.packets.get(f.slot).prio;
-                    let dist = (v + self.total_vcs - ptr) % self.total_vcs;
-                    let better = match best {
-                        None => true,
-                        Some((_, _, bp, bd)) => (prio, dist) < (bp, bd),
                     };
-                    if better {
-                        best = Some((op, v, prio, dist));
+                    let q = sc.sa_requests[k];
+                    let (i, v) = (q.bit / v_count, q.bit % v_count);
+                    let ptr = self.routers.accept_ptr[pb + i];
+                    let key = (q.prio, (v + v_count - ptr) % v_count);
+                    let best = &mut sc.sa_in_best[i];
+                    if best.is_none_or(|(_, b)| key < b) {
+                        *best = Some((k, key));
                     }
                 }
-                if let Some((op, v, _, _)) = best {
-                    sc.sa_accepted.push((i, v, op));
+                let mut progress = false;
+                for i in 0..n_ports {
+                    let Some((k, _)) = sc.sa_in_best[i] else {
+                        continue;
+                    };
+                    let q = sc.sa_requests[k];
+                    sc.sa_accepted.push((q.bit, q.out));
                     sc.sa_in_taken[i] = true;
-                    sc.sa_out_taken[op] = true;
+                    sc.sa_out_taken[q.out] = true;
                     progress = true;
                     // iSLIP pointer updates only on first-iteration
                     // accepts (the classic desynchronization rule).
                     if round == 0 {
-                        self.routers[r].grant_ptr[op] =
-                            (i * self.total_vcs + v + 1) % (n_ports * self.total_vcs);
-                        self.routers[r].accept_ptr[i] = (v + 1) % self.total_vcs;
+                        self.routers.grant_ptr[pb + q.out] = (q.bit + 1) % id_space;
+                        self.routers.accept_ptr[pb + i] = (q.bit % v_count + 1) % v_count;
                     }
                 }
-            }
-            if !progress {
-                break;
+                if !progress {
+                    break;
+                }
             }
         }
         // ST for the winners (indexed: traverse needs `&mut self`).
         for k in 0..sc.sa_accepted.len() {
-            let (i, v, op) = sc.sa_accepted[k];
-            self.traverse(r, i, v, op, sc);
+            let (bit, op) = sc.sa_accepted[k];
+            self.traverse(r, bit, op, sc);
         }
     }
 
-    /// Move the head-of-VC flit of (router `r`, input `i`, VC `v`) out of
+    /// Move the head-of-VC flit of router `r`'s input VC `bit` out of
     /// output port `op`. Cross-shard effects (credit returns, link
     /// transfers, ejection finalization) are deferred into `sc`.
-    fn traverse(&mut self, r: usize, i: usize, v: usize, op: usize, sc: &mut ShardScratch) {
-        let alloc = self.routers[r].inputs[i][v].alloc.expect("allocated");
+    fn traverse(&mut self, r: usize, bit: usize, op: usize, sc: &mut ShardScratch) {
+        let (i, v) = (bit / self.total_vcs, bit % self.total_vcs);
+        let alloc = self
+            .routers
+            .alloc(self.routers.vc_ix(r, bit))
+            .expect("allocated");
         debug_assert_eq!(alloc.port as usize, op);
-        let f = self.routers[r].inputs[i][v]
-            .buf
-            .pop_front()
-            .expect("requested flit");
-        self.active[r] -= 1;
+        let f = self.routers.pop(r, bit);
         self.stats.link_flits[r][op] += 1;
         // Credit return towards whoever feeds this input VC (possibly a
         // router in another shard — deferred).
-        if let PortLink::Router { router: s, port: q } = self.topo.link(r, i) {
+        if let PortLink::Router { router: s, port: q } = self.routers.link(r, i) {
             sc.credit_returns.push((s, q, v));
         }
         let tail = f.is_tail();
-        match self.topo.link(r, op) {
+        match self.routers.link(r, op) {
             PortLink::Node(node) => {
                 // Ejection into the NI reassembly buffer. Space for the
                 // whole packet was reserved when the head ejected; the
@@ -1280,65 +1266,84 @@ impl Network {
             }
             PortLink::Router { router: s, port: q } => {
                 let out_vc = alloc.vc as usize;
-                let c = &mut self.routers[r].credits[op][out_vc];
-                debug_assert!(*c > 0);
-                *c -= 1;
+                self.routers.take_credit(r, op, out_vc);
                 // Footprint: taking a non-escape port while it had credit
                 // marks it profitable.
-                self.routers[r].footprint[op] = self.now;
-                let class = self.packets.get(f.slot).class();
+                let p = self.routers.port_ix(r, op);
+                self.routers.footprint[p] = self.now;
                 let arrival = Flit {
-                    eligible: self.now + 1 + self.proc_delay(class),
+                    eligible: self.now + 1 + self.proc_delay[class_ix(f.class)],
                     ..f
                 };
-                sc.transfers.push((s, q, out_vc, arrival));
+                sc.transfers.push((s, q * self.total_vcs + out_vc, arrival));
                 if tail {
-                    self.routers[r].out_owner[op][out_vc] = None;
+                    self.routers.release_out(r, op, out_vc);
                 }
             }
             PortLink::Unused => panic!("routed into an unwired port"),
         }
         if tail {
-            self.routers[r].inputs[i][v].alloc = None;
+            self.routers.clear_alloc(r, bit);
         }
     }
 
     /// Stream flits from NI injection slots into the local input VCs:
     /// at most ONE flit per node per cycle — the node's single physical
-    /// injection channel, whatever the topology.
+    /// injection channel, whatever the topology. Only NIs holding a live
+    /// slot are visited (every NI in the reference mode).
     fn ni_injection(&mut self) {
-        for n in 0..self.nis.len() {
-            let (router, port) = (self.nis[n].router, self.nis[n].port);
-            let start = self.nis[n].inj_rr;
-            for k in 0..self.total_vcs {
-                let vc = (start + k) % self.total_vcs;
-                let Some(slot) = self.nis[n].inj[vc].as_ref() else {
-                    continue;
-                };
-                let buf_len = self.routers[router].inputs[port][vc].buf.len();
-                if buf_len >= self.params.vc_buf_flits as usize {
-                    continue;
+        if self.idle_skip {
+            for w in 0..self.ni_live.len() {
+                let mut live = self.ni_live[w];
+                while live != 0 {
+                    let n = w * 64 + live.trailing_zeros() as usize;
+                    live &= live - 1;
+                    self.ni_inject(n);
                 }
-                let (s, idx, total) = (slot.slot, slot.next_idx, slot.total);
-                let class = self.packets.get(s).class();
-                let f = Flit {
-                    slot: s,
-                    idx,
-                    total,
-                    eligible: self.now + 1 + self.proc_delay(class),
-                };
-                self.routers[router].inputs[port][vc].buf.push_back(f);
-                self.active[router] += 1;
-                self.stats.node_tx_flits[n] += 1;
-                self.nis[n].progress[vc] = true;
-                let slot = self.nis[n].inj[vc].as_mut().expect("checked");
-                slot.next_idx += 1;
-                if slot.next_idx == total {
-                    self.nis[n].inj[vc] = None;
-                }
-                self.nis[n].inj_rr = (vc + 1) % self.total_vcs;
-                break;
             }
+        } else {
+            for n in 0..self.nis.len() {
+                self.ni_inject(n);
+            }
+        }
+    }
+
+    /// Stream at most one flit from NI `n`, round-robin over its VCs.
+    fn ni_inject(&mut self, n: usize) {
+        let v_count = self.total_vcs;
+        let (router, port) = (self.nis[n].router, self.nis[n].port);
+        let start = self.nis[n].inj_rr;
+        for k in 0..v_count {
+            let vc = (start + k) % v_count;
+            let Some(slot) = self.nis[n].inj[vc].as_mut() else {
+                continue;
+            };
+            let bit = port * v_count + vc;
+            if self.routers.len(self.routers.vc_ix(router, bit))
+                >= self.params.vc_buf_flits as usize
+            {
+                continue;
+            }
+            let f = Flit {
+                slot: slot.slot,
+                idx: slot.next_idx,
+                total: slot.total,
+                prio: slot.prio,
+                class: slot.class,
+                eligible: self.now + 1 + self.proc_delay[class_ix(slot.class)],
+            };
+            slot.next_idx += 1;
+            if slot.next_idx == slot.total {
+                self.nis[n].inj[vc] = None;
+                if self.nis[n].inj.iter().all(Option::is_none) {
+                    self.ni_live[n / 64] &= !(1 << (n % 64));
+                }
+            }
+            self.routers.push(router, bit, f);
+            self.stats.node_tx_flits[n] += 1;
+            self.ni_progress[n * v_count + vc] = true;
+            self.nis[n].inj_rr = (vc + 1) % v_count;
+            break;
         }
     }
 }
@@ -1848,7 +1853,8 @@ mod tests {
             // north edge of shard 1 (32..40).
             for r in 24..40 {
                 assert_eq!(
-                    seq.routers[r].credits, shd.routers[r].credits,
+                    seq.routers.router_credits(r),
+                    shd.routers.router_credits(r),
                     "cycle {t} router {r} credits"
                 );
                 crossings += seq.stats().link_flits[r][if r < 32 {

@@ -7,7 +7,8 @@
 //!
 //! - Every mutation a phase performs in place is shard-local: input VC
 //!   buffers, allocations, output-VC ownership, credit decrements,
-//!   iSLIP pointers, per-router link counters, and the ejection budget
+//!   iSLIP pointers, the per-router occupancy/allocation bitsets and
+//!   free-VC masks, per-router link counters, and the ejection budget
 //!   of the shard's own locally attached nodes. On a mesh, node `n`
 //!   attaches to router `n`, so a contiguous router range owns the
 //!   identical node range.
@@ -125,27 +126,47 @@ impl ShardPlan {
     }
 }
 
+/// One switch-allocation request: router input VC `bit` (`port·V + vc`)
+/// asks for output port `out`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SaRequest {
+    /// Requested output port.
+    pub out: usize,
+    /// Requesting input VC, as the router-local bit `port·V + vc` (also
+    /// its iSLIP grant id).
+    pub bit: usize,
+    /// Priority of the requesting packet.
+    pub prio: Priority,
+}
+
+/// The best request so far of one iSLIP bucket: (request index,
+/// (priority, pointer distance)).
+pub(crate) type SaBest = Option<(usize, (Priority, usize))>;
+
 /// Per-shard working set for one tick phase. Everything a shard defers
-/// for the in-order merge lives here, plus the SA scratch buffers that
-/// used to sit directly on `Network` (cleared, never reallocated, so
-/// steady-state ticks stay heap-free).
+/// for the in-order merge lives here, plus the SA scratch buffers
+/// (cleared or refilled, never shrunk, so steady-state ticks stay
+/// heap-free).
 #[derive(Debug, Default)]
 pub(crate) struct ShardScratch {
-    /// SA requests gathered per router: (out_port, in_port, in_vc, prio).
-    pub sa_requests: Vec<(usize, usize, usize, Priority)>,
-    /// SA per-round grants (out, in, vc).
-    pub sa_grants: Vec<(usize, usize, usize)>,
-    /// SA accepted matches (in, vc, out).
-    pub sa_accepted: Vec<(usize, usize, usize)>,
+    /// SA requests gathered per router, in ascending input-VC order.
+    pub sa_requests: Vec<SaRequest>,
+    /// SA per-round grant winner of each output port.
+    pub sa_out_best: Vec<SaBest>,
+    /// SA per-round accept winner of each input port.
+    pub sa_in_best: Vec<SaBest>,
+    /// SA accepted matches (input VC bit, output port), in traversal
+    /// order.
+    pub sa_accepted: Vec<(usize, usize)>,
     /// SA: output ports already matched this cycle.
     pub sa_out_taken: Vec<bool>,
     /// SA: input ports already matched this cycle.
     pub sa_in_taken: Vec<bool>,
-    /// Link transfers leaving this shard's routers (possibly into
-    /// another shard); applied after the merge.
-    pub transfers: Vec<(usize, usize, usize, Flit)>,
-    /// Credit returns towards upstream routers (possibly in another
-    /// shard); applied after the merge.
+    /// Link transfers (router, input VC bit, flit) leaving this shard's
+    /// routers (possibly into another shard); applied after the merge.
+    pub transfers: Vec<(usize, usize, Flit)>,
+    /// Credit returns (router, output port, VC) towards upstream routers
+    /// (possibly in another shard); applied after the merge.
     pub credit_returns: Vec<(usize, usize, usize)>,
     /// Packets whose last flit ejected this cycle: (slot, node index).
     /// Slab removal, stats recording, and the ejection-queue push all

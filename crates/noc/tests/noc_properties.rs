@@ -257,21 +257,38 @@ fn cpu_packets_are_never_starved() {
     assert!(lat < 400, "CPU latency {lat} under GPU saturation");
 }
 
-/// The idle-router fast path is a pure optimization: with the skip
-/// disabled (reference mode), identical traffic must produce identical
-/// per-cycle ejections and identical final statistics.
+/// The bitset fast path is a pure optimization: with it disabled
+/// (reference mode: every input VC of every router scanned), identical
+/// traffic must produce identical per-cycle ejections and identical
+/// final statistics. Covers the mesh with one class, and the crossbar
+/// and flattened butterfly with both classes sharing the network — the
+/// crossbar's single 64-port router has 256 input VCs, so its bitsets
+/// span four words.
 #[test]
 fn idle_skip_matches_full_iteration_reference() {
+    let shared = ClassAssignment::Shared {
+        request_vcs: 2,
+        reply_vcs: 2,
+    };
+    for (topology, classes) in [
+        (
+            Topology::Mesh,
+            ClassAssignment::Single(TrafficClass::Request, 2),
+        ),
+        (Topology::Crossbar, shared),
+        (Topology::FlattenedButterfly, shared),
+    ] {
+        idle_skip_matches_reference(topology, classes);
+    }
+}
+
+fn idle_skip_matches_reference(topology: Topology, classes: ClassAssignment) {
+    let case = format!("{topology:?} {classes:?}");
     let mut rng = SmallRng::seed_from_u64(0x0C_0005);
-    let mut fast = Network::new(params(
-        Topology::Mesh,
-        ClassAssignment::Single(TrafficClass::Request, 2),
-    ));
-    let mut refr = Network::new(params(
-        Topology::Mesh,
-        ClassAssignment::Single(TrafficClass::Request, 2),
-    ));
+    let mut fast = Network::new(params(topology, classes));
+    let mut refr = Network::new(params(topology, classes));
     refr.set_idle_skip(false);
+    let both_classes = matches!(classes, ClassAssignment::Shared { .. });
     let mut seq = 0u64;
     for cycle in 0..3_000 {
         // Bursty traffic with quiet gaps so plenty of routers go idle.
@@ -286,14 +303,26 @@ fn idle_skip_matches_full_iteration_reference() {
             if src == dst {
                 continue;
             }
+            // On a shared network, mix 9-flit replies (a quarter of them
+            // CPU, which own the reply range's top VC) into the requests.
+            let (kind, prio) = if both_classes && rng.gen_range(0..2u32) == 0 {
+                let prio = if rng.gen_range(0..4u32) == 0 {
+                    Priority::Cpu
+                } else {
+                    Priority::Gpu
+                };
+                (MsgKind::ReadReply, prio)
+            } else {
+                (MsgKind::ReadReq, Priority::Gpu)
+            };
             seq += 1;
             let mk = || {
                 Packet::new(
                     PacketId(seq),
                     NodeId(src),
                     NodeId(dst),
-                    MsgKind::ReadReq,
-                    Priority::Gpu,
+                    kind,
+                    prio,
                     Addr::new(seq * 64),
                     128,
                     16,
@@ -302,7 +331,11 @@ fn idle_skip_matches_full_iteration_reference() {
             };
             let a = fast.try_inject(mk());
             let b = refr.try_inject(mk());
-            assert_eq!(a.is_ok(), b.is_ok(), "injection diverged at {cycle}");
+            assert_eq!(
+                a.is_ok(),
+                b.is_ok(),
+                "{case}: injection diverged at {cycle}"
+            );
         }
         fast.tick();
         refr.tick();
@@ -313,7 +346,7 @@ fn idle_skip_matches_full_iteration_reference() {
                 assert_eq!(
                     a.as_ref().map(|p| p.id),
                     b.as_ref().map(|p| p.id),
-                    "ejection diverged at cycle {cycle} node {d}"
+                    "{case}: ejection diverged at cycle {cycle} node {d}"
                 );
                 if a.is_none() {
                     break;
@@ -321,14 +354,20 @@ fn idle_skip_matches_full_iteration_reference() {
             }
         }
     }
-    assert_eq!(fast.in_flight(), refr.in_flight());
+    assert_eq!(fast.in_flight(), refr.in_flight(), "{case}");
     assert_eq!(
         format!("{:?}", fast.stats()),
         format!("{:?}", refr.stats()),
-        "statistics diverged between fast path and reference"
+        "{case}: statistics diverged between fast path and reference"
     );
     assert!(
         fast.stats().ejected_pkts.iter().sum::<u64>() > 100,
-        "test never exercised real traffic"
+        "{case}: test never exercised real traffic"
     );
+    if both_classes {
+        assert!(
+            fast.stats().ejected_pkts.iter().all(|&n| n > 0),
+            "{case}: a class never delivered"
+        );
+    }
 }
