@@ -107,6 +107,28 @@ pub fn parse_layout(s: &str) -> Result<LayoutKind, ParseArgsError> {
     }
 }
 
+/// Check that `gpu` and `cpu` name benchmarks of the workload tables
+/// (`clognet list`). Every subcommand that builds a system calls this
+/// before building one, and the service resolves job specs through it,
+/// so an unknown name is a usage error instead of a panic.
+///
+/// # Errors
+///
+/// The first name the tables do not know.
+pub fn check_benchmarks(gpu: &str, cpu: &str) -> Result<(), ParseArgsError> {
+    if clognet_workloads::gpu_benchmark(gpu).is_none() {
+        return Err(ParseArgsError(format!(
+            "unknown GPU benchmark `{gpu}` (see `clognet list`)"
+        )));
+    }
+    if clognet_workloads::cpu_benchmark(cpu).is_none() {
+        return Err(ParseArgsError(format!(
+            "unknown CPU benchmark `{cpu}` (see `clognet list`)"
+        )));
+    }
+    Ok(())
+}
+
 /// Build a [`SystemConfig`] from the parsed arguments.
 ///
 /// # Errors

@@ -25,7 +25,7 @@
 
 use clognet_bench::runner::default_threads;
 use clognet_cli::args::{Args, ParseArgsError};
-use clognet_cli::config::{config_from, CONFIG_KEYS};
+use clognet_cli::config::{check_benchmarks, config_from, CONFIG_KEYS};
 use clognet_cli::{cluster_cmd, driver, fuzz_cmd, report, serve_cmd, timeline};
 use clognet_core::{DecisionLog, MultiChipSystem, System, TelemetryConfig, TickEngine};
 use clognet_proto::{Scheme, SystemConfig};
@@ -195,6 +195,7 @@ fn cmd_run(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_conflicts(&[("json", "csv")])?;
     let gpu = args.get_or("gpu", "HS");
     let cpu = args.get_or("cpu", "bodytrack");
+    check_benchmarks(gpu, cpu)?;
     let warm = args.get_num("warm", 6_000u64)?;
     let cycles = args.get_num("cycles", 15_000u64)?;
     let cfg = config_from(args)?;
@@ -289,6 +290,7 @@ fn cmd_timeline(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&keys)?;
     let gpu = args.get_or("gpu", "NN");
     let cpu = args.get_or("cpu", "canneal");
+    check_benchmarks(gpu, cpu)?;
     let warm = args.get_num("warm", 2_000u64)?;
     let cycles = args.get_num("cycles", 20_000u64)?;
     let cols = args.get_num("width-cols", 72usize)?;
@@ -330,6 +332,7 @@ fn cmd_compare(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&keys)?;
     let gpu = args.get_or("gpu", "HS");
     let cpu = args.get_or("cpu", "bodytrack");
+    check_benchmarks(gpu, cpu)?;
     let warm = args.get_num("warm", 6_000u64)?;
     let cycles = args.get_num("cycles", 15_000u64)?;
     let threads = thread_count(args)?;
@@ -376,6 +379,7 @@ fn cmd_sweep(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&keys)?;
     let gpu = args.get_or("gpu", "HS");
     let cpu = args.get_or("cpu", "bodytrack");
+    check_benchmarks(gpu, cpu)?;
     let warm = args.get_num("warm", 6_000u64)?;
     let cycles = args.get_num("cycles", 15_000u64)?;
     let threads = thread_count(args)?;
@@ -703,6 +707,7 @@ fn cmd_snapshot(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&keys)?;
     let gpu = args.get_or("gpu", "HS");
     let cpu = args.get_or("cpu", "bodytrack");
+    check_benchmarks(gpu, cpu)?;
     let warm = args.get_num("warm", 6_000u64)?;
     let out = args
         .get("out")
@@ -786,6 +791,7 @@ fn cmd_trace(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&keys)?;
     let gpu = args.get_or("gpu", "HS");
     let cpu = args.get_or("cpu", "bodytrack");
+    check_benchmarks(gpu, cpu)?;
     let warm = args.get_num("warm", 4_000u64)?;
     let cycles = args.get_num("cycles", 4_000u64)?;
     let last = args.get_num("last", 40usize)?;

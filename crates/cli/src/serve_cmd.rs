@@ -12,7 +12,7 @@
 
 use crate::args::{Args, ParseArgsError};
 use crate::cluster_cmd::{parse_peers, CLUSTER_KEYS};
-use crate::config::{config_from, CONFIG_KEYS};
+use crate::config::{check_benchmarks, config_from, CONFIG_KEYS};
 use crate::report;
 use clognet_core::{MultiChipSystem, Snapshot, TickEngine};
 use clognet_proto::{
@@ -52,18 +52,7 @@ impl SimHandler {
     /// shards)` triple, rejecting unknown benchmarks, options, and
     /// shard counts that cannot partition the topology.
     fn resolve(spec: &JobSpec) -> Result<(SystemConfig, bool, usize), JobError> {
-        if clognet_workloads::gpu_benchmark(&spec.gpu).is_none() {
-            return Err(JobError::bad_request(format!(
-                "unknown GPU benchmark `{}` (see `clognet list`)",
-                spec.gpu
-            )));
-        }
-        if clognet_workloads::cpu_benchmark(&spec.cpu).is_none() {
-            return Err(JobError::bad_request(format!(
-                "unknown CPU benchmark `{}` (see `clognet list`)",
-                spec.cpu
-            )));
-        }
+        check_benchmarks(&spec.gpu, &spec.cpu).map_err(|e| JobError::bad_request(e.0))?;
         let args = Args::from_opts("run", &spec.opts);
         args.reject_unknown(&job_opt_keys())
             .map_err(|e| JobError::bad_request(e.0))?;

@@ -68,10 +68,6 @@ enum WarpState {
 struct Warp {
     state: WarpState,
     pending: Option<MemAccess>,
-    /// Stalled-retry memo: the core's `line_gen` when this warp's pending
-    /// read last failed as a resource-blocked miss (Private L1 only; not
-    /// serialized — see DESIGN.md §9.6).
-    blocked_at: Option<u64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,13 +117,18 @@ struct Core {
     suppliers: VecDeque<CoreId>,
     next_flush: Option<Cycle>,
     stats: GpuCoreStats,
-    /// Bumped on every L1 fill, invalidate and flush and every MSHR
-    /// allocate and complete: while it holds still, no L1 probe or MSHR
-    /// lookup of this core can change its answer.
-    line_gen: u64,
     /// Bit `w` set while warp `w` is not waiting on memory: the issue
     /// loop visits only these (a waiting warp is a no-op there).
     ready: Vec<u64>,
+    /// Stalled-retry memo: bit `w` set while warp `w`'s pending read is
+    /// known to miss both the L1 and the MSHR file. Set when the read
+    /// fails as a resource-blocked miss (Private L1 only), cleared for
+    /// the warp when it draws a new access and for every warp on each L1
+    /// fill, invalidate and flush and each MSHR allocate and complete.
+    /// Not serialized — see DESIGN.md §9.6.
+    memo: Vec<u64>,
+    /// Bit `w` set while warp `w`'s pending access is a write.
+    writes: Vec<u64>,
 }
 
 impl Core {
@@ -144,25 +145,57 @@ impl Core {
         self.ready[w / 64] |= 1 << (w % 64);
     }
 
-    /// Word `k` of `ready` as the warp states say it should be.
-    fn ready_word(&self, k: usize) -> u64 {
+    /// Give warp `w` its next memory access.
+    fn draw(&mut self, w: usize, access: MemAccess) {
+        self.warps[w].pending = Some(access);
+        let (k, m) = (w / 64, 1u64 << (w % 64));
+        self.memo[k] &= !m;
+        if access.write {
+            self.writes[k] |= m;
+        }
+    }
+
+    /// Warp `w`'s pending read failed as a resource-blocked miss.
+    fn memoize(&mut self, w: usize) {
+        self.memo[w / 64] |= 1 << (w % 64);
+    }
+
+    /// The core's L1 or MSHR contents changed: every memo is stale.
+    fn forget_memos(&mut self) {
+        self.memo.fill(0);
+    }
+
+    /// Word `k` of the warps for which `keep` holds.
+    fn word_of(&self, k: usize, keep: impl Fn(&Warp) -> bool) -> u64 {
         let warps = self.warps.iter().enumerate().skip(64 * k).take(64);
         warps
-            .filter(|(_, warp)| warp.state != WarpState::WaitMem)
+            .filter(|(_, warp)| keep(warp))
             .fold(0, |m, (w, _)| m | 1 << (w % 64))
     }
 
-    /// Recompute `ready` from the warp states.
-    fn rebuild_ready(&mut self) {
-        self.ready = (0..self.warps.len().div_ceil(64))
-            .map(|k| self.ready_word(k))
-            .collect();
+    /// Word `k` of `ready` as the warp states say it should be.
+    fn ready_word(&self, k: usize) -> u64 {
+        self.word_of(k, |warp| warp.state != WarpState::WaitMem)
     }
 
-    /// Whether `ready` matches the warp states (allocation-free, for
+    /// Word `k` of `writes` as the pending accesses say it should be.
+    fn writes_word(&self, k: usize) -> u64 {
+        self.word_of(k, |warp| warp.pending.is_some_and(|a| a.write))
+    }
+
+    /// Recompute `ready` and `writes` from the warps; no memo survives.
+    fn rebuild_masks(&mut self) {
+        let words = self.warps.len().div_ceil(64);
+        self.ready = (0..words).map(|k| self.ready_word(k)).collect();
+        self.writes = (0..words).map(|k| self.writes_word(k)).collect();
+        self.memo = vec![0; words];
+    }
+
+    /// Whether `ready` and `writes` match the warps (allocation-free, for
     /// per-cycle debug checks).
-    fn ready_consistent(&self) -> bool {
-        (0..self.ready.len()).all(|k| self.ready[k] == self.ready_word(k))
+    fn masks_consistent(&self) -> bool {
+        (0..self.ready.len())
+            .all(|k| self.ready[k] == self.ready_word(k) && self.writes[k] == self.writes_word(k))
     }
 }
 
@@ -208,7 +241,6 @@ impl GpuSubsystem {
                         .map(|_| Warp {
                             state: WarpState::Compute(0),
                             pending: None,
-                            blocked_at: None,
                         })
                         .collect(),
                     stream: GpuStream::new(profile.clone(), id, n_cores, seed),
@@ -224,10 +256,11 @@ impl GpuSubsystem {
                         .flush_interval
                         .map(|f| f + (i as u64 * f) / n_cores as u64),
                     stats: GpuCoreStats::default(),
-                    line_gen: 0,
                     ready: Vec::new(),
+                    memo: Vec::new(),
+                    writes: Vec::new(),
                 };
-                core.rebuild_ready();
+                core.rebuild_masks();
                 core
             })
             .collect();
@@ -413,9 +446,8 @@ impl GpuSubsystem {
                 } else {
                     None
                 };
-                warp.blocked_at = None;
             }
-            c.rebuild_ready();
+            c.rebuild_masks();
             c.stream.load_state(r)?;
             c.mshr.load_state(r, |r| {
                 Ok(match r.u8()? {
@@ -664,7 +696,7 @@ impl GpuSubsystem {
         } else {
             self.l1s[core.index()].fill(line, ());
         }
-        self.cores[core.index()].line_gen += 1;
+        self.cores[core.index()].forget_memos();
     }
 
     fn l1_invalidate(&mut self, core: CoreId, line: LineAddr) {
@@ -674,15 +706,15 @@ impl GpuSubsystem {
         } else {
             self.l1s[core.index()].invalidate(line);
         }
-        self.cores[core.index()].line_gen += 1;
+        self.cores[core.index()].forget_memos();
     }
 
-    /// Add `target` to core `i`'s MSHR entry for `line`, bumping the
-    /// core's `line_gen` when the file changed.
+    /// Add `target` to core `i`'s MSHR entry for `line`, forgetting the
+    /// core's memos when the file changed.
     fn mshr_allocate(&mut self, i: usize, line: LineAddr, target: Target) -> MshrOutcome {
         let outcome = self.cores[i].mshr.allocate(line, target);
         if matches!(outcome, MshrOutcome::Primary | MshrOutcome::Merged) {
-            self.cores[i].line_gen += 1;
+            self.cores[i].forget_memos();
         }
         outcome
     }
@@ -853,7 +885,7 @@ impl GpuSubsystem {
                     l1.flush();
                 }
                 for core in lo..hi.min(self.cores.len()) {
-                    self.cores[core].line_gen += 1;
+                    self.cores[core].forget_memos();
                     out.push((CoreId(core as u16), GpuOut::Flushed));
                 }
             }
@@ -883,7 +915,7 @@ impl GpuSubsystem {
                 } else {
                     self.l1s[i].flush();
                 }
-                self.cores[i].line_gen += 1;
+                self.cores[i].forget_memos();
                 self.cores[i].next_flush =
                     Some(at + self.cfg.flush_interval.expect("flush scheduled"));
                 self.cores[i].stats.flushes += 1;
@@ -1013,45 +1045,75 @@ impl GpuSubsystem {
             self.flush_lines = lines;
         }
         // 3. Local warp issue (up to issue_width), in warp order over
-        //    the warps not waiting on memory.
-        debug_assert!(self.cores[i].ready_consistent(), "ready mask diverged");
+        //    the warps not waiting on memory. A core blocked here (no
+        //    budget or a full MSHR file) stays blocked for the whole
+        //    loop: budget and MSHR space only shrink, no L1 fill happens,
+        //    and no line enters the MSHR file (a primary miss needs both
+        //    budget and a free entry). So a memoized read, and with no
+        //    budget any write, must fail again with no side effect: the
+        //    loop skips it and only accounts the stall it would have
+        //    counted.
+        debug_assert!(self.cores[i].masks_consistent(), "warp masks diverged");
+        let width = self.cfg.issue_width;
+        let blocked = *budget == 0 || self.cores[i].mshr.available() == 0;
+        let skip_writes = if *budget == 0 { u64::MAX } else { 0 };
         let mut issued = 0;
         let mut stalled_mem = false;
         'issue: for word in 0..self.cores[i].ready.len() {
-            let mut ready = self.cores[i].ready[word];
+            if issued >= width {
+                break;
+            }
+            let core = &self.cores[i];
+            let skip = if blocked {
+                core.memo[word] | (core.writes[word] & skip_writes)
+            } else {
+                0
+            };
+            let skipped = core.ready[word] & skip;
+            let mut ready = core.ready[word] & !skip;
+            debug_assert!(
+                (0..64)
+                    .filter(|b| skipped & (1 << b) != 0)
+                    .all(|b| self.retry_fails(i, word * 64 + b, *budget)),
+                "blocked-core skip passed over a warp that could issue"
+            );
             while ready != 0 {
-                if issued >= self.cfg.issue_width {
-                    break 'issue;
-                }
                 let w = word * 64 + ready.trailing_zeros() as usize;
                 ready &= ready - 1;
-                match self.cores[i].warps[w].state {
+                let ok = match self.cores[i].warps[w].state {
                     WarpState::WaitMem => unreachable!("warp {w} waits but is marked ready"),
                     WarpState::Compute(left) if left > 0 => {
                         self.cores[i].warps[w].state = WarpState::Compute(left - 1);
                         self.cores[i].stats.retired += 1;
-                        issued += 1;
+                        true
                     }
                     WarpState::Compute(_) => {
                         // Memory instruction is next.
                         if self.cores[i].warps[w].pending.is_none() {
                             let a = self.cores[i].stream.next_access();
-                            let warp = &mut self.cores[i].warps[w];
-                            warp.pending = Some(a);
-                            warp.blocked_at = None;
+                            self.cores[i].draw(w, a);
                         }
                         let access = self.cores[i].warps[w].pending.expect("set above");
                         if !access.write && self.retry_memoized(i, w, *budget) {
-                            stalled_mem = true;
-                            continue;
-                        }
-                        match self.try_mem(i, w, access, budget, out) {
-                            true => issued += 1,
-                            false => stalled_mem = true,
+                            false
+                        } else {
+                            self.try_mem(i, w, access, budget, out)
                         }
                     }
+                };
+                if !ok {
+                    stalled_mem = true;
+                    continue;
+                }
+                issued += 1;
+                if issued >= width {
+                    // The full scan stops after this warp: of the skipped
+                    // warps, it visited (and failed) those below it.
+                    stalled_mem |= skipped & ((1 << (w % 64)) - 1) != 0;
+                    break 'issue;
                 }
             }
+            stalled_mem |= skipped != 0;
         }
         if stalled_mem {
             self.cores[i].stats.mem_stall_cycles += 1;
@@ -1060,22 +1122,35 @@ impl GpuSubsystem {
 
     /// Whether warp `w`'s pending read is a resource-blocked miss that
     /// must fail again: it failed that way before, the core is still
-    /// blocked (no outbox budget or a full MSHR file), and `line_gen` has
-    /// not moved since, so neither the L1 probe nor the MSHR lookup can
-    /// answer differently. The retry then skips both.
+    /// blocked (no outbox budget or a full MSHR file), and its memo bit
+    /// survived, so neither the L1 probe nor the MSHR lookup can answer
+    /// differently. The retry then skips both.
     fn retry_memoized(&self, i: usize, w: usize, budget: usize) -> bool {
         let core = &self.cores[i];
-        let memoized = core.warps[w].blocked_at == Some(core.line_gen)
-            && (budget == 0 || core.mshr.available() == 0);
-        if memoized {
-            let access = core.warps[w].pending.expect("pending read");
-            let line = access.addr.line(self.cfg.l1.line_bytes as u64);
-            debug_assert!(
-                !self.l1_probe(CoreId(i as u16), line) && !core.mshr.contains(line),
-                "stalled-warp memo skipped a retry whose line is present"
-            );
-        }
+        let memoized =
+            core.memo[w / 64] & (1 << (w % 64)) != 0 && (budget == 0 || core.mshr.available() == 0);
+        debug_assert!(
+            !memoized || self.retry_fails(i, w, budget),
+            "stalled-warp memo skipped a retry whose line is present"
+        );
         memoized
+    }
+
+    /// Whether warp `w`'s pending access must fail right now without a
+    /// side effect: a write with no budget, or a read that misses the L1
+    /// and the MSHR file of a blocked core. For debug checks.
+    fn retry_fails(&self, i: usize, w: usize, budget: usize) -> bool {
+        let core = &self.cores[i];
+        let Some(access) = core.warps[w].pending else {
+            return false;
+        };
+        if access.write {
+            return budget == 0;
+        }
+        let line = access.addr.line(self.cfg.l1.line_bytes as u64);
+        (budget == 0 || core.mshr.available() == 0)
+            && !self.l1_probe(CoreId(i as u16), line)
+            && !core.mshr.contains(line)
     }
 
     /// Attempt the memory instruction of warp `w`; returns true if it
@@ -1104,6 +1179,7 @@ impl GpuSubsystem {
             c.stats.mem_ops += 1;
             c.stats.retired += 1;
             c.warps[w].pending = None;
+            c.writes[w / 64] &= !(1 << (w % 64));
             c.warps[w].state = WarpState::Compute(cpm);
             return true;
         }
@@ -1116,8 +1192,7 @@ impl GpuSubsystem {
             // A request must go out but cannot. Shared-L1 slices change
             // with other cores' traffic, so only private L1s memoize.
             if self.org == L1Org::Private {
-                let core = &mut self.cores[i];
-                core.warps[w].blocked_at = Some(core.line_gen);
+                self.cores[i].memoize(w);
             }
             return false;
         }
@@ -1274,7 +1349,7 @@ impl GpuSubsystem {
                     }
                 }
                 let cpm = self.cores[i].stream.compute_per_mem();
-                self.cores[i].line_gen += 1;
+                self.cores[i].forget_memos();
                 for t in self.cores[i].mshr.complete(line) {
                     match t {
                         Target::Warp(w) => self.cores[i].wake(w as usize, cpm),

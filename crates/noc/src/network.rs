@@ -248,9 +248,10 @@ pub struct Network {
     /// with the packet slab; a free slot's count is always zero.
     eject_counts: Vec<u8>,
     /// Per-class precomputed next-hop tables
-    /// (`table[router * nodes + dst]`), present when the class's routing
-    /// policy is deterministic on this topology; adaptive policies keep
-    /// evaluating [`routing::candidates`] dynamically.
+    /// (`table[router * nodes + dst]`), present when this network
+    /// carries the class and its routing policy is deterministic on this
+    /// topology; adaptive policies keep evaluating
+    /// [`routing::candidates`] dynamically.
     route_tables: [Option<Vec<u8>>; 2],
 }
 
@@ -283,10 +284,12 @@ impl Network {
             .collect();
         let stats = NocStats::new(topo.routers(), |r| topo.port_count(r), topo.nodes());
         let n_routers = topo.routers();
-        let route_tables = [
-            topo.route_table(params.policy_for(TrafficClass::Request)),
-            topo.route_table(params.policy_for(TrafficClass::Reply)),
-        ];
+        // Tables only for the classes this network carries: the other
+        // class never routes here.
+        let route_tables = [TrafficClass::Request, TrafficClass::Reply].map(|class| {
+            params.classes.vc_range(class)?;
+            topo.route_table(params.policy_for(class))
+        });
         let proc_delay = [
             proc_delay(&params, TrafficClass::Request),
             proc_delay(&params, TrafficClass::Reply),
@@ -317,9 +320,10 @@ impl Network {
 
     /// Toggle the bitset fast path (on by default). Turning it off makes
     /// every tick scan every input VC of every router and every NI,
-    /// ignoring the occupancy, allocation and free-VC bitsets — a
-    /// reference mode for equivalence tests; simulated behavior is
-    /// identical either way, only wall-clock differs.
+    /// ignoring the occupancy, allocation, parked and free-VC bitsets
+    /// and parking nothing — a reference mode for equivalence tests;
+    /// simulated behavior is identical either way, only wall-clock
+    /// differs.
     pub fn set_idle_skip(&mut self, on: bool) {
         self.idle_skip = on;
     }
@@ -760,9 +764,10 @@ impl Network {
     /// working sets (SA requests/grants/matches, link transfers, credit
     /// returns) live in per-shard scratch buffers that are drained in
     /// place. The phases follow the per-router bitsets, so a tick pays
-    /// only for VCs that hold flits: VA visits occupied-and-unallocated
-    /// VCs, SA occupied-and-allocated ones, and a router whose occupancy
-    /// bitset is empty costs one word test.
+    /// only for VCs that hold flits and could move: VA visits occupied,
+    /// unallocated VCs not asleep on a `VaWait`, SA occupied, allocated
+    /// ones not parked on a credit, and a router with nothing to visit
+    /// costs one word test.
     ///
     /// The VA and SA/ST phases run over the shard plan — inline for the
     /// sequential engine, fanned out over the worker pool when sharded
@@ -853,8 +858,8 @@ impl Network {
 
     /// Visit router `r`'s occupied input VCs that hold an allocation
     /// (`allocated`) or still need one, in ascending bit order: the set
-    /// bits of its bitsets, or in the reference mode every VC, tested
-    /// one by one.
+    /// bits of its bitsets minus the parked ones, or in the reference
+    /// mode every VC, tested one by one.
     fn for_each_vc(&mut self, r: usize, allocated: bool, mut visit: impl FnMut(&mut Self, usize)) {
         if self.idle_skip {
             let words = self.routers.words(r);
@@ -952,8 +957,10 @@ impl Network {
                     self.route_and_choose(r, ix),
                     "VA wait memo disagrees with the full computation"
                 );
-                if let Some(alloc) = memo {
-                    self.allocate(r, bit, alloc);
+                match memo {
+                    Some(alloc) => self.allocate(r, bit, alloc),
+                    // Woken, but a lower bit took the freed VC first.
+                    None => self.routers.set_va_wait(r, bit, w),
                 }
                 return;
             }
@@ -965,7 +972,7 @@ impl Network {
         }
         match self.route_and_choose(r, ix) {
             Ok(alloc) => self.allocate(r, bit, alloc),
-            Err(Some(wait)) if self.idle_skip => self.routers.set_va_wait(ix, wait),
+            Err(Some(wait)) if self.idle_skip => self.routers.set_va_wait(r, bit, wait),
             Err(_) => {}
         }
     }
@@ -1102,15 +1109,27 @@ impl Network {
 
     /// SA request gathering for router `r`'s input VC `bit` (occupied
     /// and allocated): request the allocated output if the head flit is
-    /// eligible and has somewhere to go.
-    fn sa_request(&self, r: usize, bit: usize, sc: &mut ShardScratch) {
+    /// eligible and has somewhere to go. A VC whose output VC has no
+    /// credit parks until [`RouterState::return_credit`] unparks it.
+    fn sa_request(&mut self, r: usize, bit: usize, sc: &mut ShardScratch) {
         let ix = self.routers.vc_ix(r, bit);
+        let alloc = self.routers.alloc(ix).expect("allocated VC");
+        if !alloc.eject
+            && self
+                .routers
+                .credits(r, alloc.port as usize, alloc.vc as usize)
+                == 0
+        {
+            if self.idle_skip {
+                self.routers.park_credit(r, bit);
+            }
+            return;
+        }
         let f = *self.routers.front(ix).expect("occupied VC");
         if f.eligible > self.now {
             return;
         }
-        let alloc = self.routers.alloc(ix).expect("allocated VC");
-        let ok = if alloc.eject {
+        let ok = !alloc.eject || {
             let node = match self.routers.link(r, alloc.port as usize) {
                 PortLink::Node(n) => n,
                 other => panic!("eject alloc to {other:?}"),
@@ -1121,10 +1140,6 @@ impl Network {
             !f.is_head()
                 || self.nis[node.index()].eject_used + f.total as usize
                     <= self.params.eject_buf_flits
-        } else {
-            self.routers
-                .credits(r, alloc.port as usize, alloc.vc as usize)
-                > 0
         };
         if ok {
             sc.sa_requests.push(SaRequest {

@@ -11,11 +11,15 @@
 //!
 //! Two bitsets per router mirror the VC state the tick loop searches:
 //! `occ` (the VC buffers a flit) and `allocated` (the VC holds a route +
-//! output VC). Bit `p·V + v` of a router lives in its word
-//! `word_base[r] + bit / 64`, so a router with more than 64 input VCs
-//! (the 64-port crossbar) spans several words. The bitsets, like all
-//! other state here, are per router: the sharded engine's shards write
-//! disjoint words.
+//! output VC). Two more park VCs that provably cannot move until one
+//! event: `credit_wait` (an allocated head whose output VC has no credit;
+//! only [`RouterState::return_credit`] on that VC wakes it) and
+//! `va_sleep` (a head whose [`VaWait`] range has no free VC; only
+//! [`RouterState::release_out`] of a VC in that range wakes it). Bit
+//! `p·V + v` of a router lives in its word `word_base[r] + bit / 64`, so
+//! a router with more than 64 input VCs (the 64-port crossbar) spans
+//! several words. The bitsets, like all other state here, are per
+//! router: the sharded engine's shards write disjoint words.
 //!
 //! The switch- and VC-allocation *algorithms* live in
 //! [`crate::network`], which has access to the packet slab and the
@@ -109,6 +113,15 @@ pub(crate) struct RouterState {
     occ: Vec<u64>,
     /// Per router words: input VC holds an allocation.
     allocated: Vec<u64>,
+    /// Per router words: allocated, non-ejecting input VC whose output VC
+    /// has no credit. Its head cannot traverse, so it keeps its output VC
+    /// until a credit returns there. Derived state: never serialized,
+    /// cleared on restore.
+    credit_wait: Vec<u64>,
+    /// Per router words: unallocated input VC whose [`VaWait`] range has
+    /// no free output VC. Only a release in that range can change the
+    /// answer. Derived state, like `credit_wait`.
+    va_sleep: Vec<u64>,
 }
 
 const EMPTY_FLIT: Flit = Flit {
@@ -159,6 +172,8 @@ impl RouterState {
             footprint: vec![0; n_ports],
             occ: vec![0; n_words],
             allocated: vec![0; n_words],
+            credit_wait: vec![0; n_words],
+            va_sleep: vec![0; n_words],
             vc_base,
             port_base,
             word_base,
@@ -195,14 +210,16 @@ impl RouterState {
         self.word_base[r]..self.word_base[r + 1]
     }
 
-    /// Occupied input VCs of word `w` that still need VC allocation.
+    /// Occupied input VCs of word `w` that still need VC allocation and
+    /// are not asleep.
     pub fn unallocated_word(&self, w: usize) -> u64 {
-        self.occ[w] & !self.allocated[w]
+        self.occ[w] & !self.allocated[w] & !self.va_sleep[w]
     }
 
-    /// Occupied input VCs of word `w` that hold an allocation.
+    /// Occupied input VCs of word `w` that hold an allocation and are not
+    /// waiting for a credit.
     pub fn allocated_word(&self, w: usize) -> u64 {
-        self.occ[w] & self.allocated[w]
+        self.occ[w] & self.allocated[w] & !self.credit_wait[w]
     }
 
     /// Flits buffered in input VC `ix`.
@@ -220,9 +237,19 @@ impl RouterState {
         self.va_wait[ix]
     }
 
-    /// Record that input VC `ix`'s head flit failed VA as `wait` says.
-    pub fn set_va_wait(&mut self, ix: usize, wait: VaWait) {
-        self.va_wait[ix] = Some(wait);
+    /// Record that router `r`'s input VC `bit` failed VA as `wait` says,
+    /// and put it to sleep until an output VC in that range is released.
+    pub fn set_va_wait(&mut self, r: usize, bit: usize, wait: VaWait) {
+        self.va_wait[self.vc_base[r] + bit] = Some(wait);
+        let (w, m) = self.bit_of(r, bit);
+        self.va_sleep[w] |= m;
+    }
+
+    /// Park router `r`'s input VC `bit` (allocated, not ejecting) until a
+    /// credit returns to its output VC, which is empty now.
+    pub fn park_credit(&mut self, r: usize, bit: usize) {
+        let (w, m) = self.bit_of(r, bit);
+        self.credit_wait[w] |= m;
     }
 
     /// The flit at the head of input VC `ix`, if any.
@@ -319,10 +346,25 @@ impl RouterState {
         self.out_free[self.port_base[r] + p] &= !(1 << v);
     }
 
-    /// Free router `r`'s output VC (`p`, `v`) (its packet's tail left).
+    /// Free router `r`'s output VC (`p`, `v`) (its packet's tail left),
+    /// waking the router's VA sleepers that wait on port `p` with `v` in
+    /// their range.
     pub fn release_out(&mut self, r: usize, p: usize, v: usize) {
         self.owner[self.vc_base[r] + p * self.vcs + v] = None;
         self.out_free[self.port_base[r] + p] |= 1 << v;
+        let (vb, wb) = (self.vc_base[r], self.word_base[r]);
+        for w in self.words(r) {
+            let mut sleepers = self.va_sleep[w];
+            while sleepers != 0 {
+                let low = sleepers.trailing_zeros() as usize;
+                let (bit, m) = ((w - wb) * 64 + low, 1u64 << low);
+                sleepers &= sleepers - 1;
+                let wait = self.va_wait[vb + bit].expect("a sleeper holds a VaWait");
+                if wait.port as usize == p && (wait.lo as usize..wait.hi as usize).contains(&v) {
+                    self.va_sleep[w] &= !m;
+                }
+            }
+        }
     }
 
     /// Credits of router `r`'s output VC (`p`, `v`).
@@ -337,19 +379,28 @@ impl RouterState {
         *c -= 1;
     }
 
-    /// Return one credit to router `r`'s output VC (`p`, `v`).
+    /// Return one credit to router `r`'s output VC (`p`, `v`). The first
+    /// credit back unparks the input VC that owns the output VC: a parked
+    /// owner cannot traverse without a credit, so it is still the owner.
     ///
     /// # Panics
     ///
     /// Panics if the VC would hold more credits than the downstream
     /// buffer has slots.
     pub fn return_credit(&mut self, r: usize, p: usize, v: usize) {
-        let c = &mut self.credits[self.vc_base[r] + p * self.vcs + v];
+        let ix = self.vc_base[r] + p * self.vcs + v;
+        let c = &mut self.credits[ix];
         *c += 1;
         assert!(
             *c as usize <= self.depth,
             "credit overflow at router {r} port {p} vc {v}"
         );
+        if *c == 1 {
+            if let Some((i, iv)) = self.owner[ix] {
+                let (w, m) = self.bit_of(r, i as usize * self.vcs + iv as usize);
+                self.credit_wait[w] &= !m;
+            }
+        }
     }
 
     /// Router `r`'s output-VC credits, port-major (for equivalence
@@ -383,19 +434,41 @@ impl RouterState {
     }
 
     /// Whether router `r`'s bitsets and free-VC masks equal what its
-    /// buffers, allocations and owners say. Allocation-free, so debug
-    /// builds can check it after every tick.
+    /// buffers, allocations and owners say, and every parked VC really
+    /// cannot move: a credit waiter is occupied, allocated, not ejecting
+    /// and its output VC has no credit; a VA sleeper is occupied,
+    /// unallocated and its `VaWait` range has no free VC.
+    /// Allocation-free, so debug builds can check it after every tick.
     pub fn bitsets_consistent(&self, r: usize) -> bool {
         let (vb, wb, bits) = (self.vc_base[r], self.word_base[r], self.bits(r));
         let bits_ok = (0..bits).all(|bit| {
             let (w, m) = (wb + bit / 64, 1u64 << (bit % 64));
-            (self.len[vb + bit] > 0) == (self.occ[w] & m != 0)
-                && self.alloc[vb + bit].is_some() == (self.allocated[w] & m != 0)
+            let (ix, occ) = (vb + bit, self.occ[w] & m != 0);
+            let alloc = self.alloc[ix];
+            let credit_ok = self.credit_wait[w] & m == 0
+                || occ
+                    && alloc.is_some_and(|a| {
+                        !a.eject && self.credits(r, a.port as usize, a.vc as usize) == 0
+                    });
+            let sleep_ok = self.va_sleep[w] & m == 0
+                || occ
+                    && alloc.is_none()
+                    && self.va_wait[ix].is_some_and(|wait| {
+                        let (p, lo, hi) = (wait.port as usize, wait.lo as usize, wait.hi as usize);
+                        self.first_free_out(r, p, lo, hi, true).is_none()
+                    });
+            (self.len[ix] > 0) == occ
+                && alloc.is_some() == (self.allocated[w] & m != 0)
+                && credit_ok
+                && sleep_ok
         });
         // Bits past the router's last VC stay clear.
         let last = self.word_base[r + 1] - 1;
         let spare = !range_mask(0, bits - 64 * (last - wb));
-        let spare_ok = (self.occ[last] | self.allocated[last]) & spare == 0;
+        let spare_ok =
+            (self.occ[last] | self.allocated[last] | self.credit_wait[last] | self.va_sleep[last])
+                & spare
+                == 0;
         let free_ok = (0..self.ports(r))
             .all(|p| self.out_free[self.port_base[r] + p] == self.owner_free(r, p));
         bits_ok && spare_ok && free_ok
@@ -534,6 +607,8 @@ impl RouterState {
 
     fn rebuild_bitsets(&mut self) {
         self.va_wait.fill(None);
+        self.credit_wait.fill(0);
+        self.va_sleep.fill(0);
         self.occ.fill(0);
         self.allocated.fill(0);
         for r in 0..self.port_base.len() - 1 {
@@ -643,6 +718,74 @@ mod tests {
         assert_eq!(s.first_free_out(0, 2, 0, 4, true), Some(1));
         s.release_out(0, 2, 0);
         assert_eq!(s.first_free_out(0, 2, 0, 4, true), Some(0));
+        assert!(s.bitsets_consistent(0));
+    }
+
+    /// Occupy router 0's input VC `bit` and allocate it output VC
+    /// (`port`, `vc`), which it claims.
+    fn allocated(s: &mut RouterState, bit: usize, port: usize, vc: usize) {
+        s.push(0, bit, flit(bit as Slot));
+        s.claim_out(0, port, vc, bit / s.vcs, bit % s.vcs);
+        let a = Alloc {
+            port: port as u8,
+            vc: vc as u8,
+            eject: false,
+        };
+        s.set_alloc(0, bit, a);
+    }
+
+    #[test]
+    fn return_credit_unparks_exactly_the_owning_input_vc() {
+        let mut s = state(2);
+        // Input VCs 2 and 5 own output VCs 0 and 1 of port 3.
+        allocated(&mut s, 2, 3, 0);
+        allocated(&mut s, 5, 3, 1);
+        for v in 0..2 {
+            for _ in 0..4 {
+                s.take_credit(0, 3, v);
+            }
+        }
+        s.park_credit(0, 2);
+        s.park_credit(0, 5);
+        let w = s.words(0).start;
+        assert_eq!(s.allocated_word(w), 0);
+        assert!(s.bitsets_consistent(0));
+        // The first credit back to an output VC nobody owns unparks
+        // nobody.
+        for _ in 0..4 {
+            s.take_credit(0, 4, 0);
+        }
+        s.return_credit(0, 4, 0);
+        assert_eq!(s.allocated_word(w), 0);
+        s.return_credit(0, 3, 1);
+        assert_eq!(s.allocated_word(w), 1 << 5);
+        s.return_credit(0, 3, 0);
+        assert_eq!(s.allocated_word(w), 1 << 2 | 1 << 5);
+        assert!(s.bitsets_consistent(0));
+    }
+
+    #[test]
+    fn release_out_wakes_only_sleepers_whose_range_holds_the_vc() {
+        let mut s = state(2);
+        // Every output VC of ports 2 and 3 is owned (by input VCs of
+        // ports 1 and 4).
+        allocated(&mut s, 2, 2, 0);
+        allocated(&mut s, 3, 2, 1);
+        allocated(&mut s, 8, 3, 0);
+        allocated(&mut s, 9, 3, 1);
+        // Three heads wait: port 2 VCs 0..2, port 2 VC 1, port 3 VCs 0..2.
+        let waits = [(0, 2, 0, 2), (1, 2, 1, 2), (6, 3, 0, 2)];
+        for (bit, port, lo, hi) in waits {
+            s.push(0, bit, flit(bit as Slot));
+            s.set_va_wait(0, bit, VaWait { port, lo, hi });
+        }
+        let w = s.words(0).start;
+        assert_eq!(s.unallocated_word(w), 0);
+        assert!(s.bitsets_consistent(0));
+        s.release_out(0, 2, 0);
+        assert_eq!(s.unallocated_word(w), 1 << 0, "only port 2's 0..2 waiter");
+        s.release_out(0, 3, 1);
+        assert_eq!(s.unallocated_word(w), 1 << 0 | 1 << 6);
         assert!(s.bitsets_consistent(0));
     }
 }

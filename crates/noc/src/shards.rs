@@ -7,11 +7,11 @@
 //!
 //! - Every mutation a phase performs in place is shard-local: input VC
 //!   buffers, allocations, output-VC ownership, credit decrements,
-//!   iSLIP pointers, the per-router occupancy/allocation bitsets and
-//!   free-VC masks, per-router link counters, and the ejection budget
-//!   of the shard's own locally attached nodes. On a mesh, node `n`
-//!   attaches to router `n`, so a contiguous router range owns the
-//!   identical node range.
+//!   iSLIP pointers, the per-router occupancy, allocation and parked
+//!   bitsets and free-VC masks, per-router link counters, and the
+//!   ejection budget of the shard's own locally attached nodes. On a
+//!   mesh, node `n` attaches to router `n`, so a contiguous router
+//!   range owns the identical node range.
 //! - Anything that crosses a shard boundary or lands in shared state —
 //!   link transfers, credit returns, completed ejections (slab removal,
 //!   global stats, per-node ejection queues) — is recorded in a

@@ -258,32 +258,37 @@ fn cpu_packets_are_never_starved() {
 }
 
 /// The bitset fast path is a pure optimization: with it disabled
-/// (reference mode: every input VC of every router scanned), identical
-/// traffic must produce identical per-cycle ejections and identical
-/// final statistics. Covers the mesh with one class, and the crossbar
-/// and flattened butterfly with both classes sharing the network — the
-/// crossbar's single 64-port router has 256 input VCs, so its bitsets
-/// span four words.
+/// (reference mode: every input VC of every router scanned, nothing
+/// parked), identical traffic must produce identical per-cycle
+/// ejections and identical final statistics. Covers the mesh with one
+/// class, and the crossbar and flattened butterfly with both classes
+/// sharing the network — the crossbar's single 64-port router has 256
+/// input VCs, so its bitsets span four words. The saturated leg sends
+/// half of a steady stream to one hotspot node that takes its packets
+/// only every 8th cycle, so heads park on credits, sleep in VA and wait
+/// on a full ejection buffer, all against the full scan.
 #[test]
 fn idle_skip_matches_full_iteration_reference() {
     let shared = ClassAssignment::Shared {
         request_vcs: 2,
         reply_vcs: 2,
     };
-    for (topology, classes) in [
+    for (topology, classes, hotspot) in [
         (
             Topology::Mesh,
             ClassAssignment::Single(TrafficClass::Request, 2),
+            None,
         ),
-        (Topology::Crossbar, shared),
-        (Topology::FlattenedButterfly, shared),
+        (Topology::Crossbar, shared, None),
+        (Topology::FlattenedButterfly, shared, None),
+        (Topology::Mesh, shared, Some(27)),
     ] {
-        idle_skip_matches_reference(topology, classes);
+        idle_skip_matches_reference(topology, classes, hotspot);
     }
 }
 
-fn idle_skip_matches_reference(topology: Topology, classes: ClassAssignment) {
-    let case = format!("{topology:?} {classes:?}");
+fn idle_skip_matches_reference(topology: Topology, classes: ClassAssignment, hotspot: Option<u16>) {
+    let case = format!("{topology:?} {classes:?} hotspot {hotspot:?}");
     let mut rng = SmallRng::seed_from_u64(0x0C_0005);
     let mut fast = Network::new(params(topology, classes));
     let mut refr = Network::new(params(topology, classes));
@@ -291,15 +296,19 @@ fn idle_skip_matches_reference(topology: Topology, classes: ClassAssignment) {
     let both_classes = matches!(classes, ClassAssignment::Shared { .. });
     let mut seq = 0u64;
     for cycle in 0..3_000 {
-        // Bursty traffic with quiet gaps so plenty of routers go idle.
-        let burst = if cycle % 97 < 40 {
+        // Bursty traffic with quiet gaps so plenty of routers go idle,
+        // or with a hotspot a steady stream.
+        let burst = if hotspot.is_some() || cycle % 97 < 40 {
             rng.gen_range(0..6usize)
         } else {
             0
         };
         for _ in 0..burst {
             let src = rng.gen_range(0..64u16);
-            let dst = rng.gen_range(0..64u16);
+            let dst = match hotspot {
+                Some(h) if rng.gen_range(0..2u32) == 0 => h,
+                _ => rng.gen_range(0..64u16),
+            };
             if src == dst {
                 continue;
             }
@@ -340,6 +349,9 @@ fn idle_skip_matches_reference(topology: Topology, classes: ClassAssignment) {
         fast.tick();
         refr.tick();
         for d in 0..64u16 {
+            if hotspot == Some(d) && cycle % 8 != 0 {
+                continue;
+            }
             loop {
                 let a = fast.pop_ejected(NodeId(d));
                 let b = refr.pop_ejected(NodeId(d));
@@ -368,6 +380,12 @@ fn idle_skip_matches_reference(topology: Topology, classes: ClassAssignment) {
         assert!(
             fast.stats().ejected_pkts.iter().all(|&n| n > 0),
             "{case}: a class never delivered"
+        );
+    }
+    if hotspot.is_some() {
+        assert!(
+            fast.stats().node_inj_stall_cycles.iter().sum::<u64>() > 0,
+            "{case}: the hotspot never backed up into injection"
         );
     }
 }
