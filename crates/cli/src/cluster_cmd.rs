@@ -9,7 +9,7 @@
 //! grows into a cluster by adding one flag.
 
 use crate::args::{Args, ParseArgsError};
-use crate::serve_cmd::{SimHandler, DEFAULT_ADDR};
+use crate::serve_cmd::{serve_config_from, SimHandler, SERVE_KEYS};
 use clognet_bench::runner::{run_jobs_with_state, timed};
 use clognet_cluster::{ClusterConfig, ClusterHandle, ClusterNode};
 use clognet_serve::client::{Client, RetryPolicy};
@@ -19,9 +19,9 @@ use clognet_telemetry::export::json_f64;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Option keys shared by `serve --peers` and `cluster`.
+/// Option keys only cluster nodes take; `cluster` and `serve --peers`
+/// accept these plus [`SERVE_KEYS`].
 pub const CLUSTER_KEYS: &[&str] = &[
-    "addr",
     "advertise",
     "peers",
     "replicas",
@@ -29,13 +29,6 @@ pub const CLUSTER_KEYS: &[&str] = &[
     "heartbeat-ms",
     "suspect-after",
     "dead-after",
-    "workers",
-    "queue",
-    "cache",
-    "snap-cache",
-    "max-cycles",
-    "timeout-ms",
-    "drain-ms",
 ];
 
 /// Split a `--peers a:1,b:2` list.
@@ -54,22 +47,8 @@ pub fn parse_peers(list: &str) -> Vec<String> {
 /// Non-numeric numeric options.
 pub fn cluster_config_from(args: &Args) -> Result<ClusterConfig, ParseArgsError> {
     let default = ClusterConfig::default();
-    let serve_default = ServeConfig::default();
     Ok(ClusterConfig {
-        serve: ServeConfig {
-            addr: args.get_or("addr", DEFAULT_ADDR).to_string(),
-            workers: args.get_num("workers", serve_default.workers)?.max(1),
-            queue_cap: args.get_num("queue", serve_default.queue_cap)?.max(1),
-            cache_cap: args.get_num("cache", serve_default.cache_cap)?,
-            snap_cache_cap: args.get_num("snap-cache", serve_default.snap_cache_cap)?,
-            max_job_cycles: args.get_num("max-cycles", serve_default.max_job_cycles)?,
-            job_timeout: Duration::from_millis(
-                args.get_num("timeout-ms", serve_default.job_timeout.as_millis() as u64)?,
-            ),
-            drain_timeout: Duration::from_millis(
-                args.get_num("drain-ms", serve_default.drain_timeout.as_millis() as u64)?,
-            ),
-        },
+        serve: serve_config_from(args)?,
         advertise: args.get("advertise").map(String::from),
         seeds: args.get("peers").map(parse_peers).unwrap_or_default(),
         replicas: args.get_num("replicas", default.replicas)?,
@@ -91,7 +70,7 @@ pub fn cluster_config_from(args: &Args) -> Result<ClusterConfig, ParseArgsError>
 ///
 /// Bad options or a failed bind.
 pub fn cmd_cluster(args: &Args) -> Result<(), ParseArgsError> {
-    args.reject_unknown(CLUSTER_KEYS)?;
+    args.reject_unknown(&[SERVE_KEYS, CLUSTER_KEYS].concat())?;
     let cfg = cluster_config_from(args)?;
     let (workers, replicas, seeds) = (cfg.serve.workers, cfg.replicas, cfg.seeds.len());
     let node = ClusterNode::bind(cfg, Arc::new(SimHandler))
@@ -313,7 +292,8 @@ mod tests {
         let args = Args::parse(
             "cluster --addr 127.0.0.1:9401 --advertise 10.0.0.1:9401 \
              --peers 10.0.0.2:9401,10.0.0.3:9401 --replicas 2 --vnodes 32 \
-             --heartbeat-ms 100 --suspect-after 3 --dead-after 6 --workers 4"
+             --heartbeat-ms 100 --suspect-after 3 --dead-after 6 --workers 4 \
+             --queue 5 --cache 6 --snap-cache 7 --max-cycles 8 --timeout-ms 9 --drain-ms 10"
                 .split_whitespace()
                 .map(String::from),
         )
@@ -328,5 +308,11 @@ mod tests {
         assert_eq!(cfg.suspect_after, 3);
         assert_eq!(cfg.dead_after, 6);
         assert_eq!(cfg.serve.workers, 4);
+        assert_eq!(cfg.serve.queue_cap, 5);
+        assert_eq!(cfg.serve.cache_cap, 6);
+        assert_eq!(cfg.serve.snap_cache_cap, 7);
+        assert_eq!(cfg.serve.max_job_cycles, 8);
+        assert_eq!(cfg.serve.job_timeout, Duration::from_millis(9));
+        assert_eq!(cfg.serve.drain_timeout, Duration::from_millis(10));
     }
 }

@@ -11,7 +11,7 @@
 //! --json` of the same job.
 
 use crate::args::{Args, ParseArgsError};
-use crate::cluster_cmd::{parse_peers, CLUSTER_KEYS};
+use crate::cluster_cmd::parse_peers;
 use crate::config::{check_benchmarks, config_from, CONFIG_KEYS};
 use crate::report;
 use clognet_core::{MultiChipSystem, Snapshot, TickEngine};
@@ -224,32 +224,27 @@ fn connect(args: &Args, fp: Option<u64>) -> Result<Client, ParseArgsError> {
     Err(ParseArgsError(last_err))
 }
 
-/// `clognet serve`: run the service in the foreground until a client
-/// sends `shutdown`.
+/// Option keys that configure a server: `serve` takes exactly these,
+/// and every cluster node takes them for the server it runs.
+pub const SERVE_KEYS: &[&str] = &[
+    "addr",
+    "workers",
+    "queue",
+    "cache",
+    "snap-cache",
+    "max-cycles",
+    "timeout-ms",
+    "drain-ms",
+];
+
+/// Build a [`ServeConfig`] from the [`SERVE_KEYS`] options.
 ///
 /// # Errors
 ///
-/// Bad options or a failed bind.
-pub fn cmd_serve(args: &Args) -> Result<(), ParseArgsError> {
-    // A service asked to join peers (or to keep replicas) is a cluster
-    // node: same wire protocol, plus membership, sharding, and
-    // replication. One flag turns a single-node deployment into a mesh.
-    if args.get("peers").is_some() || args.get("replicas").is_some() {
-        args.reject_unknown(CLUSTER_KEYS)?;
-        return crate::cluster_cmd::cmd_cluster(args);
-    }
-    args.reject_unknown(&[
-        "addr",
-        "workers",
-        "queue",
-        "cache",
-        "snap-cache",
-        "max-cycles",
-        "timeout-ms",
-        "drain-ms",
-    ])?;
+/// Non-numeric numeric options.
+pub fn serve_config_from(args: &Args) -> Result<ServeConfig, ParseArgsError> {
     let default = ServeConfig::default();
-    let cfg = ServeConfig {
+    Ok(ServeConfig {
         addr: args.get_or("addr", DEFAULT_ADDR).to_string(),
         workers: args.get_num("workers", default.workers)?.max(1),
         queue_cap: args.get_num("queue", default.queue_cap)?.max(1),
@@ -262,7 +257,24 @@ pub fn cmd_serve(args: &Args) -> Result<(), ParseArgsError> {
         drain_timeout: Duration::from_millis(
             args.get_num("drain-ms", default.drain_timeout.as_millis() as u64)?,
         ),
-    };
+    })
+}
+
+/// `clognet serve`: run the service in the foreground until a client
+/// sends `shutdown`.
+///
+/// # Errors
+///
+/// Bad options or a failed bind.
+pub fn cmd_serve(args: &Args) -> Result<(), ParseArgsError> {
+    // A service asked to join peers (or to keep replicas) is a cluster
+    // node: same wire protocol, plus membership, sharding, and
+    // replication. One flag turns a single-node deployment into a mesh.
+    if args.get("peers").is_some() || args.get("replicas").is_some() {
+        return crate::cluster_cmd::cmd_cluster(args);
+    }
+    args.reject_unknown(SERVE_KEYS)?;
+    let cfg = serve_config_from(args)?;
     let workers = cfg.workers;
     let server = Server::bind(cfg, Arc::new(SimHandler))
         .map_err(|e| ParseArgsError(format!("binding service socket: {e}")))?;

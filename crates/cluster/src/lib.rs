@@ -4,7 +4,12 @@
 //!
 //! One `clognet serve` process memoizes deterministic simulation
 //! reports in a content-addressed cache; this crate scales that to N
-//! processes sharing **one logical cache** without a coordinator:
+//! processes sharing **one logical cache** without a coordinator. A
+//! cluster node *is* a `clognet_serve` server: [`ClusterNode`]
+//! installs a [`clognet_serve::server::Router`] on it, so the worker
+//! pool, both cache tiers, admission control, limits, drain and `stats`
+//! are the single server's own, and this crate holds only what is
+//! cluster-specific:
 //!
 //! * [`membership`] — static seed list plus periodic TCP
 //!   heartbeat/gossip over the existing NDJSON wire protocol, with an
@@ -19,6 +24,8 @@
 //! * Load-aware delegation — a saturated owner hands the job to the
 //!   least-loaded alive peer instead of bouncing `overloaded` back
 //!   through the gateway.
+//! * `cluster-stats` — ring, peer table, routing and replication
+//!   counters.
 //!
 //! The invariant inherited from the single-node service holds
 //! cluster-wide: **the same fingerprint yields byte-identical report

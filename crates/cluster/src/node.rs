@@ -1,13 +1,12 @@
-//! A cluster node: one simulation service sharing a sharded cache.
+//! A cluster node: a `clognet-serve` [`Server`] with a routing layer.
 //!
-//! Each [`ClusterNode`] is a full `clognet-serve`-style server (same
-//! NDJSON wire protocol, same bounded worker pool, same
-//! content-addressed cache) plus the cluster machinery:
+//! The server runs, caches and drains jobs exactly as a single node
+//! does; [`ClusterNode`] installs a [`Router`] on it that adds only the
+//! cluster machinery:
 //!
-//! * **Routing** — a `run` received by any node is served from the
-//!   local cache when possible, executed locally when this node owns
-//!   the fingerprint on the consistent-hash ring
-//!   ([`clognet_proto::HashRing`]), and otherwise forwarded to the
+//! * **Routing** — a `run` that misses the local cache executes here
+//!   when this node owns the fingerprint on the consistent-hash ring
+//!   ([`clognet_proto::HashRing`]), and otherwise is forwarded to the
 //!   owner (falling back through the replica set, then to local
 //!   execution) with the owner's response line relayed **verbatim** —
 //!   which is what keeps reports byte-identical no matter which node a
@@ -22,33 +21,41 @@
 //!   job back as `overloaded`; with hops remaining (`ttl > 0`) it
 //!   delegates to the least-loaded alive peer, and only a saturated
 //!   delegate (`ttl == 0`) rejects.
-//! * **Membership** — a background heartbeat thread probes peers with
+//! * **Membership** — a background heartbeat loop probes peers with
 //!   `peers` frames, gossips the member list, and walks them through
 //!   the [`PeerStatus`] lifecycle.
+//!
+//! Every node-to-node read is bounded, so a peer that accepts
+//! connections but never answers counts as failed instead of stalling
+//! the caller: heartbeats and replication frames wait at most
+//! `backoff_cap`, and job relays one [`RESULT_GRACE`] longer than the
+//! peer's own limit on the job.
 //!
 //! The response a client sees is always one of the standard
 //! [`clognet_serve::wire`] responses; clusters and single nodes are
 //! indistinguishable on the wire except for the extra ops.
+//!
+//! [`PeerStatus`]: crate::membership::PeerStatus
 
 use crate::membership::{Membership, PeerView};
-use clognet_bench::runner::WorkerPool;
 use clognet_proto::{fingerprint_hex, FxHasher, HashRing, DEFAULT_VNODES};
 use clognet_serve::client::{Client, RetryPolicy};
 use clognet_serve::json::Json;
-use clognet_serve::server::{serve_frames, JobHandler, ServeConfig};
+use clognet_serve::server::{
+    Job, JobHandler, Local, Router, ServeConfig, Server, ServerHandle, RESULT_GRACE,
+};
 use clognet_serve::wire::{
     error_response, ok_response, parse_forward, parse_peers, parse_replicate, parse_replicate_snap,
-    parse_response, peers_line, peers_response, replicate_line, replicate_snap_line, run_response,
-    ErrorCode, JobSpec, MAX_FRAME_BYTES,
+    parse_response, peers_line, peers_response, replicate_line, replicate_snap_line, ErrorCode,
+    MAX_FRAME_BYTES,
 };
-use clognet_serve::{ResultCache, SnapshotCache};
 use clognet_telemetry::export::{json_escape, json_f64};
 use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Fingerprints remembered in the delegation log exposed by
@@ -80,7 +87,8 @@ pub struct ClusterConfig {
     /// Consecutive probe failures before a peer turns dead (leaves the
     /// ring).
     pub dead_after: u32,
-    /// Probe backoff ceiling for unresponsive peers.
+    /// Probe backoff ceiling for unresponsive peers; also how long a
+    /// heartbeat or replication frame waits for the peer's answer.
     pub backoff_cap: Duration,
 }
 
@@ -100,6 +108,8 @@ impl Default for ClusterConfig {
     }
 }
 
+/// The `cluster-stats` counters this layer owns; `jobs_completed` and
+/// `jobs_resumed_from_snapshot` come from the server's registry.
 #[derive(Default)]
 struct Counters {
     forwards_out: AtomicU64,
@@ -112,101 +122,47 @@ struct Counters {
     snap_replications_sent: AtomicU64,
     snap_replications_skipped: AtomicU64,
     snaps_stored: AtomicU64,
-    jobs_resumed_from_snapshot: AtomicU64,
     forward_cache_hits: AtomicU64,
     fallback_local: AtomicU64,
-    jobs_completed: AtomicU64,
 }
 
-/// A pool job: the spec, the cached warmup snapshot to resume from
-/// (when the snapshot tier hit), and the wall-time deadline.
-type PoolJob = (JobSpec, Option<Arc<Vec<u8>>>, Instant);
-/// A pool result: the report, plus a fresh warmup snapshot to cache
-/// when the handler produced one.
-type PoolResult = Result<(String, Option<Vec<u8>>), clognet_serve::JobError>;
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
 
-struct NodeInner {
+/// The routing layer a [`ClusterNode`] installs on its server.
+struct ClusterRouter {
     cfg: ClusterConfig,
     advertise: String,
-    handler: Arc<dyn JobHandler>,
-    pool: Mutex<Option<WorkerPool<PoolJob, PoolResult>>>,
-    cache: Mutex<ResultCache>,
-    snapshots: Mutex<SnapshotCache>,
     members: Mutex<Membership>,
     counters: Counters,
     recent_delegations: Mutex<VecDeque<u64>>,
-    shutdown: AtomicBool,
-    inflight: AtomicUsize,
-    /// Connection threads currently serving a peer.
-    conns: AtomicUsize,
-    local_addr: SocketAddr,
 }
 
 /// A bound-but-not-yet-serving cluster node. Bind with
 /// [`ClusterNode::bind`], optionally [`ClusterNode::add_peer`], then
 /// block in [`ClusterNode::run`] or detach with [`ClusterNode::spawn`].
 pub struct ClusterNode {
-    listener: TcpListener,
-    inner: Arc<NodeInner>,
+    server: Server,
+    router: Arc<ClusterRouter>,
 }
 
-/// Handle to a spawned cluster node thread.
-pub struct ClusterHandle {
-    addr: SocketAddr,
-    advertise: String,
-    thread: std::thread::JoinHandle<io::Result<()>>,
-}
-
-impl ClusterHandle {
-    /// The bound address (resolved port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The node's ring identity.
-    pub fn advertise(&self) -> &str {
-        &self.advertise
-    }
-
-    /// Wait for the node to drain and exit.
-    ///
-    /// # Errors
-    ///
-    /// The accept loop's I/O error, if it died on one.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from the node thread.
-    pub fn join(self) -> io::Result<()> {
-        self.thread.join().expect("cluster node thread panicked")
-    }
-}
+/// Handle to a spawned cluster node: the handle of its server.
+pub type ClusterHandle = ServerHandle;
 
 impl ClusterNode {
-    /// Bind the listener, start the worker pool, and seed the
+    /// Bind the server, install the routing layer, and seed the
     /// membership table.
     ///
     /// # Errors
     ///
     /// Socket bind failures.
     pub fn bind(cfg: ClusterConfig, handler: Arc<dyn JobHandler>) -> io::Result<ClusterNode> {
-        let listener = TcpListener::bind(&cfg.serve.addr)?;
-        let local_addr = listener.local_addr()?;
+        let server = Server::bind(cfg.serve.clone(), handler)?;
         let advertise = cfg
             .advertise
             .clone()
-            .unwrap_or_else(|| local_addr.to_string());
-        let pool_handler = Arc::clone(&handler);
-        let pool = WorkerPool::new(
-            cfg.serve.workers,
-            cfg.serve.queue_cap,
-            move |(spec, snap, deadline): PoolJob| match snap {
-                Some(bytes) => pool_handler
-                    .run_from_snapshot(&spec, &bytes, deadline)
-                    .map(|report| (report, None)),
-                None => pool_handler.run_with_snapshot(&spec, deadline),
-            },
-        );
+            .unwrap_or_else(|| server.local_addr().to_string());
         let mut members = Membership::new(
             &advertise,
             cfg.heartbeat,
@@ -218,72 +174,42 @@ impl ClusterNode {
         for seed in &cfg.seeds {
             members.add_peer(seed, now);
         }
-        let cache = ResultCache::new(cfg.serve.cache_cap);
-        let snapshots = SnapshotCache::new(cfg.serve.snap_cache_cap);
-        let inner = Arc::new(NodeInner {
+        let router = Arc::new(ClusterRouter {
             cfg,
             advertise,
-            handler,
-            pool: Mutex::new(Some(pool)),
-            cache: Mutex::new(cache),
-            snapshots: Mutex::new(snapshots),
             members: Mutex::new(members),
             counters: Counters::default(),
             recent_delegations: Mutex::new(VecDeque::new()),
-            shutdown: AtomicBool::new(false),
-            inflight: AtomicUsize::new(0),
-            conns: AtomicUsize::new(0),
-            local_addr,
         });
-        Ok(ClusterNode { listener, inner })
+        let server = server.with_router(Arc::clone(&router) as Arc<dyn Router>);
+        Ok(ClusterNode { server, router })
     }
 
     /// The bound address (resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr
+        self.server.local_addr()
     }
 
     /// The node's ring identity.
     pub fn advertise(&self) -> &str {
-        &self.inner.advertise
+        &self.router.advertise
     }
 
     /// Add a peer after binding — how port-0 test clusters introduce
     /// members whose addresses are only known once every node is bound.
     pub fn add_peer(&self, addr: &str) {
-        self.inner
-            .members
-            .lock()
-            .expect("members lock poisoned")
-            .add_peer(addr, Instant::now());
+        self.router.members().add_peer(addr, Instant::now());
     }
 
     /// Accept and serve until a `shutdown` request, then drain and
-    /// return. Starts the heartbeat thread; each connection gets its
-    /// own thread.
+    /// return. The heartbeat loop runs on its own thread; each
+    /// connection gets its own thread.
     ///
     /// # Errors
     ///
     /// A fatal accept-loop I/O error.
     pub fn run(self) -> io::Result<()> {
-        let hb = {
-            let inner = Arc::clone(&self.inner);
-            std::thread::spawn(move || heartbeat_loop(&inner))
-        };
-        for stream in self.listener.incoming() {
-            if self.inner.shutdown.load(Ordering::SeqCst) {
-                break; // Woken by the shutdown self-connect.
-            }
-            let Ok(stream) = stream else {
-                continue; // Transient accept error; keep serving.
-            };
-            let inner = Arc::clone(&self.inner);
-            std::thread::spawn(move || handle_connection(&inner, stream));
-        }
-        drop(self.listener); // Closed before the drain, not after.
-        drain(&self.inner);
-        let _ = hb.join();
-        Ok(())
+        self.server.run()
     }
 
     /// Run on a background thread; the socket is already bound, so
@@ -294,588 +220,362 @@ impl ClusterNode {
     /// This call itself cannot fail; the handle's `join` reports the
     /// serve loop's outcome.
     pub fn spawn(self) -> io::Result<ClusterHandle> {
-        let addr = self.local_addr();
-        let advertise = self.advertise().to_string();
-        let thread = std::thread::spawn(move || self.run());
-        Ok(ClusterHandle {
-            addr,
-            advertise,
-            thread,
-        })
+        self.server.spawn()
     }
 }
 
-/// Grace for connection threads to flush final responses (notably the
-/// `shutdown` acknowledgment, whose writer is a detached thread racing
-/// process exit) before `run` returns. Mirrors `clognet-serve`.
-const CONN_FLUSH_GRACE: Duration = Duration::from_millis(300);
-
-fn drain(inner: &NodeInner) {
-    let deadline = Instant::now() + inner.cfg.serve.drain_timeout;
-    while inner.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let pool = inner.pool.lock().expect("pool lock poisoned").take();
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
-    let grace = Instant::now() + CONN_FLUSH_GRACE;
-    while inner.conns.load(Ordering::SeqCst) > 0 && Instant::now() < grace {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+/// One request/response exchange with a peer, waiting at most
+/// `timeout` for the reply: the raw reply line, safe to relay verbatim,
+/// or `None` on a transport failure, a timeout or a reply that does not
+/// decode as a protocol response.
+fn exchange(addr: &str, line: &str, policy: &RetryPolicy, timeout: Duration) -> Option<String> {
+    let mut client = Client::connect(addr, policy).ok()?;
+    let timeout = timeout.max(Duration::from_millis(1));
+    client.set_read_timeout(Some(timeout)).ok()?;
+    let reply = client.request_line(line).ok()?;
+    parse_response(&reply).ok().map(|_| reply)
 }
 
-fn handle_connection(inner: &Arc<NodeInner>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    inner.conns.fetch_add(1, Ordering::SeqCst);
-    serve_frames(read_half, stream, |line| dispatch(inner, line));
-    inner.conns.fetch_sub(1, Ordering::SeqCst);
+/// How long a job relay (forward or delegation) waits for the peer: one
+/// [`RESULT_GRACE`] past the peer's own limit on the job, so a peer
+/// that is merely busy always answers first.
+fn relay_timeout(server: &Local) -> Duration {
+    server.config().job_timeout + 2 * RESULT_GRACE
 }
 
-/// This node's instantaneous load: queued jobs per worker. Draining
-/// nodes report an effectively infinite load so nobody delegates to
-/// them.
-fn load(inner: &NodeInner) -> f64 {
-    let pool = inner.pool.lock().expect("pool lock poisoned");
-    match pool.as_ref() {
-        Some(p) => p.depth() as f64 / p.threads().max(1) as f64,
-        None => 1e9,
+impl ClusterRouter {
+    fn members(&self) -> MutexGuard<'_, Membership> {
+        self.members.lock().expect("members lock poisoned")
     }
-}
 
-/// The ring as this node currently believes it to be.
-fn ring(inner: &NodeInner) -> HashRing {
-    let members = inner.members.lock().expect("members lock poisoned");
-    HashRing::with_nodes(members.ring_members(), inner.cfg.vnodes)
-}
-
-/// A short, fast, fingerprint-jittered policy for node-to-node hops —
-/// a dead peer must fail fast so the caller can walk the fallback
-/// chain.
-fn hop_policy(inner: &NodeInner, fp: u64) -> RetryPolicy {
-    let mut h = FxHasher::default();
-    h.write(inner.advertise.as_bytes());
-    RetryPolicy {
-        attempts: 2,
-        base_ms: 5,
-        cap_ms: 20,
-        seed: h.finish(),
-    }
-    .for_fingerprint(fp)
-}
-
-/// One request/response exchange with a peer. `Err` is a transport
-/// failure or a reply that does not decode as a protocol response;
-/// `Ok` is the raw reply line, safe to relay verbatim.
-fn exchange(addr: &str, line: &str, policy: &RetryPolicy) -> Result<String, String> {
-    let mut client = Client::connect(addr, policy).map_err(|e| e.to_string())?;
-    let reply = client.request_line(line).map_err(|e| e.to_string())?;
-    parse_response(&reply)?;
-    Ok(reply)
-}
-
-fn note_peer_failure(inner: &NodeInner, addr: &str) {
-    inner
-        .members
-        .lock()
-        .expect("members lock poisoned")
-        .record_failure(addr, Instant::now());
-}
-
-fn dispatch(inner: &Arc<NodeInner>, line: &str) -> String {
-    let parsed = match Json::parse(line) {
-        Ok(v) => v,
-        Err(e) => return error_response(ErrorCode::BadRequest, &format!("malformed JSON: {e}")),
-    };
-    match parsed.get("op").and_then(Json::as_str) {
-        Some("ping") => ok_response("ping"),
-        Some("run") => handle_run(inner, &parsed),
-        Some("forward") => handle_forward(inner, &parsed),
-        Some("replicate") => handle_replicate(inner, &parsed),
-        Some("replicate-snap") => handle_replicate_snap(inner, &parsed),
-        Some("peers") => handle_peers(inner, &parsed),
-        Some("stats") => stats_response(inner),
-        Some("cluster-stats") => cluster_stats_response(inner),
-        Some("shutdown") => {
-            inner.shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor so it notices the flag.
-            let _ = TcpStream::connect(inner.local_addr);
-            ok_response("shutdown")
-        }
-        Some(other) => error_response(
-            ErrorCode::BadRequest,
-            &format!(
-                "unknown op `{other}` \
-                 (ping|run|forward|replicate|replicate-snap|peers|stats|cluster-stats|shutdown)"
-            ),
-        ),
-        None => error_response(ErrorCode::BadRequest, "request missing string `op`"),
-    }
-}
-
-/// Reject jobs whose cycle budget exceeds the per-job limit, exactly
-/// like the single-node server.
-fn admit(inner: &NodeInner, spec: &JobSpec) -> Result<(), String> {
-    let budget = spec.warm.saturating_add(spec.cycles);
-    if budget > inner.cfg.serve.max_job_cycles {
-        return Err(error_response(
-            ErrorCode::CycleLimit,
-            &format!(
-                "job wants {budget} cycles; per-job limit is {}",
-                inner.cfg.serve.max_job_cycles
-            ),
-        ));
-    }
-    Ok(())
-}
-
-/// A `run` from a client: this node is the gateway. Serve from the
-/// local cache, execute if we own the fingerprint, otherwise forward
-/// along the placement chain and relay the answer verbatim.
-fn handle_run(inner: &Arc<NodeInner>, request: &Json) -> String {
-    if inner.shutdown.load(Ordering::SeqCst) {
-        return error_response(ErrorCode::ShuttingDown, "node is draining");
-    }
-    let spec = match JobSpec::from_json(request) {
-        Ok(s) => s,
-        Err(e) => return error_response(ErrorCode::BadRequest, &e),
-    };
-    if let Err(reply) = admit(inner, &spec) {
-        return reply;
-    }
-    let fp = match inner.handler.fingerprint(&spec) {
-        Ok(fp) => fp,
-        Err(e) => return error_response(e.code, &e.message),
-    };
-    let hex = fingerprint_hex(fp);
-    if let Some(report) = inner.cache.lock().expect("cache lock poisoned").lookup(fp) {
-        return run_response(&hex, true, &report);
-    }
-    let placement: Vec<String> = {
-        let r = ring(inner);
-        r.placement(fp, inner.cfg.replicas + 1)
+    /// The fingerprint's owner and replica holders, as this node
+    /// currently believes the ring to be.
+    fn placement(&self, fp: u64) -> Vec<String> {
+        let ring = HashRing::with_nodes(self.members().ring_members(), self.cfg.vnodes);
+        ring.placement(fp, self.cfg.replicas + 1)
             .into_iter()
             .map(String::from)
             .collect()
-    };
-    if placement.first().map(String::as_str) == Some(inner.advertise.as_str())
-        || placement.is_empty()
-    {
-        return execute_local(inner, spec, fp, &hex, true);
     }
-    // Not ours: walk the placement chain — owner first, then the
-    // replica holders (who can answer resubmissions from their copy
-    // when the owner is down).
-    inner.counters.forwards_out.fetch_add(1, Ordering::Relaxed);
-    let line = spec.to_forward_line(1);
-    let policy = hop_policy(inner, fp);
-    for target in placement.iter().filter(|a| **a != inner.advertise) {
-        match exchange(target, &line, &policy) {
-            Ok(reply) => return reply,
-            Err(_) => note_peer_failure(inner, target),
-        }
-    }
-    // Every remote placement member is unreachable; answering locally
-    // beats failing, and the cache copy replicates back once they
-    // return.
-    inner
-        .counters
-        .fallback_local
-        .fetch_add(1, Ordering::Relaxed);
-    execute_local(inner, spec, fp, &hex, false)
-}
 
-/// A `forward` from a peer: cache, execute, or (if `ttl` allows)
-/// delegate — never re-route by ring position, which is what bounds
-/// the hop count.
-fn handle_forward(inner: &Arc<NodeInner>, request: &Json) -> String {
-    if inner.shutdown.load(Ordering::SeqCst) {
-        return error_response(ErrorCode::ShuttingDown, "node is draining");
+    /// A short, fast, fingerprint-jittered policy for node-to-node hops
+    /// — a dead peer must fail fast so the caller can walk the fallback
+    /// chain.
+    fn hop_policy(&self, fp: u64) -> RetryPolicy {
+        let mut h = FxHasher::default();
+        h.write(self.advertise.as_bytes());
+        RetryPolicy {
+            attempts: 2,
+            base_ms: 5,
+            cap_ms: 20,
+            seed: h.finish(),
+        }
+        .for_fingerprint(fp)
     }
-    let frame = match parse_forward(request) {
-        Ok(f) => f,
-        Err(e) => return error_response(ErrorCode::BadRequest, &e),
-    };
-    if frame.ttl == 0 {
-        inner
-            .counters
-            .delegations_in
-            .fetch_add(1, Ordering::Relaxed);
-    } else {
-        inner.counters.forwards_in.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Err(reply) = admit(inner, &frame.spec) {
-        return reply;
-    }
-    let fp = match inner.handler.fingerprint(&frame.spec) {
-        Ok(fp) => fp,
-        Err(e) => return error_response(e.code, &e.message),
-    };
-    let hex = fingerprint_hex(fp);
-    if let Some(report) = inner.cache.lock().expect("cache lock poisoned").lookup(fp) {
-        inner
-            .counters
-            .forward_cache_hits
-            .fetch_add(1, Ordering::Relaxed);
-        return run_response(&hex, true, &report);
-    }
-    execute_local(inner, frame.spec, fp, &hex, frame.ttl > 0)
-}
 
-/// Run the job on the local pool; a full queue either delegates (one
-/// hop, when allowed) or rejects with `overloaded`.
-fn execute_local(
-    inner: &Arc<NodeInner>,
-    spec: JobSpec,
-    fp: u64,
-    hex: &str,
-    allow_delegate: bool,
-) -> String {
-    // The snapshot tier: a cached warmup prefix (computed locally or
-    // replicated from a peer) lets the worker resume mid-flight.
-    let skey = inner.handler.snapshot_key(&spec);
-    let snap = skey.and_then(|k| {
-        inner
-            .snapshots
-            .lock()
-            .expect("snapshot cache lock poisoned")
-            .lookup(k)
-    });
-    let resumed = snap.is_some();
-    let deadline = Instant::now() + inner.cfg.serve.job_timeout;
-    let submitted = {
-        let pool = inner.pool.lock().expect("pool lock poisoned");
-        match pool.as_ref() {
-            None => return error_response(ErrorCode::ShuttingDown, "node is draining"),
-            Some(p) => p.try_submit((spec.clone(), snap, deadline)),
+    fn note_peer_failure(&self, addr: &str) {
+        self.members().record_failure(addr, Instant::now());
+    }
+
+    /// A `forward` from a peer: cache or execute, and (if `ttl` allows)
+    /// delegate a full queue — never re-route by ring position, which is
+    /// what bounds the hop count.
+    fn handle_forward(&self, server: &Local, request: &Json) -> String {
+        if server.is_shutting_down() {
+            return error_response(ErrorCode::ShuttingDown, "node is draining");
         }
-    };
-    let rx = match submitted {
-        Ok(rx) => rx,
-        Err(_) if allow_delegate => return delegate(inner, &spec, fp),
-        Err(_) => {
-            return error_response(
-                ErrorCode::Overloaded,
-                &format!(
-                    "job queue full ({} waiting, {} workers); retry later",
-                    inner.cfg.serve.queue_cap, inner.cfg.serve.workers
-                ),
-            );
+        let frame = match parse_forward(request) {
+            Ok(f) => f,
+            Err(e) => return error_response(ErrorCode::BadRequest, &e),
+        };
+        bump(if frame.ttl == 0 {
+            &self.counters.delegations_in
+        } else {
+            &self.counters.forwards_in
+        });
+        let job = match server.admit(frame.spec) {
+            Ok(job) => job,
+            Err(reply) => return reply,
+        };
+        if let Some(hit) = server.lookup(&job) {
+            bump(&self.counters.forward_cache_hits);
+            return hit;
         }
-    };
-    inner.inflight.fetch_add(1, Ordering::SeqCst);
-    // Grace past the deadline so a handler that honors it always wins
-    // the race against this receive timeout.
-    let wait = inner.cfg.serve.job_timeout + Duration::from_secs(2);
-    let outcome = rx.recv_timeout(wait);
-    inner.inflight.fetch_sub(1, Ordering::SeqCst);
-    match outcome {
-        Ok(Ok((report, fresh_snap))) => {
-            inner
-                .counters
-                .jobs_completed
-                .fetch_add(1, Ordering::Relaxed);
-            if resumed {
-                inner
-                    .counters
-                    .jobs_resumed_from_snapshot
-                    .fetch_add(1, Ordering::Relaxed);
+        server.execute(&job, frame.ttl > 0)
+    }
+
+    /// Store a replicated entry. Duplicate inserts are no-ops, so
+    /// replication is idempotent.
+    fn handle_replicate(&self, server: &Local, request: &Json) -> String {
+        let frame = match parse_replicate(request) {
+            Ok(f) => f,
+            Err(e) => return error_response(ErrorCode::BadRequest, &e),
+        };
+        server.cache().insert(frame.fingerprint, frame.report);
+        bump(&self.counters.replicas_stored);
+        ok_response("replicate")
+    }
+
+    /// Store a replicated warmup snapshot. Duplicate inserts are no-ops,
+    /// so snapshot replication is idempotent too.
+    fn handle_replicate_snap(&self, server: &Local, request: &Json) -> String {
+        let frame = match parse_replicate_snap(request) {
+            Ok(f) => f,
+            Err(e) => return error_response(ErrorCode::BadRequest, &e),
+        };
+        server.snapshots().insert(frame.key, Arc::new(frame.bytes));
+        bump(&self.counters.snaps_stored);
+        ok_response("replicate-snap")
+    }
+
+    /// Answer a heartbeat: learn the sender and its gossip, report our
+    /// own load and member list back.
+    fn handle_peers(&self, server: &Local, request: &Json) -> String {
+        let ex = match parse_peers(request) {
+            Ok(p) => p,
+            Err(e) => return error_response(ErrorCode::BadRequest, &e),
+        };
+        let now = Instant::now();
+        let known = {
+            let mut m = self.members();
+            m.merge_known(&ex.known, now);
+            if ex.from != self.advertise {
+                m.add_peer(&ex.from, now);
+                m.record_success(&ex.from, ex.load, now);
             }
-            inner
-                .cache
-                .lock()
-                .expect("cache lock poisoned")
-                .insert(fp, report.clone());
-            let snap_to_share = match (skey, fresh_snap) {
-                (Some(k), Some(bytes)) => {
-                    let bytes = Arc::new(bytes);
-                    inner
-                        .snapshots
-                        .lock()
-                        .expect("snapshot cache lock poisoned")
-                        .insert(k, Arc::clone(&bytes));
-                    Some((k, bytes))
-                }
-                _ => None,
-            };
-            replicate_out(inner, fp, hex, &report, snap_to_share);
-            run_response(hex, false, &report)
-        }
-        Ok(Err(e)) => error_response(e.code, &e.message),
-        Err(_) => error_response(
-            ErrorCode::Timeout,
-            &format!(
-                "no result within {:.1}s (per-job wall-time limit)",
-                wait.as_secs_f64()
-            ),
-        ),
+            m.known()
+        };
+        peers_response(&self.advertise, server.load(), &known)
     }
-}
 
-/// Load-aware overflow: hand the job to the least-loaded alive peer
-/// with `ttl = 0` (it must execute or reject — no forwarding loops).
-fn delegate(inner: &Arc<NodeInner>, spec: &JobSpec, fp: u64) -> String {
-    let target = inner
-        .members
-        .lock()
-        .expect("members lock poisoned")
-        .least_loaded_alive();
-    let Some(target) = target else {
-        return error_response(
-            ErrorCode::Overloaded,
-            &format!(
-                "job queue full ({} waiting, {} workers) and no alive peer to delegate to",
-                inner.cfg.serve.queue_cap, inner.cfg.serve.workers
-            ),
-        );
-    };
-    inner
-        .counters
-        .delegations_out
-        .fetch_add(1, Ordering::Relaxed);
-    {
-        let mut log = inner
+    /// One heartbeat probe: a fresh connection, one `peers` exchange, no
+    /// retries (the backoff schedule lives in [`Membership`]).
+    fn probe(&self, server: &Local, addr: &str) {
+        let policy = RetryPolicy {
+            attempts: 1,
+            ..RetryPolicy::default()
+        };
+        // Snapshot the member list, then release before touching the
+        // pool lock (for the load figure) or the network.
+        let known = self.members().known();
+        let line = peers_line(&self.advertise, server.load(), &known);
+        let outcome = exchange(addr, &line, &policy, self.cfg.backoff_cap)
+            .and_then(|reply| parse_peers(&Json::parse(&reply).ok()?).ok());
+        let now = Instant::now();
+        let mut m = self.members();
+        match outcome {
+            Some(ex) => {
+                m.merge_known(&ex.known, now);
+                m.record_success(addr, ex.load, now);
+            }
+            None => m.record_failure(addr, now),
+        }
+    }
+
+    /// The cluster-wide view: identity, ring membership, peer table,
+    /// routing/replication counters, and the recent delegation log.
+    fn cluster_stats_response(&self, server: &Local) -> String {
+        let (ring_nodes, peers) = {
+            let m = self.members();
+            (m.ring_members(), m.snapshot())
+        };
+        let ring_arr: Vec<String> = ring_nodes
+            .iter()
+            .map(|n| format!("\"{}\"", json_escape(n)))
+            .collect();
+        let peer_arr: Vec<String> = peers.iter().map(peer_json).collect();
+        let delegations: Vec<String> = self
             .recent_delegations
             .lock()
-            .expect("delegation log poisoned");
-        if log.len() == DELEGATION_LOG_CAP {
-            log.pop_front();
-        }
-        log.push_back(fp);
-    }
-    let line = spec.to_forward_line(0);
-    match exchange(&target, &line, &hop_policy(inner, fp)) {
-        Ok(reply) => reply,
-        Err(_) => {
-            note_peer_failure(inner, &target);
-            error_response(
-                ErrorCode::Overloaded,
-                "job queue full and the delegation target did not answer; retry later",
-            )
-        }
+            .expect("delegation log poisoned")
+            .iter()
+            .map(|fp| format!("\"{}\"", fingerprint_hex(*fp)))
+            .collect();
+        let c = &self.counters;
+        let (entries, hits, misses) = {
+            let cache = server.cache();
+            (cache.len(), cache.hits(), cache.misses())
+        };
+        let (snap_entries, snap_hits, snap_misses) = {
+            let s = server.snapshots();
+            (s.len(), s.hits(), s.misses())
+        };
+        format!(
+            "{{\"ok\":true,\"op\":\"cluster-stats\",\"self\":\"{}\",\"replicas\":{},\
+             \"ring\":[{}],\"peers\":[{}],\"counters\":{{\
+             \"forwards_out\":{},\"forwards_in\":{},\
+             \"delegations_out\":{},\"delegations_in\":{},\
+             \"replications_sent\":{},\"replication_failures\":{},\
+             \"replicas_stored\":{},\"forward_cache_hits\":{},\
+             \"fallback_local\":{},\"jobs_completed\":{},\
+             \"snap_replications_sent\":{},\"snap_replications_skipped\":{},\
+             \"snaps_stored\":{},\"jobs_resumed_from_snapshot\":{}}},\
+             \"recent_delegations\":[{}],\
+             \"cache_entries\":{entries},\"cache_hits\":{hits},\"cache_misses\":{misses},\
+             \"snapshot_entries\":{snap_entries},\"snapshot_hits\":{snap_hits},\
+             \"snapshot_misses\":{snap_misses}}}",
+            json_escape(&self.advertise),
+            self.cfg.replicas,
+            ring_arr.join(","),
+            peer_arr.join(","),
+            c.forwards_out.load(Ordering::Relaxed),
+            c.forwards_in.load(Ordering::Relaxed),
+            c.delegations_out.load(Ordering::Relaxed),
+            c.delegations_in.load(Ordering::Relaxed),
+            c.replications_sent.load(Ordering::Relaxed),
+            c.replication_failures.load(Ordering::Relaxed),
+            c.replicas_stored.load(Ordering::Relaxed),
+            c.forward_cache_hits.load(Ordering::Relaxed),
+            c.fallback_local.load(Ordering::Relaxed),
+            server.counter("jobs_completed"),
+            c.snap_replications_sent.load(Ordering::Relaxed),
+            c.snap_replications_skipped.load(Ordering::Relaxed),
+            c.snaps_stored.load(Ordering::Relaxed),
+            server.counter("jobs_resumed_from_snapshot"),
+            delegations.join(","),
+        )
     }
 }
 
-/// Synchronously copy a fresh cache entry to the fingerprint's other
-/// placement members, so the report survives this node's death. When
-/// the job also produced a warmup snapshot, it rides along on the same
-/// connections (`replicate-snap`) — unless its hex form would not fit
-/// in a frame, in which case it is simply skipped: snapshots are an
-/// optimization, never required for correctness.
-fn replicate_out(
-    inner: &NodeInner,
-    fp: u64,
-    hex: &str,
-    report: &str,
-    snap: Option<(u64, Arc<Vec<u8>>)>,
-) {
-    if inner.cfg.replicas == 0 {
-        return;
+impl Router for ClusterRouter {
+    fn op(&self, server: &Local, op: &str, request: &Json) -> Option<String> {
+        Some(match op {
+            "forward" => self.handle_forward(server, request),
+            "replicate" => self.handle_replicate(server, request),
+            "replicate-snap" => self.handle_replicate_snap(server, request),
+            "peers" => self.handle_peers(server, request),
+            "cluster-stats" => self.cluster_stats_response(server),
+            other => error_response(
+                ErrorCode::BadRequest,
+                &format!(
+                    "unknown op `{other}` \
+                     (ping|run|forward|replicate|replicate-snap|peers|stats|cluster-stats|shutdown)"
+                ),
+            ),
+        })
     }
-    let targets: Vec<String> = {
-        let r = ring(inner);
-        r.placement(fp, inner.cfg.replicas + 1)
-            .into_iter()
-            .filter(|a| *a != inner.advertise)
-            .map(String::from)
-            .collect()
-    };
-    if targets.is_empty() {
-        return;
-    }
-    let snap_line = snap.and_then(|(key, bytes)| {
-        // Hex doubles the payload; leave headroom for the JSON wrapper.
-        if bytes.len() * 2 + 64 > MAX_FRAME_BYTES {
-            inner
-                .counters
-                .snap_replications_skipped
-                .fetch_add(1, Ordering::Relaxed);
+
+    /// Execute here when this node owns the fingerprint (or the ring is
+    /// empty); otherwise walk the placement chain — owner first, then
+    /// the replica holders, who can answer resubmissions from their copy
+    /// when the owner is down — and relay the first answer verbatim.
+    fn place(&self, server: &Local, job: &Job) -> Option<String> {
+        let fp = job.fingerprint();
+        let placement = self.placement(fp);
+        if *placement.first()? == self.advertise {
             return None;
         }
-        Some(replicate_snap_line(&fingerprint_hex(key), &bytes))
-    });
-    let line = replicate_line(hex, report);
-    let policy = hop_policy(inner, fp);
-    for target in targets {
-        match exchange(&target, &line, &policy) {
-            Ok(_) => {
-                inner
-                    .counters
-                    .replications_sent
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(snap_line) = &snap_line {
-                    match exchange(&target, snap_line, &policy) {
-                        Ok(_) => {
-                            inner
-                                .counters
-                                .snap_replications_sent
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            inner
-                                .counters
-                                .replication_failures
-                                .fetch_add(1, Ordering::Relaxed);
-                            note_peer_failure(inner, &target);
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                inner
-                    .counters
-                    .replication_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                note_peer_failure(inner, &target);
+        bump(&self.counters.forwards_out);
+        let line = job.spec().to_forward_line(1);
+        let policy = self.hop_policy(fp);
+        for target in placement.iter().filter(|a| **a != self.advertise) {
+            match exchange(target, &line, &policy, relay_timeout(server)) {
+                Some(reply) => return Some(reply),
+                None => self.note_peer_failure(target),
             }
         }
+        // Every remote placement member is unreachable; answering
+        // locally beats failing, and the cache copy replicates back once
+        // they return.
+        bump(&self.counters.fallback_local);
+        Some(server.execute(job, false))
     }
-}
 
-/// Store a replicated entry. Duplicate inserts are no-ops, so
-/// replication is idempotent.
-fn handle_replicate(inner: &Arc<NodeInner>, request: &Json) -> String {
-    let frame = match parse_replicate(request) {
-        Ok(f) => f,
-        Err(e) => return error_response(ErrorCode::BadRequest, &e),
-    };
-    inner
-        .cache
-        .lock()
-        .expect("cache lock poisoned")
-        .insert(frame.fingerprint, frame.report);
-    inner
-        .counters
-        .replicas_stored
-        .fetch_add(1, Ordering::Relaxed);
-    ok_response("replicate")
-}
-
-/// Store a replicated warmup snapshot. Duplicate inserts are no-ops,
-/// so snapshot replication is idempotent too.
-fn handle_replicate_snap(inner: &Arc<NodeInner>, request: &Json) -> String {
-    let frame = match parse_replicate_snap(request) {
-        Ok(f) => f,
-        Err(e) => return error_response(ErrorCode::BadRequest, &e),
-    };
-    inner
-        .snapshots
-        .lock()
-        .expect("snapshot cache lock poisoned")
-        .insert(frame.key, Arc::new(frame.bytes));
-    inner.counters.snaps_stored.fetch_add(1, Ordering::Relaxed);
-    ok_response("replicate-snap")
-}
-
-/// Answer a heartbeat: learn the sender and its gossip, report our own
-/// load and member list back.
-fn handle_peers(inner: &Arc<NodeInner>, request: &Json) -> String {
-    let ex = match parse_peers(request) {
-        Ok(p) => p,
-        Err(e) => return error_response(ErrorCode::BadRequest, &e),
-    };
-    let now = Instant::now();
-    let known = {
-        let mut m = inner.members.lock().expect("members lock poisoned");
-        m.merge_known(&ex.known, now);
-        if ex.from != inner.advertise {
-            m.add_peer(&ex.from, now);
-            m.record_success(&ex.from, ex.load, now);
-        }
-        m.known()
-    };
-    peers_response(&inner.advertise, load(inner), &known)
-}
-
-fn heartbeat_loop(inner: &Arc<NodeInner>) {
-    let tick = (inner.cfg.heartbeat / 4).clamp(Duration::from_millis(5), Duration::from_millis(50));
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        let due = inner
-            .members
-            .lock()
-            .expect("members lock poisoned")
-            .due_probes(Instant::now());
-        for addr in due {
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return;
+    /// Load-aware overflow: hand the job to the least-loaded alive peer
+    /// with `ttl = 0` (it must execute or reject — no forwarding loops).
+    fn overflow(&self, server: &Local, job: &Job) -> Option<String> {
+        let Some(target) = self.members().least_loaded_alive() else {
+            let cfg = server.config();
+            return Some(error_response(
+                ErrorCode::Overloaded,
+                &format!(
+                    "job queue full ({} waiting, {} workers) and no alive peer to delegate to",
+                    cfg.queue_cap, cfg.workers
+                ),
+            ));
+        };
+        bump(&self.counters.delegations_out);
+        {
+            let mut log = self
+                .recent_delegations
+                .lock()
+                .expect("delegation log poisoned");
+            if log.len() == DELEGATION_LOG_CAP {
+                log.pop_front();
             }
-            probe(inner, &addr);
+            log.push_back(job.fingerprint());
         }
-        std::thread::sleep(tick);
+        let line = job.spec().to_forward_line(0);
+        let policy = self.hop_policy(job.fingerprint());
+        Some(
+            exchange(&target, &line, &policy, relay_timeout(server)).unwrap_or_else(|| {
+                self.note_peer_failure(&target);
+                error_response(
+                    ErrorCode::Overloaded,
+                    "job queue full and the delegation target did not answer; retry later",
+                )
+            }),
+        )
     }
-}
 
-/// One heartbeat probe: a fresh connection, one `peers` exchange, no
-/// retries (the backoff schedule lives in [`Membership`]).
-fn probe(inner: &Arc<NodeInner>, addr: &str) {
-    let mut h = FxHasher::default();
-    h.write(inner.advertise.as_bytes());
-    h.write(addr.as_bytes());
-    let policy = RetryPolicy {
-        attempts: 1,
-        base_ms: 1,
-        cap_ms: 1,
-        seed: h.finish(),
-    };
-    // Snapshot the member list, then release before touching the pool
-    // lock (for the load figure) or the network.
-    let known = {
-        let m = inner.members.lock().expect("members lock poisoned");
-        m.known()
-    };
-    let line = peers_line(&inner.advertise, load(inner), &known);
-    let outcome = Client::connect(addr, &policy)
-        .and_then(|mut c| c.request_line(&line))
-        .map_err(|e| e.to_string())
-        .and_then(|reply| {
-            let v = Json::parse(&reply)?;
-            parse_peers(&v)
+    /// Synchronously copy a fresh cache entry to the fingerprint's other
+    /// placement members, so the report survives this node's death. When
+    /// the job also produced a warmup snapshot, it rides along on the
+    /// same connections (`replicate-snap`) — unless its hex form would
+    /// not fit in a frame, in which case it is simply skipped: snapshots
+    /// are an optimization, never required for correctness.
+    fn completed(&self, job: &Job, report: &str, snapshot: Option<(u64, Arc<Vec<u8>>)>) {
+        if self.cfg.replicas == 0 {
+            return;
+        }
+        let mut targets = self.placement(job.fingerprint());
+        targets.retain(|a| *a != self.advertise);
+        if targets.is_empty() {
+            return;
+        }
+        let snap_line = snapshot.and_then(|(key, bytes)| {
+            // Hex doubles the payload; leave headroom for the JSON wrapper.
+            if bytes.len() * 2 + 64 > MAX_FRAME_BYTES {
+                bump(&self.counters.snap_replications_skipped);
+                return None;
+            }
+            Some(replicate_snap_line(&fingerprint_hex(key), &bytes))
         });
-    let now = Instant::now();
-    let mut m = inner.members.lock().expect("members lock poisoned");
-    match outcome {
-        Ok(ex) => {
-            m.merge_known(&ex.known, now);
-            m.record_success(addr, ex.load, now);
+        let line = replicate_line(&fingerprint_hex(job.fingerprint()), report);
+        let policy = self.hop_policy(job.fingerprint());
+        let timeout = self.cfg.backoff_cap;
+        for target in targets {
+            let sent = exchange(&target, &line, &policy, timeout).and_then(|_| {
+                bump(&self.counters.replications_sent);
+                match &snap_line {
+                    Some(snap_line) => exchange(&target, snap_line, &policy, timeout)
+                        .map(|_| bump(&self.counters.snap_replications_sent)),
+                    None => Some(()),
+                }
+            });
+            if sent.is_none() {
+                bump(&self.counters.replication_failures);
+                self.note_peer_failure(&target);
+            }
         }
-        Err(_) => m.record_failure(addr, now),
     }
-}
 
-/// The single-node `stats` surface: queue, workers, cache. The
-/// cluster-wide view lives in [`cluster_stats_response`].
-fn stats_response(inner: &NodeInner) -> String {
-    let (depth, workers, utilization) = {
-        let pool = inner.pool.lock().expect("pool lock poisoned");
-        match pool.as_ref() {
-            Some(p) => (p.depth(), p.threads(), p.utilization()),
-            None => (0, 0, Vec::new()),
+    /// The heartbeat loop: probe every due peer, then sleep a fraction
+    /// of the heartbeat.
+    fn background(&self, server: &Local) {
+        let tick =
+            (self.cfg.heartbeat / 4).clamp(Duration::from_millis(5), Duration::from_millis(50));
+        while !server.is_shutting_down() {
+            let due = self.members().due_probes(Instant::now());
+            for addr in due {
+                if server.is_shutting_down() {
+                    return;
+                }
+                self.probe(server, &addr);
+            }
+            std::thread::sleep(tick);
         }
-    };
-    let (entries, hit_rate, hits, misses) = {
-        let c = inner.cache.lock().expect("cache lock poisoned");
-        (c.len(), c.hit_rate(), c.hits(), c.misses())
-    };
-    let (snap_entries, snap_bytes, snap_hits, snap_misses) = {
-        let s = inner
-            .snapshots
-            .lock()
-            .expect("snapshot cache lock poisoned");
-        (s.len(), s.bytes(), s.hits(), s.misses())
-    };
-    let util_arr: Vec<String> = utilization.iter().map(|&u| json_f64(u)).collect();
-    format!(
-        "{{\"ok\":true,\"op\":\"stats\",\"queue_depth\":{depth},\"workers\":{workers},\
-         \"utilization\":[{}],\"cache_entries\":{entries},\"cache_hits\":{hits},\
-         \"cache_misses\":{misses},\"cache_hit_rate\":{},\
-         \"snapshot_entries\":{snap_entries},\"snapshot_bytes\":{snap_bytes},\
-         \"snapshot_hits\":{snap_hits},\"snapshot_misses\":{snap_misses}}}",
-        util_arr.join(","),
-        json_f64(hit_rate)
-    )
+    }
 }
 
 fn peer_json(p: &PeerView) -> String {
@@ -885,72 +585,5 @@ fn peer_json(p: &PeerView) -> String {
         p.status.as_str(),
         json_f64(p.load),
         p.failures
-    )
-}
-
-/// The cluster-wide view: identity, ring membership, peer table,
-/// routing/replication counters, and the recent delegation log.
-fn cluster_stats_response(inner: &NodeInner) -> String {
-    let (ring_nodes, peers) = {
-        let m = inner.members.lock().expect("members lock poisoned");
-        (m.ring_members(), m.snapshot())
-    };
-    let ring_arr: Vec<String> = ring_nodes
-        .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
-        .collect();
-    let peer_arr: Vec<String> = peers.iter().map(peer_json).collect();
-    let delegations: Vec<String> = inner
-        .recent_delegations
-        .lock()
-        .expect("delegation log poisoned")
-        .iter()
-        .map(|fp| format!("\"{}\"", fingerprint_hex(*fp)))
-        .collect();
-    let c = &inner.counters;
-    let (entries, hits, misses) = {
-        let cache = inner.cache.lock().expect("cache lock poisoned");
-        (cache.len(), cache.hits(), cache.misses())
-    };
-    let (snap_entries, snap_hits, snap_misses) = {
-        let s = inner
-            .snapshots
-            .lock()
-            .expect("snapshot cache lock poisoned");
-        (s.len(), s.hits(), s.misses())
-    };
-    format!(
-        "{{\"ok\":true,\"op\":\"cluster-stats\",\"self\":\"{}\",\"replicas\":{},\
-         \"ring\":[{}],\"peers\":[{}],\"counters\":{{\
-         \"forwards_out\":{},\"forwards_in\":{},\
-         \"delegations_out\":{},\"delegations_in\":{},\
-         \"replications_sent\":{},\"replication_failures\":{},\
-         \"replicas_stored\":{},\"forward_cache_hits\":{},\
-         \"fallback_local\":{},\"jobs_completed\":{},\
-         \"snap_replications_sent\":{},\"snap_replications_skipped\":{},\
-         \"snaps_stored\":{},\"jobs_resumed_from_snapshot\":{}}},\
-         \"recent_delegations\":[{}],\
-         \"cache_entries\":{entries},\"cache_hits\":{hits},\"cache_misses\":{misses},\
-         \"snapshot_entries\":{snap_entries},\"snapshot_hits\":{snap_hits},\
-         \"snapshot_misses\":{snap_misses}}}",
-        json_escape(&inner.advertise),
-        inner.cfg.replicas,
-        ring_arr.join(","),
-        peer_arr.join(","),
-        c.forwards_out.load(Ordering::Relaxed),
-        c.forwards_in.load(Ordering::Relaxed),
-        c.delegations_out.load(Ordering::Relaxed),
-        c.delegations_in.load(Ordering::Relaxed),
-        c.replications_sent.load(Ordering::Relaxed),
-        c.replication_failures.load(Ordering::Relaxed),
-        c.replicas_stored.load(Ordering::Relaxed),
-        c.forward_cache_hits.load(Ordering::Relaxed),
-        c.fallback_local.load(Ordering::Relaxed),
-        c.jobs_completed.load(Ordering::Relaxed),
-        c.snap_replications_sent.load(Ordering::Relaxed),
-        c.snap_replications_skipped.load(Ordering::Relaxed),
-        c.snaps_stored.load(Ordering::Relaxed),
-        c.jobs_resumed_from_snapshot.load(Ordering::Relaxed),
-        delegations.join(","),
     )
 }

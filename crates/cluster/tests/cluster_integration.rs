@@ -1,15 +1,18 @@
 //! End-to-end cluster tests with stub handlers: consistent-hash
 //! forwarding, cache replication surviving a node death, load-aware
-//! delegation when the owner is saturated, heartbeat lifecycle, and
-//! gossip convergence — all without dragging in `clognet-core`.
+//! delegation when the owner is saturated, heartbeat lifecycle, gossip
+//! convergence, peers that accept connections but never answer, and
+//! the server behaviour a node shares with a single `Server` (drain,
+//! `stats`) — all without dragging in `clognet-core`.
 
 use clognet_cluster::{ClusterConfig, ClusterHandle, ClusterNode};
 use clognet_proto::HashRing;
 use clognet_serve::client::{Client, RetryPolicy};
 use clognet_serve::json::Json;
-use clognet_serve::server::{JobError, JobHandler, ServeConfig};
+use clognet_serve::server::{JobError, JobHandler, ServeConfig, Server};
 use clognet_serve::wire::JobSpec;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -616,4 +619,159 @@ fn dead_peers_leave_the_ring_and_rejoin_is_possible() {
     assert!(!r.report.is_empty());
 
     shutdown_all(&addrs[..1], vec![h0]);
+}
+
+#[test]
+fn gateway_drain_waits_for_routed_runs() {
+    // The owner stalls its job until released; the gateway is told to
+    // shut down while its routed run is still unanswered.
+    let release = Arc::new(AtomicUsize::new(0));
+    let owner_runs = Arc::new(AtomicUsize::new(0));
+    let cfg = test_config();
+    let gateway = ClusterNode::bind(cfg.clone(), Arc::new(StubHandler::new())).unwrap();
+    let owner = ClusterNode::bind(
+        cfg,
+        Arc::new(StubHandler {
+            runs: Arc::clone(&owner_runs),
+            stall: Some(Arc::clone(&release)),
+        }),
+    )
+    .unwrap();
+    let addrs = vec![
+        gateway.advertise().to_string(),
+        owner.advertise().to_string(),
+    ];
+    gateway.add_peer(&addrs[1]);
+    owner.add_peer(&addrs[0]);
+    let (gateway, owner) = (gateway.spawn().unwrap(), owner.spawn().unwrap());
+
+    let spec = spec_owned_by(&addrs, 1);
+    let answered = Arc::new(AtomicBool::new(false));
+    let routed = {
+        let (addr, answered) = (addrs[0].clone(), Arc::clone(&answered));
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr, &fast_retry()).unwrap();
+            let reply = c.submit(&spec);
+            // Flagged while the connection is still open: the gateway's
+            // drain cannot see this connection close before the flag.
+            answered.store(true, Ordering::SeqCst);
+            reply
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while owner_runs.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "routed job never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    Client::connect(&addrs[0], &fast_retry())
+        .unwrap()
+        .shutdown()
+        .unwrap();
+    let releaser = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(1500));
+        release.store(1, Ordering::SeqCst);
+    });
+    gateway.join().unwrap();
+    assert!(
+        answered.load(Ordering::SeqCst),
+        "the gateway exited before relaying its routed run"
+    );
+    let reply = routed.join().unwrap().expect("routed run answered");
+    assert!(!reply.cache_hit);
+    releaser.join().unwrap();
+    shutdown_all(&addrs[1..], vec![owner]);
+}
+
+#[test]
+fn node_stats_have_every_key_of_a_single_server() {
+    let single = Server::bind(test_config().serve, Arc::new(StubHandler::new())).unwrap();
+    let single_addr = single.local_addr().to_string();
+    let single_handle = single.spawn().unwrap();
+    let (addrs, handles) = boot_mesh(1, test_config());
+    let stats = |addr: &str| {
+        let mut c = Client::connect(addr, &fast_retry()).unwrap();
+        Json::parse(&c.stats().unwrap()).unwrap()
+    };
+    let (single_stats, node_stats) = (stats(&single_addr), stats(&addrs[0]));
+    let Json::Obj(keys) = &single_stats else {
+        panic!("stats is not an object: {single_stats:?}");
+    };
+    for key in keys.keys() {
+        assert!(
+            node_stats.get(key).is_some(),
+            "cluster node stats lack `{key}`: {node_stats:?}"
+        );
+    }
+    let requests = node_stats
+        .get("registry")
+        .and_then(|r| r.get("counters"))
+        .and_then(|c| c.get("requests_total"))
+        .and_then(Json::as_u64);
+    assert!(requests >= Some(1), "{node_stats:?}");
+    shutdown_all(&[single_addr], vec![single_handle]);
+    shutdown_all(&addrs, handles);
+}
+
+/// A peer that completes the TCP handshake but never answers, like a
+/// stopped process whose socket is still bound: a listener that never
+/// accepts.
+fn hung_peer() -> (TcpListener, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    (listener, addr)
+}
+
+#[test]
+fn hung_peers_turn_dead() {
+    let (_hung, hung_addr) = hung_peer();
+    let mut cfg = test_config();
+    cfg.heartbeat = Duration::from_millis(30);
+    cfg.dead_after = 2;
+    cfg.backoff_cap = Duration::from_millis(200);
+    let node = ClusterNode::bind(cfg, Arc::new(StubHandler::new())).unwrap();
+    node.add_peer(&hung_addr);
+    let addr = node.advertise().to_string();
+    let handle = node.spawn().unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let s = cluster_stats(&addr);
+        let status = s.get("peers").and_then(Json::as_arr).unwrap()[0]
+            .get("status")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
+        if status == "dead" {
+            break;
+        }
+        assert!(Instant::now() < deadline, "hung peer never died: {s:?}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    shutdown_all(&[addr], vec![handle]);
+}
+
+#[test]
+fn runs_routed_to_a_hung_peer_fall_back_to_local_execution() {
+    let (_hung, hung_addr) = hung_peer();
+    let mut cfg = test_config();
+    cfg.serve.job_timeout = Duration::from_secs(1);
+    // Keep the hung peer on the ring, so the run is routed to it.
+    cfg.dead_after = 1_000;
+    cfg.backoff_cap = Duration::from_millis(200);
+    let node = ClusterNode::bind(cfg, Arc::new(StubHandler::new())).unwrap();
+    node.add_peer(&hung_addr);
+    let addr = node.advertise().to_string();
+    let handle = node.spawn().unwrap();
+
+    let spec = spec_owned_by(&[addr.clone(), hung_addr], 1);
+    let mut c = Client::connect(&addr, &fast_retry()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let r = c.submit(&spec).expect("answered despite the hung owner");
+    assert!(!r.cache_hit);
+    let s = cluster_stats(&addr);
+    assert_eq!(counter(&s, "forwards_out"), 1, "{s:?}");
+    assert_eq!(counter(&s, "fallback_local"), 1, "{s:?}");
+    assert_eq!(counter(&s, "jobs_completed"), 1, "{s:?}");
+    drop(c);
+    shutdown_all(&[addr], vec![handle]);
 }

@@ -138,6 +138,18 @@ impl Client {
         })))
     }
 
+    /// Bound every later wait for a response line: a server that
+    /// accepted the connection but never answers then fails the
+    /// request with a timeout error instead of blocking it forever.
+    /// `None`, the default, waits indefinitely.
+    ///
+    /// # Errors
+    ///
+    /// A zero duration, which the socket rejects.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.writer.set_read_timeout(timeout)
+    }
+
     /// Send one raw request line and read one response line.
     ///
     /// # Errors

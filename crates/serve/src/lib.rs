@@ -21,6 +21,9 @@
 //!   mid-flight and simulates only the measured window,
 //! * per-job cycle and wall-time limits, graceful drain on shutdown,
 //!   and a `stats` request backed by a [`clognet_telemetry`] registry,
+//! * a [`server::Router`] hook set through which a node of a larger
+//!   service (`clognet-cluster`) places jobs on other nodes while the
+//!   server keeps running, caching and draining them,
 //! * a [`client`] that retries transient connect failures with capped
 //!   exponential backoff whose jitter is seeded through
 //!   [`clognet_rng`] — deterministic end to end.

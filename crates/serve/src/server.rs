@@ -12,8 +12,8 @@
 //!   rejected up front (`cycle_limit`); a job that outlives its
 //!   wall-time deadline is cut off (`timeout`).
 //! * **Graceful drain** — a `shutdown` request stops admissions, lets
-//!   every in-flight job finish and deliver its response, then joins
-//!   the workers.
+//!   every request already read finish and deliver its response, then
+//!   joins the workers.
 //! * **Observability** — a `stats` request exposes queue depth, cache
 //!   hit rate, and per-worker utilization through a
 //!   [`clognet_telemetry`] registry.
@@ -22,6 +22,10 @@
 //! crate independent of `clognet-core`: the CLI installs a handler that
 //! builds a `System` per job, and the tests install stubs that fail,
 //! stall, or count invocations on demand.
+//!
+//! A [`Router`] installed on the server makes it one node of a larger
+//! service (the `clognet-cluster` crate) that still runs, caches and
+//! drains jobs exactly as a single server does.
 
 use crate::cache::{ResultCache, SnapshotCache};
 use crate::json::Json;
@@ -33,7 +37,7 @@ use clognet_telemetry::Registry;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One read from a [`FrameReader`].
@@ -52,8 +56,8 @@ pub enum Frame {
     Eof,
 }
 
-/// Length-capped NDJSON frame reader shared by the single-node server
-/// and the cluster node: one frame per line, at most
+/// Length-capped NDJSON frame reader behind every server connection:
+/// one frame per line, at most
 /// [`MAX_FRAME_BYTES`] each, malformed bytes reported as values rather
 /// than torn connections.
 pub struct FrameReader<R: Read> {
@@ -102,7 +106,7 @@ impl<R: Read> FrameReader<R> {
 /// complete lines through `dispatch`, and reply with the structured
 /// errors the frame contract specifies for oversized or non-UTF-8
 /// input. Returns when the peer disconnects or the stream dies.
-pub fn serve_frames<R, F>(reader: R, mut writer: impl Write, dispatch: F)
+fn serve_frames<R, F>(reader: R, mut writer: impl Write, dispatch: F)
 where
     R: Read,
     F: Fn(&str) -> String,
@@ -271,6 +275,66 @@ impl Default for ServeConfig {
     }
 }
 
+/// How long past a job's deadline the server keeps waiting for its
+/// result, so a handler that honors the deadline always wins the race
+/// against the receive timeout. A job admitted to the pool is answered
+/// within `job_timeout + RESULT_GRACE`.
+pub const RESULT_GRACE: Duration = Duration::from_secs(2);
+
+/// A routing layer installed on a [`Server`] with
+/// [`Server::with_router`]: the hooks through which one node of a
+/// multi-node service (`clognet-cluster`) decides where jobs run. Every
+/// hook defaults to "not mine", leaving the server to answer as a plain
+/// one would. Hooks reach the server's own run path through [`Local`].
+pub trait Router: Send + Sync + 'static {
+    /// Answer an op the server does not know itself (anything but
+    /// `ping`, `run`, `stats` and `shutdown`); `None` rejects it as an
+    /// unknown op.
+    fn op(&self, _server: &Local, _op: &str, _request: &Json) -> Option<String> {
+        None
+    }
+
+    /// A `run` missed the result cache: the reply when the job is
+    /// served from elsewhere, `None` to execute it here.
+    fn place(&self, _server: &Local, _job: &Job) -> Option<String> {
+        None
+    }
+
+    /// The job queue is full: the reply when the job is served from
+    /// elsewhere, `None` to reject it as `overloaded`.
+    fn overflow(&self, _server: &Local, _job: &Job) -> Option<String> {
+        None
+    }
+
+    /// A job executed here completed; its report, and the warmup
+    /// snapshot it produced (with its snapshot key), are already
+    /// cached. Runs before the reply is sent.
+    fn completed(&self, _job: &Job, _report: &str, _snapshot: Option<(u64, Arc<Vec<u8>>)>) {}
+
+    /// Runs on its own thread while the server serves; must return
+    /// soon after [`Local::is_shutting_down`] turns true.
+    fn background(&self, _server: &Local) {}
+}
+
+/// A `run` job that passed the cycle-limit check and was fingerprinted
+/// by [`Local::admit`].
+pub struct Job {
+    spec: JobSpec,
+    fingerprint: u64,
+}
+
+impl Job {
+    /// The job as submitted.
+    pub fn spec(&self) -> &JobSpec {
+        &self.spec
+    }
+
+    /// The canonical fingerprint: cache key and shard key.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
 /// A pool job: the spec, the cached warmup snapshot to resume from
 /// (when the snapshot tier hit), and the wall-time deadline.
 type PoolJob = (JobSpec, Option<Arc<Vec<u8>>>, Instant);
@@ -278,28 +342,32 @@ type PoolJob = (JobSpec, Option<Arc<Vec<u8>>>, Instant);
 /// when the handler produced one.
 type PoolResult = Result<(String, Option<Vec<u8>>), JobError>;
 
-struct Inner {
+/// The server's own state and its local run path, as a [`Router`] sees
+/// it.
+pub struct Local {
     cfg: ServeConfig,
     handler: Arc<dyn JobHandler>,
+    router: Option<Arc<dyn Router>>,
     /// `None` once draining has begun.
     pool: Mutex<Option<WorkerPool<PoolJob, PoolResult>>>,
     cache: Mutex<ResultCache>,
     snapshots: Mutex<SnapshotCache>,
     metrics: Mutex<Registry>,
     shutdown: AtomicBool,
-    /// `run` requests admitted but not yet answered.
+    /// Requests read but not yet answered, on every path: a job routed
+    /// to another node is in flight here until its reply is relayed.
     inflight: AtomicUsize,
     /// Connection threads currently serving a peer.
     conns: AtomicUsize,
     local_addr: SocketAddr,
 }
 
-/// The server: bind with [`Server::bind`], then either block in
-/// [`Server::run`] (the CLI) or detach with [`Server::spawn`] (tests,
-/// embedding).
+/// The server: bind with [`Server::bind`], optionally install a
+/// [`Router`], then either block in [`Server::run`] (the CLI) or
+/// detach with [`Server::spawn`] (tests, embedding).
 pub struct Server {
     listener: TcpListener,
-    inner: Arc<Inner>,
+    local: Local,
 }
 
 /// Handle to a spawned server thread.
@@ -350,9 +418,10 @@ impl Server {
         );
         let cache = ResultCache::new(cfg.cache_cap);
         let snapshots = SnapshotCache::new(cfg.snap_cache_cap);
-        let inner = Arc::new(Inner {
+        let local = Local {
             cfg,
             handler,
+            router: None,
             pool: Mutex::new(Some(pool)),
             cache: Mutex::new(cache),
             snapshots: Mutex::new(snapshots),
@@ -361,35 +430,51 @@ impl Server {
             inflight: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
             local_addr,
-        });
-        Ok(Server { listener, inner })
+        };
+        Ok(Server { listener, local })
+    }
+
+    /// Install a routing layer; a server without one answers every
+    /// request itself.
+    pub fn with_router(mut self, router: Arc<dyn Router>) -> Server {
+        self.local.router = Some(router);
+        self
     }
 
     /// The bound address (resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr
+        self.local.local_addr
     }
 
     /// Accept and serve connections until a `shutdown` request, then
     /// drain and return. Each connection gets its own thread; requests
-    /// within a connection are answered in order.
+    /// within a connection are answered in order. A router's
+    /// [`Router::background`] loop runs on one more thread.
     ///
     /// # Errors
     ///
     /// A fatal accept-loop I/O error.
     pub fn run(self) -> std::io::Result<()> {
+        let local = Arc::new(self.local);
+        let background = local.router.clone().map(|router| {
+            let local = Arc::clone(&local);
+            std::thread::spawn(move || router.background(&local))
+        });
         for stream in self.listener.incoming() {
-            if self.inner.shutdown.load(Ordering::SeqCst) {
+            if local.is_shutting_down() {
                 break; // Woken by the shutdown self-connect.
             }
             let Ok(stream) = stream else {
                 continue; // Transient accept error; keep serving.
             };
-            let inner = Arc::clone(&self.inner);
-            std::thread::spawn(move || handle_connection(&inner, stream));
+            let local = Arc::clone(&local);
+            std::thread::spawn(move || handle_connection(&local, stream));
         }
         drop(self.listener); // Closed before the drain, not after.
-        drain(&self.inner);
+        drain(&local);
+        if let Some(thread) = background {
+            let _ = thread.join();
+        }
         Ok(())
     }
 
@@ -417,214 +502,275 @@ const CONN_FLUSH_GRACE: Duration = Duration::from_millis(300);
 
 /// Wait (bounded) for in-flight requests, drain the pool, then give
 /// connection threads a short grace to flush final responses.
-fn drain(inner: &Inner) {
-    let deadline = Instant::now() + inner.cfg.drain_timeout;
-    while inner.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+fn drain(local: &Local) {
+    let deadline = Instant::now() + local.cfg.drain_timeout;
+    while local.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let pool = inner.pool.lock().expect("pool lock poisoned").take();
+    let pool = local.pool.lock().expect("pool lock poisoned").take();
     if let Some(pool) = pool {
         pool.shutdown();
     }
     let grace = Instant::now() + CONN_FLUSH_GRACE;
-    while inner.conns.load(Ordering::SeqCst) > 0 && Instant::now() < grace {
+    while local.conns.load(Ordering::SeqCst) > 0 && Instant::now() < grace {
         std::thread::sleep(Duration::from_millis(2));
     }
 }
 
-fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
+fn handle_connection(local: &Local, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    inner.conns.fetch_add(1, Ordering::SeqCst);
-    serve_frames(read_half, stream, |line| dispatch(inner, line));
-    inner.conns.fetch_sub(1, Ordering::SeqCst);
+    local.conns.fetch_add(1, Ordering::SeqCst);
+    serve_frames(read_half, stream, |line| {
+        local.inflight.fetch_add(1, Ordering::SeqCst);
+        let reply = dispatch(local, line);
+        local.inflight.fetch_sub(1, Ordering::SeqCst);
+        reply
+    });
+    local.conns.fetch_sub(1, Ordering::SeqCst);
 }
 
-fn count(inner: &Inner, name: &str) {
-    let mut m = inner.metrics.lock().expect("metrics lock poisoned");
-    let id = m.counter(name);
-    m.add(id, 1);
-}
-
-fn dispatch(inner: &Arc<Inner>, line: &str) -> String {
-    count(inner, "requests_total");
+fn dispatch(local: &Local, line: &str) -> String {
+    local.count("requests_total");
     let parsed = match Json::parse(line) {
         Ok(v) => v,
         Err(e) => {
-            count(inner, "bad_requests");
+            local.count("bad_requests");
             return error_response(ErrorCode::BadRequest, &format!("malformed JSON: {e}"));
         }
     };
     match parsed.get("op").and_then(Json::as_str) {
         Some("ping") => ok_response("ping"),
-        Some("run") => handle_run(inner, &parsed),
-        Some("stats") => stats_response(inner),
+        Some("run") => handle_run(local, &parsed),
+        Some("stats") => stats_response(local),
         Some("shutdown") => {
-            inner.shutdown.store(true, Ordering::SeqCst);
+            local.shutdown.store(true, Ordering::SeqCst);
             // Wake the acceptor so it notices the flag.
-            let _ = TcpStream::connect(inner.local_addr);
+            let _ = TcpStream::connect(local.local_addr);
             ok_response("shutdown")
         }
         Some(other) => {
-            count(inner, "bad_requests");
-            error_response(
-                ErrorCode::BadRequest,
-                &format!("unknown op `{other}` (ping|run|stats|shutdown)"),
-            )
+            let router = local.router.as_deref();
+            router
+                .and_then(|r| r.op(local, other, &parsed))
+                .unwrap_or_else(|| {
+                    local.count("bad_requests");
+                    error_response(
+                        ErrorCode::BadRequest,
+                        &format!("unknown op `{other}` (ping|run|stats|shutdown)"),
+                    )
+                })
         }
         None => {
-            count(inner, "bad_requests");
+            local.count("bad_requests");
             error_response(ErrorCode::BadRequest, "request missing string `op`")
         }
     }
 }
 
-fn handle_run(inner: &Arc<Inner>, request: &Json) -> String {
-    if inner.shutdown.load(Ordering::SeqCst) {
+/// A `run` from a client: answer from the result cache, let the router
+/// place a miss elsewhere, or execute it here.
+fn handle_run(local: &Local, request: &Json) -> String {
+    if local.is_shutting_down() {
         return error_response(ErrorCode::ShuttingDown, "server is draining");
     }
     let spec = match JobSpec::from_json(request) {
         Ok(s) => s,
         Err(e) => {
-            count(inner, "bad_requests");
+            local.count("bad_requests");
             return error_response(ErrorCode::BadRequest, &e);
         }
     };
-    let budget = spec.warm.saturating_add(spec.cycles);
-    if budget > inner.cfg.max_job_cycles {
-        count(inner, "jobs_rejected_cycle_limit");
-        return error_response(
-            ErrorCode::CycleLimit,
-            &format!(
-                "job wants {budget} cycles; per-job limit is {}",
-                inner.cfg.max_job_cycles
-            ),
-        );
-    }
-    let fp = match inner.handler.fingerprint(&spec) {
-        Ok(fp) => fp,
-        Err(e) => {
-            count(inner, "bad_requests");
-            return error_response(e.code, &e.message);
-        }
+    let job = match local.admit(spec) {
+        Ok(job) => job,
+        Err(reply) => return reply,
     };
-    let hex = fingerprint_hex(fp);
-    if let Some(report) = inner.cache.lock().expect("cache lock poisoned").lookup(fp) {
-        count(inner, "cache_hits");
-        return run_response(&hex, true, &report);
+    if let Some(hit) = local.lookup(&job) {
+        return hit;
     }
-    count(inner, "cache_misses");
-    // Result miss: try the snapshot tier — a cached warmup prefix lets
-    // the worker resume mid-flight and simulate only the measured
-    // window.
-    let skey = inner.handler.snapshot_key(&spec);
-    let snap = skey.and_then(|k| {
-        inner
-            .snapshots
-            .lock()
-            .expect("snapshot cache lock poisoned")
-            .lookup(k)
-    });
-    if skey.is_some() {
-        count(
-            inner,
-            if snap.is_some() {
+    let placed = local.router.as_deref().and_then(|r| r.place(local, &job));
+    placed.unwrap_or_else(|| local.execute(&job, true))
+}
+
+impl Local {
+    /// The configuration the server was bound with.
+    pub fn config(&self) -> &ServeConfig {
+        &self.cfg
+    }
+
+    /// Whether a `shutdown` request has started the drain.
+    pub fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// The result cache.
+    pub fn cache(&self) -> MutexGuard<'_, ResultCache> {
+        self.cache.lock().expect("cache lock poisoned")
+    }
+
+    /// The warmup-snapshot tier.
+    pub fn snapshots(&self) -> MutexGuard<'_, SnapshotCache> {
+        self.snapshots.lock().expect("snapshot cache lock poisoned")
+    }
+
+    /// Running plus queued jobs per worker; effectively infinite once
+    /// draining, so no peer hands this server more work.
+    pub fn load(&self) -> f64 {
+        let pool = self.pool.lock().expect("pool lock poisoned");
+        match pool.as_ref() {
+            Some(p) => p.depth() as f64 / p.threads().max(1) as f64,
+            None => 1e9,
+        }
+    }
+
+    /// A counter of the `stats` registry (0 when never counted).
+    pub fn counter(&self, name: &str) -> u64 {
+        let m = self.metrics.lock().expect("metrics lock poisoned");
+        let value = m.counters().find(|(n, _)| *n == name).map_or(0, |(_, v)| v);
+        value
+    }
+
+    fn count(&self, name: &str) {
+        let mut m = self.metrics.lock().expect("metrics lock poisoned");
+        let id = m.counter(name);
+        m.add(id, 1);
+    }
+
+    /// Reject a job whose cycle budget exceeds the per-job limit, then
+    /// fingerprint it. `Err` is the reply to send instead.
+    ///
+    /// # Errors
+    ///
+    /// The `cycle_limit` or handler rejection, as a reply line.
+    pub fn admit(&self, spec: JobSpec) -> Result<Job, String> {
+        let budget = spec.warm.saturating_add(spec.cycles);
+        if budget > self.cfg.max_job_cycles {
+            self.count("jobs_rejected_cycle_limit");
+            return Err(error_response(
+                ErrorCode::CycleLimit,
+                &format!(
+                    "job wants {budget} cycles; per-job limit is {}",
+                    self.cfg.max_job_cycles
+                ),
+            ));
+        }
+        match self.handler.fingerprint(&spec) {
+            Ok(fingerprint) => Ok(Job { spec, fingerprint }),
+            Err(e) => {
+                self.count("bad_requests");
+                Err(error_response(e.code, &e.message))
+            }
+        }
+    }
+
+    /// The cache-hit reply, when the result cache holds the job.
+    pub fn lookup(&self, job: &Job) -> Option<String> {
+        let report = self.cache().lookup(job.fingerprint);
+        self.count(if report.is_some() {
+            "cache_hits"
+        } else {
+            "cache_misses"
+        });
+        report.map(|r| run_response(&fingerprint_hex(job.fingerprint), true, &r))
+    }
+
+    /// Execute the job on the worker pool, resuming from the snapshot
+    /// tier when it holds the job's warmup prefix, then cache the
+    /// report and pass it to [`Router::completed`]. A full queue goes
+    /// to [`Router::overflow`] when `overflow` is set and is rejected
+    /// as `overloaded` otherwise.
+    pub fn execute(&self, job: &Job, overflow: bool) -> String {
+        let skey = self.handler.snapshot_key(&job.spec);
+        let snap = skey.and_then(|k| self.snapshots().lookup(k));
+        if skey.is_some() {
+            self.count(if snap.is_some() {
                 "snapshot_hits"
             } else {
                 "snapshot_misses"
-            },
-        );
-    }
-    let resumed = snap.is_some();
-    // Admit into the bounded queue.
-    let deadline = Instant::now() + inner.cfg.job_timeout;
-    let submitted = {
-        let pool = inner.pool.lock().expect("pool lock poisoned");
-        match pool.as_ref() {
-            None => return error_response(ErrorCode::ShuttingDown, "server is draining"),
-            Some(p) => p.try_submit((spec, snap, deadline)),
+            });
         }
-    };
-    let rx = match submitted {
-        Ok(rx) => rx,
-        Err(_) => {
-            count(inner, "jobs_rejected_overload");
-            return error_response(
-                ErrorCode::Overloaded,
-                &format!(
-                    "job queue full ({} waiting, {} workers); retry later",
-                    inner.cfg.queue_cap, inner.cfg.workers
-                ),
-            );
-        }
-    };
-    count(inner, "jobs_admitted");
-    inner.inflight.fetch_add(1, Ordering::SeqCst);
-    // Grace past the deadline so a handler that honors it always wins
-    // the race against this receive timeout.
-    let wait = inner.cfg.job_timeout + Duration::from_secs(2);
-    let outcome = rx.recv_timeout(wait);
-    inner.inflight.fetch_sub(1, Ordering::SeqCst);
-    match outcome {
-        Ok(Ok((report, fresh_snap))) => {
-            count(inner, "jobs_completed");
-            if resumed {
-                count(inner, "jobs_resumed_from_snapshot");
+        let resumed = snap.is_some();
+        let deadline = Instant::now() + self.cfg.job_timeout;
+        let submitted = {
+            let pool = self.pool.lock().expect("pool lock poisoned");
+            match pool.as_ref() {
+                None => return error_response(ErrorCode::ShuttingDown, "server is draining"),
+                Some(p) => p.try_submit((job.spec.clone(), snap, deadline)),
             }
-            inner
-                .cache
-                .lock()
-                .expect("cache lock poisoned")
-                .insert(fp, report.clone());
-            if let (Some(k), Some(bytes)) = (skey, fresh_snap) {
-                inner
-                    .snapshots
-                    .lock()
-                    .expect("snapshot cache lock poisoned")
-                    .insert(k, Arc::new(bytes));
+        };
+        let Ok(rx) = submitted else {
+            let routed = match &self.router {
+                Some(r) if overflow => r.overflow(self, job),
+                _ => None,
+            };
+            return routed.unwrap_or_else(|| {
+                self.count("jobs_rejected_overload");
+                error_response(
+                    ErrorCode::Overloaded,
+                    &format!(
+                        "job queue full ({} waiting, {} workers); retry later",
+                        self.cfg.queue_cap, self.cfg.workers
+                    ),
+                )
+            });
+        };
+        self.count("jobs_admitted");
+        let wait = self.cfg.job_timeout + RESULT_GRACE;
+        match rx.recv_timeout(wait) {
+            Ok(Ok((report, fresh_snap))) => {
+                self.count("jobs_completed");
+                if resumed {
+                    self.count("jobs_resumed_from_snapshot");
+                }
+                self.cache().insert(job.fingerprint, report.clone());
+                let fresh_snap = skey.zip(fresh_snap).map(|(k, bytes)| {
+                    let bytes = Arc::new(bytes);
+                    self.snapshots().insert(k, Arc::clone(&bytes));
+                    (k, bytes)
+                });
+                if let Some(r) = &self.router {
+                    r.completed(job, &report, fresh_snap);
+                }
+                run_response(&fingerprint_hex(job.fingerprint), false, &report)
             }
-            run_response(&hex, false, &report)
-        }
-        Ok(Err(e)) => {
-            count(inner, "jobs_failed");
-            error_response(e.code, &e.message)
-        }
-        Err(_) => {
-            count(inner, "jobs_timed_out");
-            error_response(
-                ErrorCode::Timeout,
-                &format!(
-                    "no result within {:.1}s (per-job wall-time limit)",
-                    wait.as_secs_f64()
-                ),
-            )
+            Ok(Err(e)) => {
+                self.count("jobs_failed");
+                error_response(e.code, &e.message)
+            }
+            Err(_) => {
+                self.count("jobs_timed_out");
+                error_response(
+                    ErrorCode::Timeout,
+                    &format!(
+                        "no result within {:.1}s (per-job wall-time limit)",
+                        wait.as_secs_f64()
+                    ),
+                )
+            }
         }
     }
 }
 
-fn stats_response(inner: &Arc<Inner>) -> String {
+fn stats_response(local: &Local) -> String {
     let (depth, workers, utilization) = {
-        let pool = inner.pool.lock().expect("pool lock poisoned");
+        let pool = local.pool.lock().expect("pool lock poisoned");
         match pool.as_ref() {
             Some(p) => (p.depth(), p.threads(), p.utilization()),
             None => (0, 0, Vec::new()),
         }
     };
     let (entries, hit_rate, hits, misses) = {
-        let c = inner.cache.lock().expect("cache lock poisoned");
+        let c = local.cache();
         (c.len(), c.hit_rate(), c.hits(), c.misses())
     };
     let (snap_entries, snap_bytes, snap_hits, snap_misses) = {
-        let s = inner
-            .snapshots
-            .lock()
-            .expect("snapshot cache lock poisoned");
+        let s = local.snapshots();
         (s.len(), s.bytes(), s.hits(), s.misses())
     };
     let registry_json = {
-        let mut m = inner.metrics.lock().expect("metrics lock poisoned");
+        let mut m = local.metrics.lock().expect("metrics lock poisoned");
         // Mirror the instantaneous values into gauges so exported
         // registries are self-contained.
         let g = m.gauge("queue_depth");
