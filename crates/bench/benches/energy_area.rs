@@ -4,7 +4,7 @@
 
 use clognet_bench::{banner, run_workload};
 use clognet_energy::{energy, DrArea, NetShape};
-use clognet_proto::{Scheme, SystemConfig, Topology};
+use clognet_proto::{Knob, Scheme, SystemConfig, Topology};
 use clognet_workloads::TABLE2;
 
 fn main() {

@@ -5,7 +5,7 @@
 //! bandwidth, normalized to the 1x mesh; (b) memory-node blocking rate.
 
 use clognet_bench::{banner, geomean, run_workload};
-use clognet_proto::{RoutingPolicy, SystemConfig, Topology};
+use clognet_proto::{Knob, RoutingPolicy, SystemConfig, Topology};
 use clognet_workloads::TABLE2;
 
 fn main() {

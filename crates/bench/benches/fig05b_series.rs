@@ -6,7 +6,7 @@
 
 use clognet_bench::banner;
 use clognet_core::{System, TelemetryConfig};
-use clognet_proto::{Scheme, SystemConfig};
+use clognet_proto::{Knob, Scheme, SystemConfig};
 
 fn main() {
     banner(

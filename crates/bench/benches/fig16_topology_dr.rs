@@ -2,7 +2,7 @@
 //! each topology's own baseline: the benefit is topology-independent.
 
 use clognet_bench::{banner, geomean, run_workload};
-use clognet_proto::{RoutingPolicy, Scheme, SystemConfig, Topology};
+use clognet_proto::{Knob, RoutingPolicy, Scheme, SystemConfig, Topology};
 use clognet_workloads::TABLE2;
 
 fn main() {

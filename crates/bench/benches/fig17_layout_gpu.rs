@@ -3,7 +3,7 @@
 //! best routing policy).
 
 use clognet_bench::{banner, geomean, run_workload};
-use clognet_proto::{LayoutKind, Scheme, SystemConfig};
+use clognet_proto::{Knob, LayoutKind, Scheme, SystemConfig};
 use clognet_workloads::TABLE2;
 
 fn main() {

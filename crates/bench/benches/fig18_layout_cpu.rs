@@ -3,7 +3,7 @@
 //! un-blocking the memory nodes matters even more there.
 
 use clognet_bench::{banner, geomean, run_workload};
-use clognet_proto::{LayoutKind, Scheme, SystemConfig};
+use clognet_proto::{Knob, LayoutKind, Scheme, SystemConfig};
 use clognet_workloads::TABLE2;
 
 fn main() {

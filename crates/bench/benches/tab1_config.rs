@@ -2,7 +2,7 @@
 //! configuration so every reproduction run documents its parameters.
 
 use clognet_bench::banner;
-use clognet_proto::SystemConfig;
+use clognet_proto::{Knob, SystemConfig};
 
 fn main() {
     banner("Table I", "simulated CPU-GPU architecture parameters");

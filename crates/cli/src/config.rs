@@ -1,69 +1,29 @@
-//! Translate CLI options into a [`SystemConfig`].
+//! Translate CLI options into a [`SystemConfig`] by walking the
+//! run-key table of [`clognet_proto::knobs`].
 
 use crate::args::{Args, ParseArgsError};
-use clognet_proto::{
-    ControlConfig, ControlPolicyKind, CtaSched, FabricConfig, FabricInterleave, FabricTopology,
-    L1Org, LayoutKind, RoutingPolicy, Scheme, SystemConfig, Topology, VirtualNetConfig,
-};
+use clognet_proto::knobs::{self, Group, Knob};
+#[cfg(test)]
+use clognet_proto::{ControlConfig, ControlPolicyKind, CtaSched, L1Org, LayoutKind, RoutingPolicy};
+use clognet_proto::{FabricTopology, Scheme, SystemConfig};
 
-/// Options shared by `run`, `compare`, and `sweep`.
-pub const CONFIG_KEYS: [&str; 29] = [
-    "gpu",
-    "cpu",
-    "scheme",
-    "layout",
-    "topology",
-    "routing",
-    "width",
-    "l1org",
-    "cta",
-    "vnets",
-    "seed",
-    "mesh",
-    "injbuf",
-    "chips",
-    "fabric-topology",
-    "fabric-width",
-    "fabric-latency",
-    "fabric-queue",
-    "fabric-gateways",
-    "fabric-interleave",
-    "fabric-reply-width",
-    "fabric-reply-latency",
-    "control",
-    "control-interval",
-    "control-enter",
-    "control-exit",
-    "control-enter-episode",
-    "control-exit-episode",
-    "control-dwell",
-];
+/// The job fields every simulating command takes beside its config.
+pub const JOB_KEYS: [&str; 4] = ["gpu", "cpu", "warm", "cycles"];
 
-/// The fabric subset of [`CONFIG_KEYS`] (every one an identity knob —
-/// see the fingerprint tests in `clognet-proto`).
-pub const FABRIC_KEYS: [&str; 9] = [
-    "chips",
-    "fabric-topology",
-    "fabric-width",
-    "fabric-latency",
-    "fabric-queue",
-    "fabric-gateways",
-    "fabric-interleave",
-    "fabric-reply-width",
-    "fabric-reply-latency",
-];
+/// Execution-mode options: they choose how a job runs, never what it
+/// computes, so they are not `SystemConfig` fields and move neither the
+/// job fingerprint nor the snapshot key.
+pub const EXEC_KEYS: [&str; 2] = ["no-ff", "shards"];
 
-/// The adaptive-control subset of [`CONFIG_KEYS`] (every one an
-/// identity knob — see the fingerprint tests in `clognet-proto`).
-pub const CONTROL_KEYS: [&str; 7] = [
-    "control",
-    "control-interval",
-    "control-enter",
-    "control-exit",
-    "control-enter-episode",
-    "control-exit-episode",
-    "control-dwell",
-];
+/// Every option that sets `SystemConfig` fields, in
+/// [`knobs::RUN_KEYS`] order.
+pub const CONFIG_KEYS: [&str; 27] = knobs::key_names(None);
+
+/// The fabric subset of [`CONFIG_KEYS`], its switch `chips` first.
+pub const FABRIC_KEYS: [&str; 9] = knobs::key_names(Some(Group::Fabric));
+
+/// The adaptive-control subset of [`CONFIG_KEYS`], its switch first.
+pub const CONTROL_KEYS: [&str; 7] = knobs::key_names(Some(Group::Control));
 
 /// Parse a scheme name.
 ///
@@ -71,40 +31,7 @@ pub const CONTROL_KEYS: [&str; 7] = [
 ///
 /// Unknown scheme names.
 pub fn parse_scheme(s: &str) -> Result<Scheme, ParseArgsError> {
-    match s.to_ascii_lowercase().as_str() {
-        "baseline" | "base" => Ok(Scheme::Baseline),
-        "dr" | "delegated" | "delegated-replies" => Ok(Scheme::DelegatedReplies),
-        "rp" | "realistic-probing" => Ok(Scheme::rp_default()),
-        other => {
-            if let Some(f) = other.strip_prefix("rp:") {
-                let fanout = f
-                    .parse()
-                    .map_err(|_| ParseArgsError(format!("bad RP fanout `{f}`")))?;
-                Ok(Scheme::RealisticProbing { fanout })
-            } else {
-                Err(ParseArgsError(format!(
-                    "unknown scheme `{other}` (baseline | dr | rp | rp:<fanout>)"
-                )))
-            }
-        }
-    }
-}
-
-/// Parse a layout name.
-///
-/// # Errors
-///
-/// Unknown layout names.
-pub fn parse_layout(s: &str) -> Result<LayoutKind, ParseArgsError> {
-    match s.to_ascii_lowercase().as_str() {
-        "baseline" | "a" => Ok(LayoutKind::Baseline),
-        "b" | "edge" => Ok(LayoutKind::EdgeB),
-        "c" | "clustered" => Ok(LayoutKind::ClusteredC),
-        "d" | "distributed" => Ok(LayoutKind::DistributedD),
-        other => Err(ParseArgsError(format!(
-            "unknown layout `{other}` (a|b|c|d)"
-        ))),
-    }
+    Scheme::parse(s).map_err(ParseArgsError)
 }
 
 /// Check that `gpu` and `cpu` name benchmarks of the workload tables
@@ -129,237 +56,64 @@ pub fn check_benchmarks(gpu: &str, cpu: &str) -> Result<(), ParseArgsError> {
     Ok(())
 }
 
-/// Build a [`SystemConfig`] from the parsed arguments.
+/// Build a [`SystemConfig`] from the parsed arguments: apply each
+/// [`knobs::RUN_KEYS`] option present, in table order, then the rules
+/// that span a group.
 ///
 /// # Errors
 ///
-/// Any unparseable option.
+/// Any unparseable option, and contradictory fabric or control options.
 pub fn config_from(args: &Args) -> Result<SystemConfig, ParseArgsError> {
     let mut cfg = SystemConfig::default();
-    if let Some(s) = args.get("scheme") {
-        cfg.scheme = parse_scheme(s)?;
-    }
-    if let Some(s) = args.get("layout") {
-        cfg.layout = parse_layout(s)?;
-        let (req, rep) = SystemConfig::best_routing_for(cfg.layout);
-        cfg.noc.routing_request = req;
-        cfg.noc.routing_reply = rep;
-    }
-    if let Some(s) = args.get("topology") {
-        cfg.noc.topology = match s.to_ascii_lowercase().as_str() {
-            "mesh" => Topology::Mesh,
-            "crossbar" | "xbar" => Topology::Crossbar,
-            "fbfly" | "flattened-butterfly" => Topology::FlattenedButterfly,
-            "dragonfly" => Topology::Dragonfly,
-            other => {
-                return Err(ParseArgsError(format!(
-                    "unknown topology `{other}` (mesh|crossbar|fbfly|dragonfly)"
-                )))
-            }
-        };
-        if cfg.noc.topology != Topology::Mesh {
-            cfg.noc.routing_request = RoutingPolicy::DorXY;
-            cfg.noc.routing_reply = RoutingPolicy::DorXY;
+    for key in knobs::RUN_KEYS {
+        if let Some(v) = args.get(key.name) {
+            (key.set)(&mut cfg, v)
+                .map_err(|e| ParseArgsError(format!("--{} {v}: {e}", key.name)))?;
         }
     }
-    if let Some(s) = args.get("routing") {
-        let pol = |p: &str| -> Result<RoutingPolicy, ParseArgsError> {
-            match p.to_ascii_lowercase().as_str() {
-                "xy" => Ok(RoutingPolicy::DorXY),
-                "yx" => Ok(RoutingPolicy::DorYX),
-                "dyxy" => Ok(RoutingPolicy::DyXY),
-                "footprint" => Ok(RoutingPolicy::Footprint),
-                "hare" => Ok(RoutingPolicy::Hare),
-                other => Err(ParseArgsError(format!("unknown routing `{other}`"))),
-            }
-        };
-        let (req, rep) = s
-            .split_once('-')
-            .ok_or_else(|| ParseArgsError("routing must be <req>-<rep>, e.g. yx-xy".into()))?;
-        cfg.noc.routing_request = pol(req)?;
-        cfg.noc.routing_reply = pol(rep)?;
-    }
-    if let Some(w) = args.get("width") {
-        cfg.noc.channel_bytes = w
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad channel width `{w}`")))?;
-    }
-    if let Some(s) = args.get("l1org") {
-        cfg.l1_org = match s.to_ascii_lowercase().as_str() {
-            "private" => L1Org::Private,
-            "dcl1" | "dc-l1" => L1Org::DcL1,
-            "dyneb" => L1Org::DynEB,
-            other => return Err(ParseArgsError(format!("unknown l1org `{other}`"))),
-        };
-    }
-    if let Some(s) = args.get("cta") {
-        cfg.cta_sched = match s.to_ascii_lowercase().as_str() {
-            "rr" | "round-robin" => CtaSched::RoundRobin,
-            "dist" | "distributed" => CtaSched::Distributed,
-            other => return Err(ParseArgsError(format!("unknown cta policy `{other}`"))),
-        };
-    }
-    if let Some(v) = args.get("vnets") {
-        let (rq, rp) = v
-            .split_once('+')
-            .ok_or_else(|| ParseArgsError("vnets must be <reqVCs>+<repVCs>, e.g. 2+2".into()))?;
-        cfg.noc.virtual_nets = Some(VirtualNetConfig {
-            request_vcs: rq
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad vnets `{v}`")))?,
-            reply_vcs: rp
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad vnets `{v}`")))?,
-        });
-    }
-    if let Some(m) = args.get("mesh") {
-        let (w, h) = m
-            .split_once('x')
-            .ok_or_else(|| ParseArgsError("mesh must be <w>x<h>, e.g. 10x10".into()))?;
-        let w: usize = w
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad mesh `{m}`")))?;
-        let h: usize = h
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad mesh `{m}`")))?;
-        cfg.mesh_width = w;
-        cfg.mesh_height = h;
-        cfg.n_mem = h;
-        cfg.n_cpu = 2 * h;
-        cfg.n_gpu = w * h - 3 * h;
-    }
-    cfg.seed = args.get_num("seed", cfg.seed)?;
-    cfg.noc.mem_inj_buf_pkts = args.get_num("injbuf", cfg.noc.mem_inj_buf_pkts)?;
     if cfg.noc.mem_inj_buf_pkts == 0 {
         return Err(ParseArgsError("--injbuf must be at least 1".into()));
     }
-    apply_fabric(args, &mut cfg)?;
-    apply_control(args, &mut cfg)?;
-    Ok(cfg)
-}
-
-/// Fold the `--chips` / `--fabric-*` options into `cfg.fabric`. Any
-/// fabric option present switches the config to an explicit
-/// [`FabricConfig`] (defaults filled in); `--chips 1` alone keeps the
-/// plain single-chip config (`fabric: None`), byte-identical to builds
-/// that never mention the fabric.
-fn apply_fabric(args: &Args, cfg: &mut SystemConfig) -> Result<(), ParseArgsError> {
-    if !FABRIC_KEYS.iter().any(|k| args.get(k).is_some()) {
-        return Ok(());
-    }
-    let d = FabricConfig::default();
-    let chips = args.get_num("chips", d.chips)?;
-    if chips == 1 {
-        if FABRIC_KEYS[1..].iter().any(|k| args.get(k).is_some()) {
-            return Err(ParseArgsError(
-                "--fabric-* options require --chips 2 or more".into(),
-            ));
+    let given = |keys: &[&str]| keys.iter().any(|k| args.get(k).is_some());
+    if let Some(fab) = &mut cfg.fabric {
+        if fab.chips == 1 {
+            // `--chips 1` alone keeps the plain single-chip config,
+            // byte-identical to never mentioning the fabric.
+            if given(&FABRIC_KEYS[1..]) {
+                return Err(ParseArgsError(
+                    "--fabric-* options require --chips 2 or more".into(),
+                ));
+            }
+            cfg.fabric = None;
+        } else if fab.chips > 2 && args.get("fabric-topology").is_none() {
+            // The pair default only spans two chips; larger packages
+            // get a ring unless told otherwise.
+            fab.topology = FabricTopology::Ring;
         }
-        cfg.fabric = None;
-        return Ok(());
     }
-    let topology = match args.get("fabric-topology") {
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "pair" => FabricTopology::Pair,
-            "ring" => FabricTopology::Ring,
-            "all" | "full" => FabricTopology::All,
-            other => {
-                return Err(ParseArgsError(format!(
-                    "unknown fabric topology `{other}` (pair|ring|all)"
-                )))
-            }
-        },
-        // The pair default only spans two chips; larger packages get a
-        // ring unless told otherwise.
-        None if chips > 2 => FabricTopology::Ring,
-        None => d.topology,
-    };
-    let interleave = match args.get("fabric-interleave") {
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "hash" => FabricInterleave::Hash,
-            "modulo" | "mod" => FabricInterleave::Modulo,
-            other => {
-                return Err(ParseArgsError(format!(
-                    "unknown fabric interleave `{other}` (hash|modulo)"
-                )))
-            }
-        },
-        None => d.interleave,
-    };
-    cfg.fabric = Some(FabricConfig {
-        chips,
-        topology,
-        interleave,
-        link_flits: args.get_num("fabric-width", d.link_flits)?,
-        hop_latency: args.get_num("fabric-latency", d.hop_latency)?,
-        queue_pkts: args.get_num("fabric-queue", d.queue_pkts)?,
-        gateways: args.get_num("fabric-gateways", d.gateways)?,
-        reply_link_flits: args.get_num("fabric-reply-width", d.reply_link_flits)?,
-        reply_hop_latency: args.get_num("fabric-reply-latency", d.reply_hop_latency)?,
-    });
-    Ok(())
-}
-
-/// Fold the `--control*` options into `cfg.control`, mirroring
-/// [`apply_fabric`]: `--control <policy>` switches the adaptive loop on
-/// (threshold defaults filled in from [`ControlConfig::default`]);
-/// `--control none` keeps the static config (`control: None`),
-/// byte-identical to builds that never mention the controller.
-fn apply_control(args: &Args, cfg: &mut SystemConfig) -> Result<(), ParseArgsError> {
-    if !CONTROL_KEYS.iter().any(|k| args.get(k).is_some()) {
-        return Ok(());
-    }
-    let thresholds_given = CONTROL_KEYS[1..].iter().any(|k| args.get(k).is_some());
-    let policy = match args.get("control") {
-        None => {
+    // Threshold knobs without a policy, or beside an explicit `none`,
+    // are contradictions, not silent defaults.
+    let Some(ctl) = cfg.control else {
+        if given(&CONTROL_KEYS[1..]) {
             return Err(ParseArgsError(
                 "--control-* options require --control noop|hysteresis".into(),
-            ))
+            ));
         }
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "none" | "off" => {
-                if thresholds_given {
-                    return Err(ParseArgsError(
-                        "--control-* options require --control noop|hysteresis".into(),
-                    ));
-                }
-                cfg.control = None;
-                return Ok(());
-            }
-            "noop" | "no-op" => ControlPolicyKind::NoOp,
-            "hysteresis" | "adaptive" => ControlPolicyKind::Hysteresis,
-            other => {
-                return Err(ParseArgsError(format!(
-                    "unknown control policy `{other}` (none|noop|hysteresis)"
-                )))
-            }
-        },
+        return Ok(cfg);
     };
-    let d = ControlConfig::default();
-    let interval = args.get_num("control-interval", d.interval)?;
-    if interval == 0 {
+    if ctl.interval == 0 {
         return Err(ParseArgsError(
             "--control-interval must be at least 1".into(),
         ));
     }
-    let enter_blocked_pm = args.get_num("control-enter", d.enter_blocked_pm)?;
-    let exit_blocked_pm = args.get_num("control-exit", d.exit_blocked_pm)?;
-    if exit_blocked_pm > enter_blocked_pm {
+    if ctl.exit_blocked_pm > ctl.enter_blocked_pm {
         return Err(ParseArgsError(format!(
-            "--control-exit {exit_blocked_pm} must not exceed --control-enter \
-             {enter_blocked_pm} (hysteresis needs exit <= enter)"
+            "--control-exit {} must not exceed --control-enter {} \
+             (hysteresis needs exit <= enter)",
+            ctl.exit_blocked_pm, ctl.enter_blocked_pm
         )));
     }
-    cfg.control = Some(ControlConfig {
-        policy,
-        interval,
-        enter_blocked_pm,
-        exit_blocked_pm,
-        enter_episode: args.get_num("control-enter-episode", d.enter_episode)?,
-        exit_episode: args.get_num("control-exit-episode", d.exit_episode)?,
-        dwell: args.get_num("control-dwell", d.dwell)?,
-    });
-    Ok(())
+    Ok(cfg)
 }
 
 #[cfg(test)]
@@ -472,5 +226,24 @@ mod tests {
             "run --control hysteresis --control-enter 100 --control-exit 200"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn canonical_options_rebuild_the_config() {
+        for line in [
+            "run",
+            "run --layout b --routing yx-xy",
+            "run --layout c --topology fbfly",
+            "run --scheme rp:8 --vnets 2+2 --mesh 10x10 --injbuf 4 --seed 7 --cta dist",
+            "run --chips 3",
+            "run --chips 2 --fabric-interleave mod --fabric-reply-latency 40",
+            "run --control noop --control-dwell 1",
+        ] {
+            let cfg = config_from(&parse(line)).unwrap();
+            let canonical = format!("run {}", knobs::canonical_options(&cfg));
+            assert_eq!(config_from(&parse(&canonical)).unwrap(), cfg, "{canonical}");
+        }
+        // A mesh too narrow for the node mix is an error, not a panic.
+        assert!(config_from(&parse("run --mesh 2x4")).is_err());
     }
 }

@@ -103,12 +103,44 @@ pub fn parse_sweep_values(s: &str) -> Result<Vec<u64>, ParseArgsError> {
         .collect()
 }
 
-/// Apply one sweep parameter to a config.
+/// One parameter `clognet sweep --param` can vary: its name, whether a
+/// warmed system takes it without a rebuild (so `--warm-from` can fork
+/// it; see [`System::apply_warm_param`]), and how it retargets a config.
+pub type SweepParam = (&'static str, bool, fn(&mut SystemConfig, u64));
+
+/// Every sweep parameter. None moves nodes or re-interleaves addresses,
+/// so [`run_sweep`] derives the layout and [`AddressMap`] once.
+const SWEEP_PARAMS: [SweepParam; 5] = [
+    ("width", false, |c, v| c.noc.channel_bytes = v as u32),
+    ("l1kb", false, |c, v| c.gpu.l1.capacity_bytes = v * 1024),
+    ("llcmb", false, |c, v| {
+        c.llc.slice.capacity_bytes = v * 1024 * 1024 / c.n_mem as u64
+    }),
+    ("injbuf", true, |c, v| c.noc.mem_inj_buf_pkts = v as usize),
+    ("drmax", true, |c, v| c.dr.max_per_cycle = v as usize),
+];
+
+/// The sweep parameter names (only the warm-applicable ones when
+/// `warm_only`), `|`-separated, for messages.
+pub fn sweep_param_names(warm_only: bool) -> String {
+    let names = SWEEP_PARAMS.iter().filter(|p| p.1 || !warm_only);
+    names.map(|p| p.0).collect::<Vec<_>>().join("|")
+}
+
+/// Look up a sweep parameter by name.
 ///
-/// Every supported parameter leaves node placement and address
-/// interleaving untouched — that is what lets [`run_sweep`] derive the
-/// [`Layout`](clognet_proto::Layout) and [`AddressMap`] once and clone
-/// them into every point.
+/// # Errors
+///
+/// Fails on an unknown parameter name.
+pub fn sweep_param(name: &str) -> Result<SweepParam, ParseArgsError> {
+    let known = SWEEP_PARAMS.into_iter().find(|p| p.0 == name);
+    known.ok_or_else(|| {
+        let names = sweep_param_names(false);
+        ParseArgsError(format!("unknown sweep param `{name}` ({names})"))
+    })
+}
+
+/// Apply one sweep parameter to a config.
 ///
 /// # Errors
 ///
@@ -118,23 +150,10 @@ pub fn apply_sweep_param(
     param: &str,
     v: u64,
 ) -> Result<(), ParseArgsError> {
-    match param {
-        "width" => cfg.noc.channel_bytes = v as u32,
-        "l1kb" => cfg.gpu.l1.capacity_bytes = v * 1024,
-        "llcmb" => cfg.llc.slice.capacity_bytes = v * 1024 * 1024 / cfg.n_mem as u64,
-        "injbuf" => cfg.noc.mem_inj_buf_pkts = v as usize,
-        "drmax" => cfg.dr.max_per_cycle = v as usize,
-        other => {
-            return Err(ParseArgsError(format!(
-                "unknown sweep param `{other}` ({SWEEP_PARAMS})"
-            )))
-        }
-    }
+    let (_, _, apply) = sweep_param(param)?;
+    apply(cfg, v);
     Ok(())
 }
-
-/// The sweep parameters `--param` accepts, for error messages and help.
-pub const SWEEP_PARAMS: &str = "width|l1kb|llcmb|injbuf|drmax";
 
 /// How a multi-variant command (`sweep`, `compare`) obtains its warmed
 /// starting state when `--warm-from` is given.
@@ -163,7 +182,7 @@ pub fn parse_warm_start(s: &str) -> WarmStart {
 /// Whether a sweep parameter can be retargeted on a warmed system
 /// without rebuilding it (see [`System::apply_warm_param`]).
 pub fn is_warm_param(param: &str) -> bool {
-    matches!(param, "injbuf" | "drmax")
+    sweep_param(param).is_ok_and(|(_, warm, _)| warm)
 }
 
 /// Load and identity-check a snapshot file for `--warm-from <path>`:
@@ -221,8 +240,9 @@ pub fn run_sweep_warm(
 ) -> Result<Vec<SweepPoint>, ParseArgsError> {
     if !is_warm_param(param) {
         return Err(ParseArgsError(format!(
-            "--warm-from sweeps only warm-applicable params (injbuf|drmax); \
-             `{param}` is structural — rerun without --warm-from"
+            "--warm-from sweeps only warm-applicable params ({}); \
+             `{param}` is structural — rerun without --warm-from",
+            sweep_param_names(true)
         )));
     }
     if param == "injbuf" && values.contains(&0) {

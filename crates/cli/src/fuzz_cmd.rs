@@ -14,6 +14,7 @@ use crate::args::{Args, ParseArgsError};
 use crate::driver::measure;
 use clognet_control::fuzz::{FuzzCase, ScenarioGen};
 use clognet_core::Report;
+use clognet_proto::Knob;
 
 /// Run one case through every applicable engine mode. `Ok` carries the
 /// reference report; `Err` names the leg that diverged.
@@ -44,7 +45,7 @@ fn run_case(case: &FuzzCase) -> Result<Report, String> {
 /// pass removes nothing. Every candidate preserves validity by
 /// construction (the generator's own invariants).
 fn minimize(mut case: FuzzCase) -> FuzzCase {
-    use clognet_proto::{LayoutKind, Scheme, SystemConfig, Topology};
+    use clognet_proto::{LayoutKind, NocConfig, Scheme, SystemConfig, Topology};
     type Simplify = fn(&mut FuzzCase) -> bool;
     // Each candidate returns false when it is already a no-op (so the
     // loop does not re-run an unchanged case).
@@ -77,10 +78,11 @@ fn minimize(mut case: FuzzCase) -> FuzzCase {
             true
         },
         |c| {
-            if c.cfg.noc.mem_inj_buf_pkts == 16 {
+            let default = NocConfig::default().mem_inj_buf_pkts;
+            if c.cfg.noc.mem_inj_buf_pkts == default {
                 return false;
             }
-            c.cfg.noc.mem_inj_buf_pkts = 16;
+            c.cfg.noc.mem_inj_buf_pkts = default;
             true
         },
         |c| {
@@ -187,6 +189,33 @@ mod tests {
             case.warm = case.warm.min(300);
             case.cycles = case.cycles.min(500);
             assert!(run_case(&case).is_ok(), "{}", case.repro_line());
+        }
+    }
+
+    #[test]
+    fn reproducers_rebuild_their_case() {
+        use crate::config::config_from;
+        use clognet_proto::job_fingerprint;
+        let (gpus, cpus) = (["HS", "NN", "MM", "BP"], ["bodytrack", "canneal", "x264"]);
+        for seed in 1..=8 {
+            let mut gen = ScenarioGen::new(seed, &gpus, &cpus);
+            for _ in 0..25 {
+                let case = gen.next_case();
+                let line = case.repro_line();
+                let words = line.split_whitespace().skip(1).map(String::from);
+                let args = Args::parse(words).unwrap();
+                assert!(line.starts_with("clognet run ") && args.command == "run");
+                let cfg = config_from(&args).unwrap();
+                assert_eq!(cfg, case.cfg, "{line}");
+                let num = |k: &str| args.get_num(k, 0u64).unwrap();
+                let (gpu, cpu) = (args.get_or("gpu", ""), args.get_or("cpu", ""));
+                assert_eq!(
+                    job_fingerprint(&cfg, gpu, cpu, num("warm"), num("cycles")),
+                    job_fingerprint(&case.cfg, &case.gpu, &case.cpu, case.warm, case.cycles),
+                    "{line}"
+                );
+                assert_eq!(args.get_num("shards", 1usize).unwrap(), case.shards);
+            }
         }
     }
 

@@ -14,4 +14,4 @@ pub mod serve_cmd;
 pub mod timeline;
 
 pub use args::{Args, ParseArgsError};
-pub use config::{config_from, parse_layout, parse_scheme, CONFIG_KEYS, CONTROL_KEYS};
+pub use config::{config_from, parse_scheme, CONFIG_KEYS};

@@ -25,10 +25,10 @@
 
 use clognet_bench::runner::default_threads;
 use clognet_cli::args::{Args, ParseArgsError};
-use clognet_cli::config::{check_benchmarks, config_from, CONFIG_KEYS};
+use clognet_cli::config::{check_benchmarks, config_from, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS};
 use clognet_cli::{cluster_cmd, driver, fuzz_cmd, report, serve_cmd, timeline};
 use clognet_core::{DecisionLog, MultiChipSystem, System, TelemetryConfig, TickEngine};
-use clognet_proto::{Scheme, SystemConfig};
+use clognet_proto::{knobs, Knob, Scheme, SystemConfig};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -79,9 +79,7 @@ fn dispatch(raw: Vec<String>) -> Result<(), ParseArgsError> {
 }
 
 fn run_keys() -> Vec<&'static str> {
-    let mut keys = CONFIG_KEYS.to_vec();
-    keys.extend_from_slice(&["cycles", "warm", "no-ff", "shards"]);
-    keys
+    [&JOB_KEYS[..], &CONFIG_KEYS, &EXEC_KEYS].concat()
 }
 
 /// Intra-run shard count from `--shards` (default 1 = the sequential
@@ -383,19 +381,17 @@ fn cmd_sweep(args: &Args) -> Result<(), ParseArgsError> {
     let warm = args.get_num("warm", 6_000u64)?;
     let cycles = args.get_num("cycles", 15_000u64)?;
     let threads = thread_count(args)?;
-    let param = args
-        .get("param")
-        .ok_or_else(|| ParseArgsError(format!("sweep needs --param ({})", driver::SWEEP_PARAMS)))?;
+    let param = args.get("param").ok_or_else(|| {
+        ParseArgsError(format!(
+            "sweep needs --param ({})",
+            driver::sweep_param_names(false)
+        ))
+    })?;
     let values = driver::parse_sweep_values(
         args.get("values")
             .ok_or_else(|| ParseArgsError("sweep needs --values v1,v2,...".into()))?,
     )?;
-    if !matches!(param, "width" | "l1kb" | "llcmb" | "injbuf" | "drmax") {
-        return Err(ParseArgsError(format!(
-            "unknown sweep param `{param}` ({})",
-            driver::SWEEP_PARAMS
-        )));
-    }
+    driver::sweep_param(param)?;
     if !args.flag("json") {
         println!(
             "{:<10} {:>10} {:>10} {:>10} {:>13} {:>11}",
@@ -740,7 +736,7 @@ fn cmd_snapshot(args: &Args) -> Result<(), ParseArgsError> {
 /// warm-applicable knobs, and measure from there — the single-run face
 /// of the fork engine.
 fn cmd_resume(args: &Args) -> Result<(), ParseArgsError> {
-    args.reject_unknown(&["from", "cycles", "scheme", "set", "no-ff", "shards", "json"])?;
+    args.reject_unknown(&[&EXEC_KEYS[..], &["from", "cycles", "scheme", "set", "json"]].concat())?;
     let path = args
         .get("from")
         .ok_or_else(|| ParseArgsError("resume needs --from <snapshot>".into()))?;
@@ -885,11 +881,12 @@ fn cmd_list() {
             p.write_fraction * 100.0
         );
     }
-    println!("\nschemes  : baseline | rp | rp:<fanout> | dr");
-    println!("layouts  : a (baseline) | b (edge) | c (clustered) | d (distributed)");
-    println!("topologies: mesh | crossbar | fbfly | dragonfly");
-    println!("routing  : xy|yx|dyxy|footprint|hare, as <req>-<rep> (e.g. yx-xy)");
-    println!("control  : none (default) | noop | hysteresis (adaptive baseline->rp->dr ladder)");
+    println!("\nOption values (aliases in parentheses; --routing takes <req>-<rep>):");
+    for key in knobs::RUN_KEYS {
+        if let Some(values) = key.values {
+            println!("  --{:<18} {}", key.name, values());
+        }
+    }
 }
 
 fn print_help() {
@@ -983,7 +980,7 @@ fn print_help() {
          \x20 --op <o>           submit: run | ping | stats | cluster-stats | shutdown\n\
          \x20 --file <path>      batch: NDJSON job file (one job object per line)\n\
          \x20 --retries <n>      submit/batch: connect attempts (default 8)\n\
-         \x20 --canonical        fingerprint: also print the canonical serialization\n\n\
+         \x20 --canonical        fingerprint: also print the canonical option line\n\n\
          CLUSTER OPTIONS:\n\
          \x20 --peers <h:p,...>  cluster/serve: seed peers; submit/batch: failover list\n\
          \x20 --replicas <n>     cluster: cache copies on ring successors (default 1)\n\

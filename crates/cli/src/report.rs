@@ -2,7 +2,7 @@
 
 use clognet_core::Report;
 use clognet_energy::{energy, NetShape};
-use clognet_proto::{Scheme, Topology};
+use clognet_proto::{Knob, Scheme, Topology};
 use clognet_telemetry::export::{json_escape, json_f64};
 
 /// Print a single run's report.

@@ -12,11 +12,11 @@
 
 use crate::args::{Args, ParseArgsError};
 use crate::cluster_cmd::parse_peers;
-use crate::config::{check_benchmarks, config_from, CONFIG_KEYS};
+use crate::config::{check_benchmarks, config_from, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS};
 use crate::report;
 use clognet_core::{MultiChipSystem, Snapshot, TickEngine};
 use clognet_proto::{
-    canonical_job, fingerprint_hex, job_fingerprint, snapshot_key, HashRing, SystemConfig,
+    fingerprint_hex, job_fingerprint, knobs, snapshot_key, HashRing, SystemConfig,
 };
 use clognet_serve::client::{Client, RetryPolicy};
 use clognet_serve::json::Json;
@@ -28,17 +28,10 @@ use std::time::{Duration, Instant};
 /// Default service endpoint shared by `serve`, `submit`, and `batch`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:9347";
 
-/// Option keys a job may carry (the `clognet run` configuration
-/// vocabulary, minus the workload names which travel as dedicated
-/// fields, plus the execution-mode knobs `no-ff` and `shards`).
+/// Option keys a job may carry: the config knobs and the execution-mode
+/// knobs. The [`JOB_KEYS`] travel as dedicated fields.
 fn job_opt_keys() -> Vec<&'static str> {
-    let mut keys: Vec<&'static str> = CONFIG_KEYS
-        .iter()
-        .copied()
-        .filter(|k| !matches!(*k, "gpu" | "cpu"))
-        .collect();
-    keys.extend_from_slice(&["no-ff", "shards"]);
-    keys
+    [&CONFIG_KEYS[..], &EXEC_KEYS].concat()
 }
 
 /// Cycles simulated between deadline checks while a job runs.
@@ -297,10 +290,8 @@ pub fn cmd_serve(args: &Args) -> Result<(), ParseArgsError> {
 ///
 /// Bad options, connection failure, or a server-side rejection.
 pub fn cmd_submit(args: &Args) -> Result<(), ParseArgsError> {
-    let mut keys = job_opt_keys();
-    keys.extend_from_slice(&[
-        "gpu", "cpu", "warm", "cycles", "addr", "peers", "op", "retries", "retry-ms",
-    ]);
+    let mut keys = [&job_opt_keys()[..], &JOB_KEYS].concat();
+    keys.extend_from_slice(&["addr", "peers", "op", "retries", "retry-ms"]);
     args.reject_unknown(&keys)?;
     match args.get_or("op", "run") {
         "run" => {
@@ -406,8 +397,9 @@ pub fn cmd_batch(args: &Args) -> Result<(), ParseArgsError> {
 }
 
 /// `clognet fingerprint`: print the canonical content-address of a job
-/// without running it. `--canonical` also prints the canonical
-/// serialization the hash is computed over. With `--peers` the job is
+/// without running it. `--canonical` also prints the job's canonical
+/// option line, which gives the same fingerprint when fed back to
+/// `clognet fingerprint`. With `--peers` the job is
 /// placed on the cluster's consistent-hash ring: `--owner` prints only
 /// the owning node's address to stdout (for scripting), otherwise the
 /// owner and replica holders go to stderr alongside the fingerprint.
@@ -416,18 +408,8 @@ pub fn cmd_batch(args: &Args) -> Result<(), ParseArgsError> {
 ///
 /// Bad options, or `--owner` without `--peers`.
 pub fn cmd_fingerprint(args: &Args) -> Result<(), ParseArgsError> {
-    let mut keys = job_opt_keys();
-    keys.extend_from_slice(&[
-        "gpu",
-        "cpu",
-        "warm",
-        "cycles",
-        "canonical",
-        "peers",
-        "owner",
-        "replicas",
-        "vnodes",
-    ]);
+    let mut keys = [&job_opt_keys()[..], &JOB_KEYS].concat();
+    keys.extend_from_slice(&["canonical", "peers", "owner", "replicas", "vnodes"]);
     args.reject_unknown(&keys)?;
     let gpu = args.get_or("gpu", "HS");
     let cpu = args.get_or("cpu", "bodytrack");
@@ -443,7 +425,7 @@ pub fn cmd_fingerprint(args: &Args) -> Result<(), ParseArgsError> {
             ));
         }
         if args.flag("canonical") {
-            println!("{}", canonical_job(&cfg, gpu, cpu, warm, cycles));
+            println!("{}", knobs::job_options(&cfg, gpu, cpu, warm, cycles));
         }
         println!("{}", fingerprint_hex(fp));
         return Ok(());
@@ -464,7 +446,7 @@ pub fn cmd_fingerprint(args: &Args) -> Result<(), ParseArgsError> {
         return Ok(());
     }
     if args.flag("canonical") {
-        println!("{}", canonical_job(&cfg, gpu, cpu, warm, cycles));
+        println!("{}", knobs::job_options(&cfg, gpu, cpu, warm, cycles));
     }
     println!("{}", fingerprint_hex(fp));
     eprintln!("owner {owner}");

@@ -21,8 +21,8 @@
 //! reproducible from its printed command line alone.
 
 use clognet_proto::{
-    ControlConfig, ControlPolicyKind, FabricConfig, LayoutKind, Scheme, SystemConfig, Topology,
-    VirtualNetConfig,
+    knobs, ControlConfig, ControlPolicyKind, FabricConfig, LayoutKind, Scheme, SystemConfig,
+    Topology, VirtualNetConfig,
 };
 use clognet_rng::{Rng, SeedableRng, SmallRng};
 
@@ -51,66 +51,12 @@ impl FuzzCase {
     /// exactly this configuration — the reproducer printed when a case
     /// fails the lockstep check.
     pub fn repro_line(&self) -> String {
-        let c = &self.cfg;
-        let mut out = format!(
-            "clognet run --gpu {} --cpu {} --warm {} --cycles {} --seed {}",
-            self.gpu, self.cpu, self.warm, self.cycles, c.seed
-        );
-        let scheme = match c.scheme {
-            Scheme::Baseline => "baseline".to_string(),
-            Scheme::DelegatedReplies => "dr".to_string(),
-            Scheme::RealisticProbing { fanout } => format!("rp:{fanout}"),
-        };
-        out.push_str(&format!(" --scheme {scheme}"));
-        let layout = match c.layout {
-            LayoutKind::Baseline => "a",
-            LayoutKind::EdgeB => "b",
-            LayoutKind::ClusteredC => "c",
-            LayoutKind::DistributedD => "d",
-        };
-        out.push_str(&format!(" --layout {layout}"));
-        if c.noc.topology != Topology::Mesh {
-            let t = match c.noc.topology {
-                Topology::Mesh => "mesh",
-                Topology::Crossbar => "crossbar",
-                Topology::FlattenedButterfly => "fbfly",
-                Topology::Dragonfly => "dragonfly",
-            };
-            out.push_str(&format!(" --topology {t}"));
-        }
-        if let Some(v) = c.noc.virtual_nets {
-            out.push_str(&format!(" --vnets {}+{}", v.request_vcs, v.reply_vcs));
-        }
-        if c.noc.mem_inj_buf_pkts != 16 {
-            out.push_str(&format!(" --injbuf {}", c.noc.mem_inj_buf_pkts));
-        }
-        if let Some(f) = &c.fabric {
-            out.push_str(&format!(
-                " --chips {} --fabric-reply-latency {}",
-                f.chips, f.reply_hop_latency
-            ));
-        }
-        if let Some(ctl) = &c.control {
-            let policy = match ctl.policy {
-                ControlPolicyKind::NoOp => "noop",
-                ControlPolicyKind::Hysteresis => "hysteresis",
-            };
-            out.push_str(&format!(
-                " --control {policy} --control-interval {} --control-enter {} \
-                 --control-exit {} --control-enter-episode {} --control-exit-episode {} \
-                 --control-dwell {}",
-                ctl.interval,
-                ctl.enter_blocked_pm,
-                ctl.exit_blocked_pm,
-                ctl.enter_episode,
-                ctl.exit_episode,
-                ctl.dwell
-            ));
-        }
+        let opts = knobs::job_options(&self.cfg, &self.gpu, &self.cpu, self.warm, self.cycles);
+        let mut line = format!("clognet run {opts}");
         if self.shards > 1 {
-            out.push_str(&format!(" --shards {}", self.shards));
+            line += &format!(" --shards {}", self.shards);
         }
-        out
+        line
     }
 }
 
@@ -146,12 +92,7 @@ impl<'a> ScenarioGen<'a> {
         let rng = &mut self.rng;
         let mut cfg = SystemConfig::default();
         cfg.seed = rng.gen_range(0..u64::MAX);
-        cfg.layout = match rng.gen_range(0..4u32) {
-            0 => LayoutKind::Baseline,
-            1 => LayoutKind::EdgeB,
-            2 => LayoutKind::ClusteredC,
-            _ => LayoutKind::DistributedD,
-        };
+        cfg.layout = LayoutKind::ALL[rng.gen_range(0..4u32) as usize];
         let (req, rep) = SystemConfig::best_routing_for(cfg.layout);
         cfg.noc.routing_request = req;
         cfg.noc.routing_reply = rep;
@@ -279,26 +220,6 @@ mod tests {
                 assert!(c.cfg.noc.virtual_nets.is_none(), "fabric excludes --vnets");
             }
             assert!(c.warm >= 200 && c.cycles >= 400);
-        }
-    }
-
-    #[test]
-    fn repro_line_mentions_every_non_default_dimension() {
-        let mut g = ScenarioGen::new(3, &GPUS, &CPUS);
-        for _ in 0..100 {
-            let c = g.next_case();
-            let line = c.repro_line();
-            assert!(line.starts_with("clognet run --gpu "));
-            assert!(line.contains("--seed"));
-            if c.cfg.control.is_some() {
-                assert!(line.contains("--control "), "{line}");
-            }
-            if c.cfg.fabric.is_some() {
-                assert!(line.contains("--chips 2"), "{line}");
-            }
-            if c.shards > 1 {
-                assert!(line.contains("--shards"), "{line}");
-            }
         }
     }
 }

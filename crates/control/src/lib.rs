@@ -28,7 +28,7 @@
 pub mod fuzz;
 
 use clognet_proto::snap::{SnapError, SnapReader, SnapWriter};
-use clognet_proto::{ControlConfig, ControlPolicyKind, Scheme};
+use clognet_proto::{ControlConfig, ControlPolicyKind, Knob, Scheme};
 
 /// One decision boundary's worth of clogging signals, sampled by the
 /// engine. Counter fields are **cumulative** (monotone within a stats
@@ -397,14 +397,7 @@ impl Controller {
     /// embeds the *escalated* scheme in its config, so the original
     /// base (which fixes the RP rung's fanout) would otherwise be lost.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        match self.base {
-            Scheme::Baseline => w.u8(0),
-            Scheme::DelegatedReplies => w.u8(1),
-            Scheme::RealisticProbing { fanout } => {
-                w.u8(2);
-                w.usize(fanout);
-            }
-        }
+        self.base.save(w);
         w.u8(self.level);
         w.u64(self.dwell_left);
         w.usize(self.hot.len());
@@ -429,17 +422,7 @@ impl Controller {
     /// Propagates decode errors; rejects a node count that does not
     /// match this controller's.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.base = match r.u8()? {
-            0 => Scheme::Baseline,
-            1 => Scheme::DelegatedReplies,
-            2 => Scheme::RealisticProbing { fanout: r.usize()? },
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "control_base_scheme",
-                    tag: u64::from(t),
-                })
-            }
-        };
+        self.base = Scheme::load(r)?;
         self.level = r.u8()?;
         if self.level >= LADDER_LEVELS {
             return Err(SnapError::Corrupt("controller level out of range"));

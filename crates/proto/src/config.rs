@@ -5,6 +5,7 @@
 //! with 128 B lines per GPU core; 8 MB 16-way LLC; FR-FCFS GDDR5 DRAM;
 //! 128-bit channels, 2 VCs × 4 flits, iSLIP allocation with CPU priority.
 
+use crate::knobs::{self, Knob};
 use crate::layout::Layout;
 
 /// Which Figure-1 layout to instantiate.
@@ -23,22 +24,7 @@ pub enum LayoutKind {
 
 impl LayoutKind {
     /// All layouts, in Figure-1 order.
-    pub const ALL: [LayoutKind; 4] = [
-        LayoutKind::Baseline,
-        LayoutKind::EdgeB,
-        LayoutKind::ClusteredC,
-        LayoutKind::DistributedD,
-    ];
-
-    /// Short label used in figures ("Baseline", "B", "C", "D").
-    pub fn label(self) -> &'static str {
-        match self {
-            LayoutKind::Baseline => "Baseline",
-            LayoutKind::EdgeB => "B",
-            LayoutKind::ClusteredC => "C",
-            LayoutKind::DistributedD => "D",
-        }
-    }
+    pub const ALL: [LayoutKind; 4] = knobs::variants(<LayoutKind as Knob>::ROWS);
 }
 
 /// NoC topology (Section VII evaluates all four).
@@ -58,22 +44,7 @@ pub enum Topology {
 
 impl Topology {
     /// All topologies, mesh first.
-    pub const ALL: [Topology; 4] = [
-        Topology::Mesh,
-        Topology::Crossbar,
-        Topology::FlattenedButterfly,
-        Topology::Dragonfly,
-    ];
-
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Topology::Mesh => "Mesh",
-            Topology::Crossbar => "Crossbar",
-            Topology::FlattenedButterfly => "FButterfly",
-            Topology::Dragonfly => "Dragonfly",
-        }
-    }
+    pub const ALL: [Topology; 4] = knobs::variants(<Topology as Knob>::ROWS);
 }
 
 /// Per-class routing policy (mesh only; other topologies route minimally).
@@ -92,19 +63,6 @@ pub enum RoutingPolicy {
     /// HARE (Jin+ 2019): history-aware endpoint-congestion adaptive
     /// routing.
     Hare,
-}
-
-impl RoutingPolicy {
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            RoutingPolicy::DorXY => "XY",
-            RoutingPolicy::DorYX => "YX",
-            RoutingPolicy::DyXY => "DyXY",
-            RoutingPolicy::Footprint => "Footprint",
-            RoutingPolicy::Hare => "HARE",
-        }
-    }
 }
 
 /// Ablation knobs for the Delegated-Replies mechanism (defaults match
@@ -156,21 +114,12 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scheme::Baseline => "Baseline",
-            Scheme::DelegatedReplies => "DR",
-            Scheme::RealisticProbing { .. } => "RP",
-        }
-    }
-
     /// The paper's RP comparison point (the authors' best-performing
     /// configuration). Probing all 39 other caches would guarantee
     /// finding a copy but drowns the request network in probe traffic —
     /// the paper's "rock and a hard place"; four supplier-steered probes
     /// is the sweet spot in this implementation.
-    pub fn rp_default() -> Scheme {
+    pub const fn rp_default() -> Scheme {
         Scheme::RealisticProbing { fanout: 4 }
     }
 }
@@ -188,17 +137,6 @@ pub enum L1Org {
     DynEB,
 }
 
-impl L1Org {
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            L1Org::Private => "Private",
-            L1Org::DcL1 => "DC-L1",
-            L1Org::DynEB => "DynEB",
-        }
-    }
-}
-
 /// CTA (thread-block) scheduling policy (Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtaSched {
@@ -207,16 +145,6 @@ pub enum CtaSched {
     /// Distributed/locality-aware CTA scheduling: consecutive CTAs go to
     /// neighboring SMs of the same cluster.
     Distributed,
-}
-
-impl CtaSched {
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CtaSched::RoundRobin => "RR",
-            CtaSched::Distributed => "Dist",
-        }
-    }
 }
 
 /// Geometry of a set-associative cache.
@@ -485,24 +413,6 @@ pub enum FabricTopology {
     All,
 }
 
-impl FabricTopology {
-    /// All fabric topologies, smallest first.
-    pub const ALL: [FabricTopology; 3] = [
-        FabricTopology::Pair,
-        FabricTopology::Ring,
-        FabricTopology::All,
-    ];
-
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FabricTopology::Pair => "Pair",
-            FabricTopology::Ring => "Ring",
-            FabricTopology::All => "All",
-        }
-    }
-}
-
 /// How cache lines are interleaved across chips in a multi-chip package.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FabricInterleave {
@@ -512,16 +422,6 @@ pub enum FabricInterleave {
     /// Plain modulo of the line address — adversarially simple striping,
     /// useful for constructing worst-case cross-chip traffic.
     Modulo,
-}
-
-impl FabricInterleave {
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FabricInterleave::Hash => "Hash",
-            FabricInterleave::Modulo => "Modulo",
-        }
-    }
 }
 
 /// Inter-chip fabric parameters. All of these are **identity knobs**:
@@ -584,16 +484,6 @@ pub enum ControlPolicyKind {
     /// paper's AVCP point: a mitigation that spends request-network
     /// bandwidth rather than reply-network delegation.)
     Hysteresis,
-}
-
-impl ControlPolicyKind {
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ControlPolicyKind::NoOp => "NoOp",
-            ControlPolicyKind::Hysteresis => "Hysteresis",
-        }
-    }
 }
 
 /// Adaptive-control parameters. All of these are **identity knobs**:

@@ -29,6 +29,7 @@ pub mod config;
 pub mod fingerprint;
 pub mod fxhash;
 pub mod ids;
+pub mod knobs;
 pub mod layout;
 pub mod packet;
 pub mod ring;
@@ -40,12 +41,10 @@ pub use config::{
     FabricConfig, FabricInterleave, FabricTopology, GpuConfig, L1Org, LayoutKind, LlcConfig,
     NocConfig, RoutingPolicy, Scheme, SystemConfig, Topology, VirtualNetConfig,
 };
-pub use fingerprint::{
-    canonical_config, canonical_job, fingerprint_hex, job_fingerprint, snapshot_key,
-    FINGERPRINT_VERSION,
-};
+pub use fingerprint::{fingerprint_hex, job_fingerprint, snapshot_key, FINGERPRINT_VERSION};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Addr, CoreId, Cycle, LineAddr, MemId, NodeId};
+pub use knobs::Knob;
 pub use layout::{Layout, NodeKind};
 pub use packet::{MsgKind, Packet, PacketId, Priority, TrafficClass};
 pub use ring::{HashRing, DEFAULT_VNODES};

@@ -48,6 +48,7 @@ use crate::config::{
     NocConfig, RoutingPolicy, Scheme, SystemConfig, Topology, VirtualNetConfig,
 };
 use crate::ids::{Addr, NodeId};
+use crate::knobs::Knob;
 use crate::packet::{MsgKind, Packet, PacketId, Priority};
 use std::fmt;
 
@@ -456,16 +457,13 @@ fn load_geometry(r: &mut SnapReader<'_>) -> Result<CacheGeometry, SnapError> {
     })
 }
 
-/// Encode the full [`SystemConfig`] (every field, declaration order).
-/// Execution-mode knobs (`--threads`, `--shards`, `--no-ff`) are not part
-/// of `SystemConfig` and therefore never enter a snapshot.
+/// Encode the full [`SystemConfig`] (every field, declaration order;
+/// enums as their [`Knob`] tags). Execution-mode knobs (`--threads`,
+/// `--shards`, `--no-ff`) are not part of `SystemConfig` and therefore
+/// never enter a snapshot — nor the job fingerprint, which hashes these
+/// bytes.
 pub fn save_config(w: &mut SnapWriter, c: &SystemConfig) {
-    w.u8(match c.layout {
-        LayoutKind::Baseline => 0,
-        LayoutKind::EdgeB => 1,
-        LayoutKind::ClusteredC => 2,
-        LayoutKind::DistributedD => 3,
-    });
+    c.layout.save(w);
     w.usize(c.mesh_width);
     w.usize(c.mesh_height);
     w.usize(c.n_gpu);
@@ -507,14 +505,9 @@ pub fn save_config(w: &mut SnapWriter, c: &SystemConfig) {
     w.u32(c.dram.burst);
     w.usize(c.dram.queue);
     // noc
-    w.u8(match c.noc.topology {
-        Topology::Mesh => 0,
-        Topology::Crossbar => 1,
-        Topology::FlattenedButterfly => 2,
-        Topology::Dragonfly => 3,
-    });
-    w.u8(routing_tag(c.noc.routing_request));
-    w.u8(routing_tag(c.noc.routing_reply));
+    c.noc.topology.save(w);
+    c.noc.routing_request.save(w);
+    c.noc.routing_reply.save(w);
     w.u32(c.noc.channel_bytes);
     w.usize(c.noc.vcs);
     w.usize(c.noc.vc_buf_flits);
@@ -530,47 +523,25 @@ pub fn save_config(w: &mut SnapWriter, c: &SystemConfig) {
     w.usize(c.noc.mem_inj_buf_pkts);
     w.usize(c.noc.core_inj_buf_pkts);
     w.usize(c.noc.sa_iterations);
-    // scheme
-    match c.scheme {
-        Scheme::Baseline => w.u8(0),
-        Scheme::DelegatedReplies => w.u8(1),
-        Scheme::RealisticProbing { fanout } => {
-            w.u8(2);
-            w.usize(fanout);
-        }
-    }
+    c.scheme.save(w);
     // dr knobs
     w.bool(c.dr.delegate_always);
     w.bool(c.dr.delayed_hits);
     w.usize(c.dr.max_per_cycle);
-    w.u8(match c.l1_org {
-        L1Org::Private => 0,
-        L1Org::DcL1 => 1,
-        L1Org::DynEB => 2,
-    });
-    w.u8(match c.cta_sched {
-        CtaSched::RoundRobin => 0,
-        CtaSched::Distributed => 1,
-    });
+    c.l1_org.save(w);
+    c.cta_sched.save(w);
     w.u64(c.seed);
     // fabric (v2 tail)
     match &c.fabric {
         Some(fab) => {
             w.bool(true);
             w.usize(fab.chips);
-            w.u8(match fab.topology {
-                FabricTopology::Pair => 0,
-                FabricTopology::Ring => 1,
-                FabricTopology::All => 2,
-            });
+            fab.topology.save(w);
             w.u32(fab.link_flits);
             w.u32(fab.hop_latency);
             w.usize(fab.queue_pkts);
             w.usize(fab.gateways);
-            w.u8(match fab.interleave {
-                FabricInterleave::Hash => 0,
-                FabricInterleave::Modulo => 1,
-            });
+            fab.interleave.save(w);
             w.u32(fab.reply_link_flits);
             w.u32(fab.reply_hop_latency);
         }
@@ -580,10 +551,7 @@ pub fn save_config(w: &mut SnapWriter, c: &SystemConfig) {
     match &c.control {
         Some(ctl) => {
             w.bool(true);
-            w.u8(match ctl.policy {
-                ControlPolicyKind::NoOp => 0,
-                ControlPolicyKind::Hysteresis => 1,
-            });
+            ctl.policy.save(w);
             w.u64(ctl.interval);
             w.u32(ctl.enter_blocked_pm);
             w.u32(ctl.exit_blocked_pm);
@@ -595,36 +563,9 @@ pub fn save_config(w: &mut SnapWriter, c: &SystemConfig) {
     }
 }
 
-fn routing_tag(p: RoutingPolicy) -> u8 {
-    match p {
-        RoutingPolicy::DorXY => 0,
-        RoutingPolicy::DorYX => 1,
-        RoutingPolicy::DyXY => 2,
-        RoutingPolicy::Footprint => 3,
-        RoutingPolicy::Hare => 4,
-    }
-}
-
-fn routing_from(t: u8) -> Result<RoutingPolicy, SnapError> {
-    Ok(match t {
-        0 => RoutingPolicy::DorXY,
-        1 => RoutingPolicy::DorYX,
-        2 => RoutingPolicy::DyXY,
-        3 => RoutingPolicy::Footprint,
-        4 => RoutingPolicy::Hare,
-        t => return Err(tag_err("routing", t)),
-    })
-}
-
 /// Decode a [`SystemConfig`] written by [`save_config`].
 pub fn load_config(r: &mut SnapReader<'_>) -> Result<SystemConfig, SnapError> {
-    let layout = match r.u8()? {
-        0 => LayoutKind::Baseline,
-        1 => LayoutKind::EdgeB,
-        2 => LayoutKind::ClusteredC,
-        3 => LayoutKind::DistributedD,
-        t => return Err(tag_err("layout", t)),
-    };
+    let layout = LayoutKind::load(r)?;
     let mesh_width = r.usize()?;
     let mesh_height = r.usize()?;
     let n_gpu = r.usize()?;
@@ -669,15 +610,9 @@ pub fn load_config(r: &mut SnapReader<'_>) -> Result<SystemConfig, SnapError> {
         burst: r.u32()?,
         queue: r.usize()?,
     };
-    let topology = match r.u8()? {
-        0 => Topology::Mesh,
-        1 => Topology::Crossbar,
-        2 => Topology::FlattenedButterfly,
-        3 => Topology::Dragonfly,
-        t => return Err(tag_err("topology", t)),
-    };
-    let routing_request = routing_from(r.u8()?)?;
-    let routing_reply = routing_from(r.u8()?)?;
+    let topology = Topology::load(r)?;
+    let routing_request = RoutingPolicy::load(r)?;
+    let routing_reply = RoutingPolicy::load(r)?;
     let channel_bytes = r.u32()?;
     let vcs = r.usize()?;
     let vc_buf_flits = r.usize()?;
@@ -703,47 +638,24 @@ pub fn load_config(r: &mut SnapReader<'_>) -> Result<SystemConfig, SnapError> {
         core_inj_buf_pkts: r.usize()?,
         sa_iterations: r.usize()?,
     };
-    let scheme = match r.u8()? {
-        0 => Scheme::Baseline,
-        1 => Scheme::DelegatedReplies,
-        2 => Scheme::RealisticProbing { fanout: r.usize()? },
-        t => return Err(tag_err("scheme", t)),
-    };
+    let scheme = Scheme::load(r)?;
     let dr = DrKnobs {
         delegate_always: r.bool()?,
         delayed_hits: r.bool()?,
         max_per_cycle: r.usize()?,
     };
-    let l1_org = match r.u8()? {
-        0 => L1Org::Private,
-        1 => L1Org::DcL1,
-        2 => L1Org::DynEB,
-        t => return Err(tag_err("l1_org", t)),
-    };
-    let cta_sched = match r.u8()? {
-        0 => CtaSched::RoundRobin,
-        1 => CtaSched::Distributed,
-        t => return Err(tag_err("cta_sched", t)),
-    };
+    let l1_org = L1Org::load(r)?;
+    let cta_sched = CtaSched::load(r)?;
     let seed = r.u64()?;
     let fabric = if r.bool()? {
         Some(FabricConfig {
             chips: r.usize()?,
-            topology: match r.u8()? {
-                0 => FabricTopology::Pair,
-                1 => FabricTopology::Ring,
-                2 => FabricTopology::All,
-                t => return Err(tag_err("fabric_topology", t)),
-            },
+            topology: FabricTopology::load(r)?,
             link_flits: r.u32()?,
             hop_latency: r.u32()?,
             queue_pkts: r.usize()?,
             gateways: r.usize()?,
-            interleave: match r.u8()? {
-                0 => FabricInterleave::Hash,
-                1 => FabricInterleave::Modulo,
-                t => return Err(tag_err("fabric_interleave", t)),
-            },
+            interleave: FabricInterleave::load(r)?,
             reply_link_flits: r.u32()?,
             reply_hop_latency: r.u32()?,
         })
@@ -752,11 +664,7 @@ pub fn load_config(r: &mut SnapReader<'_>) -> Result<SystemConfig, SnapError> {
     };
     let control = if r.bool()? {
         Some(ControlConfig {
-            policy: match r.u8()? {
-                0 => ControlPolicyKind::NoOp,
-                1 => ControlPolicyKind::Hysteresis,
-                t => return Err(tag_err("control_policy", t)),
-            },
+            policy: ControlPolicyKind::load(r)?,
             interval: r.u64()?,
             enter_blocked_pm: r.u32()?,
             exit_blocked_pm: r.u32()?,
@@ -853,40 +761,113 @@ mod tests {
         assert_eq!(r.u64().unwrap_err(), SnapError::Truncated);
     }
 
+    /// Every field of every config struct set away from its default,
+    /// as literals without `..Default::default()`: a new field does not
+    /// compile here until it gets a value, and the round trip below
+    /// fails until the codec — and so the fingerprint — carries it.
+    fn every_field_set() -> SystemConfig {
+        let geometry = |capacity_bytes, ways, line_bytes| CacheGeometry {
+            capacity_bytes,
+            ways,
+            line_bytes,
+        };
+        SystemConfig {
+            layout: LayoutKind::DistributedD,
+            mesh_width: 10,
+            mesh_height: 10,
+            n_gpu: 70,
+            n_cpu: 20,
+            n_mem: 10,
+            gpu: GpuConfig {
+                warps_per_core: 32,
+                issue_width: 1,
+                threads_per_warp: 16,
+                l1: geometry(64 * 1024, 8, 64),
+                mshrs: 32,
+                frq_entries: 4,
+                l1_hit_latency: 3,
+                l1_ports: 1,
+                cluster_cores: 4,
+                cluster_slices: 2,
+                dyneb_epoch: 2_048,
+                flush_interval: None,
+            },
+            cpu: CpuConfig {
+                l1: geometry(16 * 1024, 2, 128),
+                window: 4,
+                l1_hit_latency: 3,
+            },
+            llc: LlcConfig {
+                slice: geometry(2 * 1024 * 1024, 8, 64),
+                latency: 30,
+                ports: 2,
+            },
+            dram: DramConfig {
+                banks: 8,
+                t_cl: 13,
+                t_rp: 14,
+                t_rc: 41,
+                t_ras: 29,
+                t_rcd: 15,
+                t_rrd: 7,
+                t_ccd: 3,
+                t_wr: 16,
+                t_refi: 0,
+                t_rfc: 181,
+                burst: 4,
+                queue: 32,
+            },
+            noc: NocConfig {
+                topology: Topology::Dragonfly,
+                routing_request: RoutingPolicy::Hare,
+                routing_reply: RoutingPolicy::Footprint,
+                channel_bytes: 32,
+                vcs: 3,
+                vc_buf_flits: 5,
+                pipeline: 3,
+                virtual_nets: Some(VirtualNetConfig {
+                    request_vcs: 2,
+                    reply_vcs: 3,
+                }),
+                mem_inj_buf_pkts: 4,
+                core_inj_buf_pkts: 8,
+                sa_iterations: 2,
+            },
+            scheme: Scheme::RealisticProbing { fanout: 3 },
+            dr: DrKnobs {
+                delegate_always: true,
+                delayed_hits: false,
+                max_per_cycle: 5,
+            },
+            l1_org: L1Org::DynEB,
+            cta_sched: CtaSched::Distributed,
+            seed: 0x1357_9BDF,
+            fabric: Some(FabricConfig {
+                chips: 3,
+                topology: FabricTopology::Ring,
+                link_flits: 2,
+                hop_latency: 9,
+                queue_pkts: 5,
+                gateways: 4,
+                interleave: FabricInterleave::Modulo,
+                reply_link_flits: 1,
+                reply_hop_latency: 40,
+            }),
+            control: Some(ControlConfig {
+                policy: ControlPolicyKind::NoOp,
+                interval: 250,
+                enter_blocked_pm: 400,
+                exit_blocked_pm: 25,
+                enter_episode: 1_500,
+                exit_episode: 3_000,
+                dwell: 3,
+            }),
+        }
+    }
+
     #[test]
-    #[allow(clippy::field_reassign_with_default)]
     fn config_round_trips_all_fields() {
-        let mut c = SystemConfig::default();
-        c.layout = LayoutKind::DistributedD;
-        c.scheme = Scheme::RealisticProbing { fanout: 3 };
-        c.noc.topology = Topology::Dragonfly;
-        c.noc.virtual_nets = Some(VirtualNetConfig {
-            request_vcs: 2,
-            reply_vcs: 3,
-        });
-        c.gpu.flush_interval = None;
-        c.dr.delegate_always = true;
-        c.seed = 0x1357_9BDF;
-        c.fabric = Some(FabricConfig {
-            chips: 3,
-            topology: FabricTopology::Ring,
-            link_flits: 2,
-            hop_latency: 9,
-            queue_pkts: 5,
-            gateways: 4,
-            interleave: FabricInterleave::Modulo,
-            reply_link_flits: 1,
-            reply_hop_latency: 40,
-        });
-        c.control = Some(ControlConfig {
-            policy: ControlPolicyKind::Hysteresis,
-            interval: 250,
-            enter_blocked_pm: 400,
-            exit_blocked_pm: 25,
-            enter_episode: 1_500,
-            exit_episode: 3_000,
-            dwell: 3,
-        });
+        let c = every_field_set();
         let mut w = SnapWriter::new();
         save_config(&mut w, &c);
         let b = w.into_bytes();
@@ -894,6 +875,8 @@ mod tests {
         let back = load_config(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, c);
+        let fp = |c: &SystemConfig| crate::job_fingerprint(c, "HS", "bodytrack", 500, 2_000);
+        assert_ne!(fp(&c), fp(&SystemConfig::default()));
     }
 
     #[test]
@@ -916,16 +899,5 @@ mod tests {
         let mut r = SnapReader::raw(&b);
         assert_eq!(load_packet(&mut r).unwrap(), p);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn encoding_is_byte_stable() {
-        let c = SystemConfig::default();
-        let enc = |c: &SystemConfig| {
-            let mut w = SnapWriter::new();
-            save_config(&mut w, c);
-            w.into_bytes()
-        };
-        assert_eq!(enc(&c), enc(&c.clone()));
     }
 }

@@ -11,7 +11,7 @@
 
 use clognet_core::System;
 use clognet_energy::{energy, DrArea, NetShape};
-use clognet_proto::{Scheme, SystemConfig, Topology};
+use clognet_proto::{Knob, Scheme, SystemConfig, Topology};
 
 fn main() {
     let mesh = |channel_bytes| NetShape {

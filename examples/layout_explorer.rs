@@ -8,7 +8,7 @@
 //! ```
 
 use clognet_core::System;
-use clognet_proto::{LayoutKind, SystemConfig};
+use clognet_proto::{Knob, LayoutKind, SystemConfig};
 
 fn main() {
     println!("=== the four chip layouts of Figure 1 (C=CPU, M=memory, G=GPU) ===\n");

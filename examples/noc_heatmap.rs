@@ -9,7 +9,7 @@
 
 use clognet_core::System;
 use clognet_noc::mesh_port;
-use clognet_proto::{NodeKind, Scheme, SystemConfig, TrafficClass};
+use clognet_proto::{Knob, NodeKind, Scheme, SystemConfig, TrafficClass};
 
 fn glyph(util: f64) -> char {
     match (util * 100.0) as u32 {

@@ -6,7 +6,7 @@
 //! ```
 
 use clognet_core::System;
-use clognet_proto::{Scheme, SystemConfig};
+use clognet_proto::{Knob, Scheme, SystemConfig};
 
 fn main() {
     println!("clognet quickstart: HS (GPU) + bodytrack (CPU) on the 8x8 baseline chip\n");
