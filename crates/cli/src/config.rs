@@ -56,6 +56,30 @@ pub fn check_benchmarks(gpu: &str, cpu: &str) -> Result<(), ParseArgsError> {
     Ok(())
 }
 
+/// Intra-run shard count from `--shards` (default 1 = the sequential
+/// engine), validated against the configured topology up front so a
+/// count that cannot partition the mesh fails with a clear message
+/// before any simulation is built.
+///
+/// # Errors
+///
+/// A malformed count, or one the topology cannot be split into.
+pub fn shard_count(args: &Args, cfg: &SystemConfig) -> Result<usize, ParseArgsError> {
+    let n = args.get_num("shards", 1usize)?;
+    clognet_core::validate_shards(cfg, n).map_err(|e| ParseArgsError(format!("--shards: {e}")))?;
+    Ok(n)
+}
+
+/// Validate the `--chips` / `--fabric-*` combination up front, exactly
+/// like [`shard_count`] does for `--shards`.
+///
+/// # Errors
+///
+/// The package the options describe cannot be built.
+pub fn check_fabric(cfg: &SystemConfig) -> Result<(), ParseArgsError> {
+    clognet_core::validate_fabric(cfg).map_err(|e| ParseArgsError(format!("--chips/--fabric: {e}")))
+}
+
 /// Build a [`SystemConfig`] from the parsed arguments: apply each
 /// [`knobs::RUN_KEYS`] option present, in table order, then the rules
 /// that span a group.

@@ -25,10 +25,12 @@
 
 use clognet_bench::runner::default_threads;
 use clognet_cli::args::{Args, ParseArgsError};
-use clognet_cli::config::{check_benchmarks, config_from, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS};
+use clognet_cli::config::{
+    check_benchmarks, check_fabric, config_from, shard_count, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS,
+};
 use clognet_cli::{cluster_cmd, driver, fuzz_cmd, report, serve_cmd, timeline};
 use clognet_core::{DecisionLog, MultiChipSystem, System, TelemetryConfig, TickEngine};
-use clognet_proto::{knobs, Knob, Scheme, SystemConfig};
+use clognet_proto::{knobs, Knob, Scheme};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -82,28 +84,12 @@ fn run_keys() -> Vec<&'static str> {
     [&JOB_KEYS[..], &CONFIG_KEYS, &EXEC_KEYS].concat()
 }
 
-/// Intra-run shard count from `--shards` (default 1 = the sequential
-/// engine), validated against the configured topology up front so a
-/// count that cannot partition the mesh fails with a clear message
-/// before any simulation is built.
-fn shard_count(args: &Args, cfg: &SystemConfig) -> Result<usize, ParseArgsError> {
-    let n = args.get_num("shards", 1usize)?;
-    clognet_core::validate_shards(cfg, n).map_err(|e| ParseArgsError(format!("--shards: {e}")))?;
-    Ok(n)
-}
-
 /// Apply a validated `--shards` count to a freshly built package.
 fn apply_shards(sys: &mut MultiChipSystem, shards: usize) {
     if shards > 1 {
         sys.set_tick_engine(TickEngine::Sharded(shards))
             .expect("shard count validated against this config");
     }
-}
-
-/// Validate the `--chips` / `--fabric-*` combination up front, exactly
-/// like [`shard_count`] does for `--shards`.
-fn check_fabric(cfg: &SystemConfig) -> Result<(), ParseArgsError> {
-    clognet_core::validate_fabric(cfg).map_err(|e| ParseArgsError(format!("--chips/--fabric: {e}")))
 }
 
 /// Telemetry epoch length from `--sample` (default 500 cycles).

@@ -12,7 +12,9 @@
 
 use crate::args::{Args, ParseArgsError};
 use crate::cluster_cmd::parse_peers;
-use crate::config::{check_benchmarks, config_from, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS};
+use crate::config::{
+    check_benchmarks, check_fabric, config_from, shard_count, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS,
+};
 use crate::report;
 use clognet_core::{MultiChipSystem, Snapshot, TickEngine};
 use clognet_proto::{
@@ -413,9 +415,14 @@ pub fn cmd_fingerprint(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&keys)?;
     let gpu = args.get_or("gpu", "HS");
     let cpu = args.get_or("cpu", "bodytrack");
+    // A job `run` would refuse has no fingerprint: same checks, same
+    // messages.
+    check_benchmarks(gpu, cpu)?;
     let warm = args.get_num("warm", 6_000u64)?;
     let cycles = args.get_num("cycles", 15_000u64)?;
     let cfg = config_from(args)?;
+    check_fabric(&cfg)?;
+    shard_count(args, &cfg)?;
     let fp = job_fingerprint(&cfg, gpu, cpu, warm, cycles);
     let peers = args.get("peers").map(parse_peers).unwrap_or_default();
     if peers.is_empty() {

@@ -232,6 +232,15 @@ impl Nets {
         }
     }
 
+    /// Whether any network holds a packet (in flight or reassembled and
+    /// waiting): [`Self::in_flight`] `> 0` without counting.
+    pub fn has_in_flight(&self) -> bool {
+        match self {
+            Nets::Separate { request, reply } => request.has_in_flight() || reply.has_in_flight(),
+            Nets::Shared(n) => n.has_in_flight(),
+        }
+    }
+
     /// Sum of flit-hops over all links of all networks (energy input).
     pub fn total_flit_hops(&self) -> u64 {
         let sum = |n: &Network| -> u64 {

@@ -54,11 +54,11 @@ pub fn validate_shards(cfg: &SystemConfig, shards: usize) -> Result<(), ShardErr
     clognet_noc::shards::validate(cfg.noc.topology, cfg.mesh_height, shards)
 }
 
-/// Per-node outboxes (one per class) between the cores and the NIs.
+/// Per-node outboxes between the cores and the NIs: one lane per
+/// traffic class, indexed by `TrafficClass as usize`.
 #[derive(Debug, Default)]
 struct Outbox {
-    request: VecDeque<Packet>,
-    reply: VecDeque<Packet>,
+    lanes: [VecDeque<Packet>; 2],
 }
 
 const OUTBOX_CAP: usize = 16;
@@ -147,6 +147,17 @@ pub struct System {
     blocked_since: Vec<Option<Cycle>>,
     /// Inter-chip fabric attachment (`None` on a plain single chip).
     port: Option<FabricPort>,
+    /// Endpoint skips on (the default): ejection delivery and outbox
+    /// draining visit only the nodes their bitsets name. Off, they scan
+    /// every node — the reference mode, toggled with the NoC's.
+    idle_skip: bool,
+    /// Bit `n` set for the GPU and CPU nodes: the ones ejection delivery
+    /// serves (memory nodes pull their requests themselves).
+    endpoints: Vec<u64>,
+    /// `outbox_heads[class][prio]`: bit `n` set while node `n`'s `class`
+    /// lane is non-empty and its head packet has priority `prio`.
+    /// Derived state: never serialized, rebuilt on restore.
+    outbox_heads: [[Vec<u64>; 2]; 2],
     /// Scratch buffers reused across ticks.
     gpu_out: Vec<(CoreId, GpuOut)>,
     cpu_out: Vec<(CoreId, CpuOut)>,
@@ -223,6 +234,11 @@ impl System {
         let outboxes = (0..layout.node_count())
             .map(|_| Outbox::default())
             .collect();
+        let words = layout.node_count().div_ceil(64);
+        let mut endpoints = vec![0u64; words];
+        for n in layout.gpu_nodes().chain(layout.cpu_nodes()) {
+            endpoints[n.index() / 64] |= 1 << (n.index() % 64);
+        }
         let control = cfg
             .control
             .map(|ctl| Box::new(Controller::new(ctl, cfg.scheme, cfg.n_mem)));
@@ -249,6 +265,9 @@ impl System {
             control,
             blocked_since: vec![None; cfg.n_mem],
             port: None,
+            idle_skip: true,
+            endpoints,
+            outbox_heads: std::array::from_fn(|_| std::array::from_fn(|_| vec![0; words])),
             gpu_out: Vec::new(),
             cpu_out: Vec::new(),
             gpu_budgets: Vec::new(),
@@ -562,11 +581,13 @@ impl System {
         // Undelivered packets — in flight or parked in an ejection
         // queue — queued outbox packets, and cross-chip requests
         // awaiting fabric handoff are same-cycle work.
-        if self.nets.in_flight() > 0
+        if self.nets.has_in_flight()
             || self
-                .outboxes
+                .outbox_heads
                 .iter()
-                .any(|ob| !ob.request.is_empty() || !ob.reply.is_empty())
+                .flatten()
+                .flatten()
+                .any(|&w| w != 0)
             || self.port.as_ref().is_some_and(|p| !p.egress.is_empty())
         {
             return None;
@@ -747,60 +768,41 @@ impl System {
         }
     }
 
-    /// Enable/disable the NoC's bitset fast path (on by default).
-    /// Turning it off makes every tick scan every input VC of every
-    /// router, ignoring the bitsets — the reference mode equivalence
+    /// Enable/disable the NoC's bitset fast path and the endpoint skips
+    /// (on by default). Turning it off makes every tick scan every input
+    /// VC of every router, every NI, and every node's ejection queue and
+    /// outbox, ignoring the bitsets — the reference mode equivalence
     /// tests compare against.
     pub fn set_noc_idle_skip(&mut self, on: bool) {
         self.nets.set_idle_skip(on);
+        self.idle_skip = on;
     }
 
     /// Deliver everything the networks ejected to GPU/CPU endpoints.
     /// (Memory nodes pull their requests themselves, gated on blocking.)
+    /// Only endpoints with a reassembled packet waiting are visited, in
+    /// node order (every node in the reference mode).
     fn deliver_ejections(&mut self) {
-        let now = self.now;
         let mut forwards = std::mem::take(&mut self.gpu_forwards);
-        for node in 0..self.layout.node_count() {
-            let node = NodeId(node as u16);
-            match self.layout.kind_of(node) {
-                NodeKind::Gpu(core) => match &mut self.nets {
+        for w in 0..self.endpoints.len() {
+            let mut todo = if self.idle_skip {
+                let ejected = match &self.nets {
                     Nets::Separate { request, reply } => {
-                        drain_gpu(
-                            reply,
-                            node,
-                            core,
-                            &self.layout,
-                            &mut self.gpu,
-                            &mut forwards,
-                        );
-                        drain_gpu(
-                            request,
-                            node,
-                            core,
-                            &self.layout,
-                            &mut self.gpu,
-                            &mut forwards,
-                        );
+                        request.ejected_word(w) | reply.ejected_word(w)
                     }
-                    Nets::Shared(n) => {
-                        drain_gpu(n, node, core, &self.layout, &mut self.gpu, &mut forwards);
-                    }
-                },
-                NodeKind::Cpu(core) => {
-                    let net = self.nets.net_mut(TrafficClass::Reply);
-                    while let Some(pkt) = net.pop_ejected(node) {
-                        match pkt.kind {
-                            MsgKind::ReadReply => {
-                                self.cpu.deliver_data(core, pkt.addr.line(64), now);
-                            }
-                            MsgKind::WriteAck => {
-                                self.cpu.deliver_write_ack(core, pkt.addr.line(64));
-                            }
-                            other => panic!("CPU node got {other}"),
-                        }
-                    }
+                    Nets::Shared(n) => n.ejected_word(w),
+                };
+                self.endpoints[w] & ejected
+            } else {
+                u64::MAX
+            };
+            while todo != 0 {
+                let node = w * 64 + todo.trailing_zeros() as usize;
+                todo &= todo - 1;
+                if node >= self.layout.node_count() {
+                    break;
                 }
-                NodeKind::Mem(_) => {}
+                self.deliver_node(NodeId(node as u16), &mut forwards);
             }
         }
         for (core, out) in forwards.drain(..) {
@@ -809,19 +811,48 @@ impl System {
         self.gpu_forwards = forwards;
     }
 
+    /// Deliver the packets waiting at one node.
+    fn deliver_node(&mut self, node: NodeId, forwards: &mut Vec<(CoreId, GpuOut)>) {
+        match self.layout.kind_of(node) {
+            NodeKind::Gpu(core) => match &mut self.nets {
+                Nets::Separate { request, reply } => {
+                    drain_gpu(reply, node, core, &self.layout, &mut self.gpu, forwards);
+                    drain_gpu(request, node, core, &self.layout, &mut self.gpu, forwards);
+                }
+                Nets::Shared(n) => drain_gpu(n, node, core, &self.layout, &mut self.gpu, forwards),
+            },
+            NodeKind::Cpu(core) => {
+                let net = self.nets.net_mut(TrafficClass::Reply);
+                while let Some(pkt) = net.pop_ejected(node) {
+                    match pkt.kind {
+                        MsgKind::ReadReply => {
+                            self.cpu.deliver_data(core, pkt.addr.line(64), self.now);
+                        }
+                        MsgKind::WriteAck => {
+                            self.cpu.deliver_write_ack(core, pkt.addr.line(64));
+                        }
+                        other => panic!("CPU node got {other}"),
+                    }
+                }
+            }
+            NodeKind::Mem(_) => {}
+        }
+    }
+
     fn tick_gpu(&mut self) {
         self.gpu_budgets.clear();
         self.gpu_remote_budgets.clear();
         for i in 0..self.gpu.n_cores() {
             let node = self.layout.gpu_node(CoreId(i as u16));
             let ob = &self.outboxes[node.index()];
+            let [request, reply] = &ob.lanes;
             self.gpu_budgets
-                .push(OUTBOX_CAP.saturating_sub(ob.request.len().max(ob.reply.len())));
+                .push(OUTBOX_CAP.saturating_sub(request.len().max(reply.len())));
             // Remote (FRQ) service drains into the reply lane, which the
             // reply network always sinks — independent of local request
             // congestion.
             self.gpu_remote_budgets
-                .push(OUTBOX_CAP.saturating_sub(ob.reply.len()));
+                .push(OUTBOX_CAP.saturating_sub(reply.len()));
         }
         let mut out = std::mem::take(&mut self.gpu_out);
         out.clear();
@@ -879,7 +910,7 @@ impl System {
                 );
                 pkt.dnf = dnf;
                 pkt.requester = self.layout.gpu_node(requester);
-                self.outboxes[node.index()].request.push_back(pkt);
+                self.push_outbox(node, pkt);
             }
             GpuOut::LlcWrite { line } => {
                 let dst = self.mem_node_of(line);
@@ -895,7 +926,7 @@ impl System {
                     self.cfg.noc.channel_bytes,
                     self.now,
                 );
-                self.outboxes[node.index()].request.push_back(pkt);
+                self.push_outbox(node, pkt);
             }
             GpuOut::CoreReply { to, line } => {
                 if self.cfg.scheme == Scheme::DelegatedReplies {
@@ -921,7 +952,7 @@ impl System {
                     self.cfg.noc.channel_bytes,
                     self.now,
                 );
-                self.outboxes[node.index()].reply.push_back(pkt);
+                self.push_outbox(node, pkt);
             }
             GpuOut::Probe { to, line } => {
                 let dst = self.layout.gpu_node(to);
@@ -937,7 +968,7 @@ impl System {
                     self.cfg.noc.channel_bytes,
                     self.now,
                 );
-                self.outboxes[node.index()].request.push_back(pkt);
+                self.push_outbox(node, pkt);
             }
             GpuOut::ProbeMiss { to, line } => {
                 let dst = self.layout.gpu_node(to);
@@ -953,7 +984,7 @@ impl System {
                     self.cfg.noc.channel_bytes,
                     self.now,
                 );
-                self.outboxes[node.index()].reply.push_back(pkt);
+                self.push_outbox(node, pkt);
             }
             GpuOut::ProbeHitAck { to, line } => {
                 let dst = self.layout.gpu_node(to);
@@ -969,7 +1000,7 @@ impl System {
                     self.cfg.noc.channel_bytes,
                     self.now,
                 );
-                self.outboxes[node.index()].reply.push_back(pkt);
+                self.push_outbox(node, pkt);
             }
             GpuOut::Fetch { to, line } => {
                 let dst = self.layout.gpu_node(to);
@@ -985,7 +1016,7 @@ impl System {
                     self.cfg.noc.channel_bytes,
                     self.now,
                 );
-                self.outboxes[node.index()].request.push_back(pkt);
+                self.push_outbox(node, pkt);
             }
             GpuOut::Flushed => {
                 // Software coherence: all pointers naming this core die.
@@ -1012,7 +1043,7 @@ impl System {
             let node = self.layout.cpu_node(CoreId(i as u16));
             let ob = &self.outboxes[node.index()];
             self.cpu_budgets
-                .push(OUTBOX_CAP.saturating_sub(ob.request.len()));
+                .push(OUTBOX_CAP.saturating_sub(ob.lanes[0].len()));
         }
         let mut out = std::mem::take(&mut self.cpu_out);
         out.clear();
@@ -1037,7 +1068,7 @@ impl System {
                 self.cfg.noc.channel_bytes,
                 self.now,
             );
-            self.outboxes[node.index()].request.push_back(pkt);
+            self.push_outbox(node, pkt);
         }
         self.cpu_out = out;
     }
@@ -1204,6 +1235,23 @@ impl System {
                 };
                 let Some(r) = r else { break };
                 let pid = self.next_pid();
+                let class = r.kind.class();
+                if !self.nets.can_inject(node, class, r.prio) {
+                    // What a refused `try_inject` does: the packet id is
+                    // spent, the reply goes back to the buffer's front,
+                    // and the NI records the stall.
+                    let n = node.index();
+                    self.nets
+                        .net_mut(class)
+                        .note_refused(class, n / 64, 1 << (n % 64));
+                    let was_cpu = r.prio == Priority::Cpu;
+                    self.mems[mi].put_back(r);
+                    if was_cpu {
+                        tried_cpu = true;
+                        continue;
+                    }
+                    break;
+                }
                 let pkt = Packet::new(
                     pid,
                     node,
@@ -1215,40 +1263,102 @@ impl System {
                     self.cfg.noc.channel_bytes,
                     now,
                 );
-                match self.nets.try_inject(pkt) {
-                    Ok(()) => {
-                        self.mems[mi].stats.injected_replies += 1;
-                    }
-                    Err(_) => {
-                        let was_cpu = r.prio == Priority::Cpu;
-                        self.mems[mi].put_back(r);
-                        if was_cpu {
-                            tried_cpu = true;
-                        } else {
-                            break;
-                        }
-                    }
+                self.nets.try_inject(pkt).expect("can_inject checked above");
+                self.mems[mi].stats.injected_replies += 1;
+            }
+        }
+    }
+
+    /// Queue `pkt` in the outbox lane of its class at `node`.
+    fn push_outbox(&mut self, node: NodeId, pkt: Packet) {
+        let (lane, n) = (pkt.class() as usize, node.index());
+        let q = &mut self.outboxes[n].lanes[lane];
+        if q.is_empty() {
+            self.outbox_heads[lane][pkt.prio as usize][n / 64] |= 1 << (n % 64);
+        }
+        q.push_back(pkt);
+    }
+
+    /// Rebuild node `n`'s bits in the outbox head bitsets from its lanes.
+    fn note_outbox_heads(&mut self, n: usize) {
+        for (lane, heads) in self.outbox_heads.iter_mut().enumerate() {
+            let prio = self.outboxes[n].lanes[lane]
+                .front()
+                .map(|p| p.prio as usize);
+            for (p, bits) in heads.iter_mut().enumerate() {
+                if prio == Some(p) {
+                    bits[n / 64] |= 1 << (n % 64);
+                } else {
+                    bits[n / 64] &= !(1 << (n % 64));
                 }
             }
         }
     }
 
+    /// Whether node `n`'s bits in the outbox head bitsets match its lanes.
+    fn outbox_heads_consistent(&self, n: usize) -> bool {
+        self.outbox_heads.iter().enumerate().all(|(lane, heads)| {
+            let prio = self.outboxes[n].lanes[lane]
+                .front()
+                .map(|p| p.prio as usize);
+            heads
+                .iter()
+                .enumerate()
+                .all(|(p, bits)| (bits[n / 64] & 1 << (n % 64) != 0) == (prio == Some(p)))
+        })
+    }
+
+    /// Hand queued outbox packets to the NIs, node by node and request
+    /// lane before reply lane, each lane until its head is refused. A
+    /// lane still holding packets afterwards had its head refused, which
+    /// the NI records as an injection stall. Only nodes whose lane head
+    /// has a free slot are visited, in node order (every node in the
+    /// reference mode); the stall of every other queued node is recorded
+    /// one bitset word at a time.
     fn drain_outboxes(&mut self) {
-        for n in 0..self.outboxes.len() {
-            while let Some(pkt) = self.outboxes[n].request.front() {
-                match self.nets.try_inject(pkt.clone()) {
-                    Ok(()) => {
-                        self.outboxes[n].request.pop_front();
+        debug_assert!(
+            (0..self.outboxes.len()).all(|n| self.outbox_heads_consistent(n)),
+            "outbox head bitsets diverged from the lanes at cycle {}",
+            self.now
+        );
+        for w in 0..self.endpoints.len() {
+            let mut todo = if self.idle_skip {
+                let mut ready = 0;
+                for class in TrafficClass::ALL {
+                    let net = self.nets.net(class);
+                    for prio in [Priority::Cpu, Priority::Gpu] {
+                        ready |= self.outbox_heads[class as usize][prio as usize][w]
+                            & net.free_slot_word(class, prio, w);
                     }
-                    Err(_) => break,
                 }
-            }
-            while let Some(pkt) = self.outboxes[n].reply.front() {
-                match self.nets.try_inject(pkt.clone()) {
-                    Ok(()) => {
-                        self.outboxes[n].reply.pop_front();
+                ready
+            } else {
+                u64::MAX
+            };
+            while todo != 0 {
+                let n = w * 64 + todo.trailing_zeros() as usize;
+                todo &= todo - 1;
+                if n >= self.outboxes.len() {
+                    break;
+                }
+                for lane in 0..2 {
+                    while let Some(pkt) = self.outboxes[n].lanes[lane].front() {
+                        if !self.nets.can_inject(pkt.src, pkt.class(), pkt.prio) {
+                            break;
+                        }
+                        let pkt = self.outboxes[n].lanes[lane]
+                            .pop_front()
+                            .expect("checked above");
+                        self.nets.try_inject(pkt).expect("can_inject checked above");
                     }
-                    Err(_) => break,
+                }
+                self.note_outbox_heads(n);
+            }
+            for class in TrafficClass::ALL {
+                let [cpu, gpu] = &self.outbox_heads[class as usize];
+                let refused = cpu[w] | gpu[w];
+                if refused != 0 {
+                    self.nets.net_mut(class).note_refused(class, w, refused);
                 }
             }
         }
@@ -1309,13 +1419,9 @@ impl System {
             w.opt_u64(*b);
         }
         w.usize(self.outboxes.len());
-        for ob in &self.outboxes {
-            w.usize(ob.request.len());
-            for p in &ob.request {
-                snap::save_packet(w, p);
-            }
-            w.usize(ob.reply.len());
-            for p in &ob.reply {
+        for lane in self.outboxes.iter().flat_map(|ob| &ob.lanes) {
+            w.usize(lane.len());
+            for p in lane {
                 snap::save_packet(w, p);
             }
         }
@@ -1405,17 +1511,15 @@ impl System {
         if r.usize()? != sys.outboxes.len() {
             return Err(SnapError::Corrupt("outbox count mismatch"));
         }
-        for ob in &mut sys.outboxes {
+        for lane in sys.outboxes.iter_mut().flat_map(|ob| &mut ob.lanes) {
             let n = r.usize()?;
-            ob.request.clear();
+            lane.clear();
             for _ in 0..n {
-                ob.request.push_back(snap::load_packet(r)?);
+                lane.push_back(snap::load_packet(r)?);
             }
-            let n = r.usize()?;
-            ob.reply.clear();
-            for _ in 0..n {
-                ob.reply.push_back(snap::load_packet(r)?);
-            }
+        }
+        for n in 0..sys.outboxes.len() {
+            sys.note_outbox_heads(n);
         }
         sys.gpu.load_state(r)?;
         sys.cpu.load_state(r)?;

@@ -86,6 +86,16 @@ impl DramStats {
     }
 }
 
+/// A queued request with its bank and row, computed once on arrival.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    req: DramRequest,
+    /// Cycle the request entered the queue.
+    at: Cycle,
+    bank: usize,
+    row: u64,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     token: u64,
@@ -98,7 +108,13 @@ pub struct DramController {
     cfg: DramConfig,
     map: AddressMap,
     banks: Vec<Bank>,
-    queue: VecDeque<(DramRequest, Cycle)>,
+    queue: VecDeque<Queued>,
+    /// No queued request can issue before this cycle, so `tick_into`
+    /// skips the scheduler until then. [`Self::enqueue`] and an issue
+    /// reset it to 0; a refresh only closes rows and raises bank timers,
+    /// so a horizon computed before one is early, never late. Derived
+    /// state: never serialized, 0 after a restore.
+    horizon: Cycle,
     bus_free: Cycle,
     last_activate: Option<Cycle>,
     next_refresh: Cycle,
@@ -121,6 +137,7 @@ impl DramController {
             map: AddressMap::new(1, map_seed),
             banks: vec![Bank::default(); banks],
             queue: VecDeque::new(),
+            horizon: 0,
             bus_free: 0,
             last_activate: None,
             next_refresh,
@@ -148,12 +165,12 @@ impl DramController {
             w.u64(b.act_ready);
         }
         w.usize(self.queue.len());
-        for (req, at) in &self.queue {
-            w.u64(req.line.0);
-            w.bool(req.is_write);
-            w.bool(req.cpu);
-            w.u64(req.token);
-            w.u64(*at);
+        for q in &self.queue {
+            w.u64(q.req.line.0);
+            w.bool(q.req.is_write);
+            w.bool(q.req.cpu);
+            w.u64(q.req.token);
+            w.u64(q.at);
         }
         w.u64(self.bus_free);
         w.opt_u64(self.last_activate);
@@ -196,8 +213,9 @@ impl DramController {
                 token: r.u64()?,
             };
             let at = r.u64()?;
-            self.queue.push_back((req, at));
+            self.queue.push_back(self.queued(req, at));
         }
+        self.horizon = 0;
         self.bus_free = r.u64()?;
         self.last_activate = r.opt_u64()?;
         self.next_refresh = r.u64()?;
@@ -260,8 +278,18 @@ impl DramController {
         if !self.can_enqueue() {
             return Err(req);
         }
-        self.queue.push_back((req, now));
+        self.queue.push_back(self.queued(req, now));
+        self.horizon = 0;
         Ok(())
+    }
+
+    fn queued(&self, req: DramRequest, at: Cycle) -> Queued {
+        Queued {
+            req,
+            at,
+            bank: self.bank_of(req.line),
+            row: self.row_of(req.line),
+        }
     }
 
     /// Earliest future cycle at which [`Self::tick_into`] can make
@@ -313,10 +341,39 @@ impl DramController {
                 b.act_ready = b.act_ready.max(end);
             }
         }
-        // One column command per cycle (shared command bus).
-        if let Some(pos) = self.pick(now) {
-            self.issue(pos, now);
+        // One column command per cycle (shared command bus). Before the
+        // horizon no queued request is row-ready or openable.
+        if now < self.horizon {
+            debug_assert_eq!(self.pick(now), None, "DRAM horizon skipped an issue");
+            return;
         }
+        match self.pick(now) {
+            Some(pos) => {
+                self.issue(pos, now);
+                self.horizon = 0;
+            }
+            None => self.horizon = self.earliest_issue(),
+        }
+    }
+
+    /// The first cycle at which `pick` could find a queued request: the
+    /// minimum over the queue of its bank's column-ready time when its row
+    /// is open, and of the time its bank can precharge and activate.
+    /// `Cycle::MAX` for an empty queue.
+    fn earliest_issue(&self) -> Cycle {
+        self.queue
+            .iter()
+            .map(|q| {
+                let b = &self.banks[q.bank];
+                let open = if b.open_row == Some(q.row) {
+                    b.cas_ready
+                } else {
+                    Cycle::MAX
+                };
+                open.min(b.pre_ready.max(b.act_ready))
+            })
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     /// FR-FCFS pick: first queued request whose bank row is open and can
@@ -325,22 +382,22 @@ impl DramController {
     fn pick(&self, now: Cycle) -> Option<usize> {
         // Four passes: row-ready CPU, row-ready any, openable CPU,
         // openable any — FR-FCFS with CPU priority inside each class.
-        let row_ready = |req: &DramRequest| {
-            let b = &self.banks[self.bank_of(req.line)];
-            b.open_row == Some(self.row_of(req.line)) && b.cas_ready <= now
+        let row_ready = |q: &Queued| {
+            let b = &self.banks[q.bank];
+            b.open_row == Some(q.row) && b.cas_ready <= now
         };
         // tRRD is enforced by *scheduling* the activate forward in
         // `issue`, not by gating the issue decision — precharges of
         // different banks overlap, as in a real controller.
-        let openable = |req: &DramRequest| {
-            let b = &self.banks[self.bank_of(req.line)];
+        let openable = |q: &Queued| {
+            let b = &self.banks[q.bank];
             b.pre_ready <= now && b.act_ready <= now
         };
         for cpu_only in [true, false] {
             if let Some(i) = self
                 .queue
                 .iter()
-                .position(|(r, _)| (!cpu_only || r.cpu) && row_ready(r))
+                .position(|q| (!cpu_only || q.req.cpu) && row_ready(q))
             {
                 return Some(i);
             }
@@ -349,7 +406,7 @@ impl DramController {
             if let Some(i) = self
                 .queue
                 .iter()
-                .position(|(r, _)| (!cpu_only || r.cpu) && openable(r))
+                .position(|q| (!cpu_only || q.req.cpu) && openable(q))
             {
                 return Some(i);
             }
@@ -358,10 +415,13 @@ impl DramController {
     }
 
     fn issue(&mut self, pos: usize, now: Cycle) {
-        let (req, enq_at) = self.queue.remove(pos).expect("picked index");
+        let Queued {
+            req,
+            at: enq_at,
+            bank: bank_ix,
+            row,
+        } = self.queue.remove(pos).expect("picked index");
         self.stats.queue_wait_cycles += now.saturating_sub(enq_at);
-        let bank_ix = self.bank_of(req.line);
-        let row = self.row_of(req.line);
         let t_cl = Cycle::from(self.cfg.t_cl);
         let t_rp = Cycle::from(self.cfg.t_rp);
         let t_rcd = Cycle::from(self.cfg.t_rcd);
@@ -856,6 +916,61 @@ mod tests {
         assert_eq!(quiet.next_event(0), None);
         tick(&mut quiet, 0);
         assert_eq!(quiet.next_event(1), None);
+    }
+
+    #[test]
+    fn horizon_skip_matches_a_scheduler_consulted_every_cycle() {
+        use clognet_rng::{Rng, SeedableRng, SmallRng};
+        // A seeded read/write stream over a small line pool (row hits and
+        // conflicts alike) across several refresh windows. The controller
+        // that skips the scheduler until its horizon must complete the
+        // same tokens in the same cycles, with the same statistics, as
+        // one whose horizon is cleared before every tick.
+        let cfg = DramConfig {
+            t_refi: 700,
+            t_rfc: 60,
+            ..DramConfig::default()
+        };
+        let mut fast = DramController::new(cfg.clone(), 11);
+        let mut reference = DramController::new(cfg, 11);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let (mut token, mut skipped) = (0u64, 0u64);
+        let (mut done_fast, mut done_ref) = (Vec::new(), Vec::new());
+        for now in 0..8_000 {
+            // Bursts separated by idle gaps, so both a full queue and a
+            // drained one occur.
+            let arrivals = if rng.gen_range(0..6u32) == 0 {
+                rng.gen_range(0..5u32)
+            } else {
+                0
+            };
+            for _ in 0..arrivals {
+                token += 1;
+                let req = DramRequest {
+                    line: LineAddr(rng.gen_range(0..400u64)),
+                    is_write: rng.gen_range(0..4u32) == 0,
+                    cpu: rng.gen_range(0..8u32) == 0,
+                    token,
+                };
+                let a = fast.enqueue(req, now).is_ok();
+                assert_eq!(a, reference.enqueue(req, now).is_ok());
+            }
+            reference.horizon = 0;
+            if now < fast.horizon {
+                skipped += 1;
+            }
+            fast.tick_into(now, &mut done_fast);
+            reference.tick_into(now, &mut done_ref);
+            assert_eq!(done_fast, done_ref, "completions diverged at cycle {now}");
+        }
+        assert_eq!(fast.stats(), reference.stats());
+        assert!(fast.stats().refreshes >= 10, "{:?}", fast.stats());
+        assert!(
+            done_fast.len() > 500,
+            "only {} completions",
+            done_fast.len()
+        );
+        assert!(skipped > 1_000, "the horizon skipped only {skipped} cycles");
     }
 
     #[test]

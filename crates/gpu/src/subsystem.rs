@@ -104,6 +104,10 @@ struct Core {
     mshr: MshrFile<Target>,
     frq: VecDeque<FrqEntry>,
     probe_wait: FxHashMap<LineAddr, ProbeWait>,
+    /// RP: lines in `probe_wait` with unsent probe targets. The deferred
+    /// probe flush walks `probe_wait` only while this is non-zero.
+    /// Derived state: never serialized, recounted on restore.
+    unsent: usize,
     predictor: Vec<u8>,
     probe_rr: usize,
     /// RP: misses seen (drives epsilon re-probing so the predictor can
@@ -132,6 +136,24 @@ struct Core {
 }
 
 impl Core {
+    /// Drop line `line`'s unsent probe targets (the data or a hit came).
+    fn cancel_probes(&mut self, line: LineAddr) {
+        if let Some(w) = self.probe_wait.get_mut(&line) {
+            if !w.to_send.is_empty() {
+                w.to_send.clear();
+                self.unsent -= 1;
+            }
+        }
+    }
+
+    /// Lines whose probe targets are not all sent, counted from the map.
+    fn count_unsent(&self) -> usize {
+        self.probe_wait
+            .values()
+            .filter(|w| !w.to_send.is_empty())
+            .count()
+    }
+
     /// Block warp `w` on an outstanding read.
     fn wait_mem(&mut self, w: usize) {
         self.warps[w].state = WarpState::WaitMem;
@@ -247,6 +269,7 @@ impl GpuSubsystem {
                     mshr: MshrFile::new(cfg.mshrs, 16),
                     frq: VecDeque::new(),
                     probe_wait: FxHashMap::default(),
+                    unsent: 0,
                     predictor: vec![2u8; PREDICTOR_ENTRIES],
                     probe_rr: i, // de-correlate probe targets across cores
                     probe_seq: i as u64,
@@ -505,6 +528,7 @@ impl GpuSubsystem {
                     },
                 );
             }
+            c.unsent = c.count_unsent();
             c.predictor = r.bytes()?;
             if c.predictor.len() != PREDICTOR_ENTRIES {
                 return Err(SnapError::Corrupt("predictor size mismatch"));
@@ -776,10 +800,11 @@ impl GpuSubsystem {
             if !core.frq.is_empty() {
                 return Some(now);
             }
-            if core
-                .probe_wait
-                .values()
-                .any(|w| !w.to_send.is_empty() && !w.satisfied)
+            if core.unsent > 0
+                && core
+                    .probe_wait
+                    .values()
+                    .any(|w| !w.to_send.is_empty() && !w.satisfied)
             {
                 return Some(now);
             }
@@ -1013,8 +1038,14 @@ impl GpuSubsystem {
                 }
             }
         }
-        // 2. Flush deferred probe targets as budget allows.
-        if matches!(self.scheme, Scheme::RealisticProbing { .. }) {
+        // 2. Flush deferred probe targets as budget allows. With no line
+        // holding unsent targets the walk would list nothing.
+        debug_assert_eq!(
+            self.cores[i].unsent,
+            self.cores[i].count_unsent(),
+            "unsent-probe count diverged"
+        );
+        if matches!(self.scheme, Scheme::RealisticProbing { .. }) && self.cores[i].unsent > 0 {
             let mut lines = std::mem::take(&mut self.flush_lines);
             lines.clear();
             lines.extend(
@@ -1033,12 +1064,16 @@ impl GpuSubsystem {
                 if *budget == 0 {
                     break;
                 }
-                let w = self.cores[i].probe_wait.get_mut(&line).expect("listed");
+                let c = &mut self.cores[i];
+                let w = c.probe_wait.get_mut(&line).expect("listed");
                 while *budget > 0 {
                     let Some(t) = w.to_send.pop() else { break };
                     w.outstanding += 1;
                     out.push((id, GpuOut::Probe { to: t, line }));
                     *budget -= 1;
+                }
+                if w.to_send.is_empty() {
+                    c.unsent -= 1;
                 }
                 self.cores[i].stats.probes_sent += 1; // approximate batch count
             }
@@ -1284,7 +1319,9 @@ impl GpuSubsystem {
                         }
                         self.cores[i].stats.probes_sent += sent as u64;
                         *budget -= sent;
-                        self.cores[i].probe_wait.insert(
+                        let c = &mut self.cores[i];
+                        c.unsent += usize::from(!deferred.is_empty());
+                        let old = c.probe_wait.insert(
                             line,
                             ProbeWait {
                                 outstanding: sent,
@@ -1293,6 +1330,9 @@ impl GpuSubsystem {
                                 to_send: deferred,
                             },
                         );
+                        if old.is_some_and(|w| !w.to_send.is_empty()) {
+                            c.unsent -= 1;
+                        }
                         probed = true;
                     }
                 }
@@ -1338,9 +1378,9 @@ impl GpuSubsystem {
                     c.suppliers.truncate(8);
                 }
                 // RP bookkeeping: data may satisfy a probe burst.
+                self.cores[i].cancel_probes(line);
                 if let Some(pw) = self.cores[i].probe_wait.get_mut(&line) {
                     pw.satisfied = true;
-                    pw.to_send.clear();
                     let ix = Self::predictor_ix(line);
                     let p = &mut self.cores[i].predictor[ix];
                     *p = (*p + 1).min(3);
@@ -1407,7 +1447,7 @@ impl GpuSubsystem {
                     // later acks. No more probes needed either.
                     w.fetch_sent = true;
                     w.outstanding += 1; // the fetch response
-                    w.to_send.clear();
+                    self.cores[i].cancel_probes(line);
                     let ix = Self::predictor_ix(line);
                     let p = &mut self.cores[i].predictor[ix];
                     *p = (*p + 1).min(3);

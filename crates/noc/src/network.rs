@@ -8,8 +8,8 @@
 use crate::flit::{Flit, Slot};
 use crate::router::{Alloc, RouterState, VaWait};
 use crate::routing;
-use crate::shards::{Phase, SaRequest, ShardError, ShardPlan, ShardPool, ShardScratch};
-use crate::stats::{class_ix, NocStats};
+use crate::shards::{SaRequest, ShardError, ShardPlan, ShardPool, ShardScratch};
+use crate::stats::{class_ix, prio_ix, NocStats};
 use crate::topology::{PortLink, TopologyGraph};
 use clognet_proto::snap::{self, SnapError, SnapReader, SnapWriter};
 use clognet_proto::{Cycle, NodeId, Packet, Priority, RoutingPolicy, Topology, TrafficClass};
@@ -97,6 +97,63 @@ impl NetParams {
     }
 }
 
+/// The VC sub-range a packet of (`class`, `prio`) may occupy, or `None`
+/// when the network does not carry `class`.
+///
+/// On the reply network the top VC of the class range is reserved for
+/// CPU packets (and CPU packets use only it): this is how "higher
+/// priority to CPU packets in the VC allocator" (Table I / Zhan+
+/// OSCAR) becomes effective despite FIFO VC buffers — a CPU reply is
+/// never stuck behind a wormholing GPU reply. The request network
+/// keeps shared VCs: 1-flit requests cause no wormhole head-of-line
+/// blocking worth a dedicated VC, and halving the GPU request VCs
+/// measurably hurts both classes. Dragonfly needs its second VC for
+/// deadlock avoidance, so no reservation there.
+fn partition(
+    params: &NetParams,
+    class: TrafficClass,
+    prio: Priority,
+) -> Option<std::ops::Range<usize>> {
+    let range = params.classes.vc_range(class)?;
+    Some(
+        if class == TrafficClass::Reply
+            && range.len() >= 2
+            && params.topology != Topology::Dragonfly
+        {
+            match prio {
+                Priority::Cpu => range.end - 1..range.end,
+                Priority::Gpu => range.start..range.end - 1,
+            }
+        } else {
+            range
+        },
+    )
+}
+
+/// `(a + m - b) % m` for `a, b < m`: how far `a` lies past `b` on a
+/// ring of `m` (an iSLIP pointer distance), without a division.
+fn ring_dist(a: usize, b: usize, m: usize) -> usize {
+    if a >= b {
+        a - b
+    } else {
+        a + m - b
+    }
+}
+
+/// `(a + 1) % m` for `a < m`, without a division.
+fn ring_next(a: usize, m: usize) -> usize {
+    if a + 1 == m {
+        0
+    } else {
+        a + 1
+    }
+}
+
+/// Word index and mask of bit `n` in a node bitset.
+fn node_bit(n: usize) -> (usize, u64) {
+    (n / 64, 1 << (n % 64))
+}
+
 /// RC + VA delay of a `class` flit entering a router: RC + VA occupy
 /// pipeline-2 of the pipeline stages; SA and ST are explicit in the tick
 /// loop. Adaptive routing pays one extra stage for the heavier route
@@ -128,13 +185,14 @@ struct Ni {
     /// One streaming slot per VC index (only indices within a carried
     /// class's range are ever used).
     inj: Vec<Option<InjSlot>>,
+    /// Bit `v` set while `inj[v]` holds a slot, so a free-slot test is
+    /// one mask operation.
+    live: u64,
     /// Round-robin pointer over injection VCs (one flit per cycle total:
     /// a node has a single physical injection channel per network,
     /// regardless of topology — the premise behind the paper's
     /// "each memory node has a single reply network link").
     inj_rr: usize,
-    /// Did `try_inject` fail for this class since the last tick?
-    want: [bool; 2],
     /// Flits currently held by the ejection buffer (including flits of
     /// packets already assembled but not yet taken by the node).
     eject_used: usize,
@@ -216,6 +274,23 @@ pub struct Network {
     /// Bit `n` set while NI `n` holds at least one live injection slot;
     /// injection visits only those NIs.
     ni_live: Vec<u64>,
+    /// Bit `n` set while every live slot of NI `n` faces a full input VC
+    /// at its router. Only a pop at that local port
+    /// ([`ShardScratch::ni_wakes`]) or a new slot can change that, so
+    /// injection skips the NI until one happens. Derived state: never
+    /// serialized, empty after a restore.
+    ni_parked: Vec<u64>,
+    /// `part_mask[class][prio]`: the VCs of [`Self::vc_partition`] as a
+    /// mask; zero for a class this network does not carry.
+    part_mask: [[u64; 2]; 2],
+    /// `free_slots[class][prio]`: bit `n` set while NI `n` has a free
+    /// slot a (`class`, `prio`) packet may take.
+    free_slots: [[Vec<u64>; 2]; 2],
+    /// `want[class]`: bit `n` set when a `class` packet was refused at
+    /// NI `n` since the last tick (the injection-stall counter's input).
+    want: [Vec<u64>; 2],
+    /// Bit `n` set while NI `n` holds reassembled packets.
+    ejected_any: Vec<u64>,
     packets: PacketSlab,
     now: Cycle,
     stats: NocStats,
@@ -224,6 +299,10 @@ pub struct Network {
     /// Link transfers (router, input VC bit, flit) applied after the merge.
     transfers: Vec<(usize, usize, Flit)>,
     total_vcs: usize,
+    /// `split[bit]`: the (input port, VC) of router-local VC bit `bit`,
+    /// i.e. `bit / V` and `bit % V`, tabulated so that switch allocation
+    /// and traversal divide nothing.
+    split: Vec<(u8, u8)>,
     /// RC + VA pipeline delay of a flit entering a router, by class.
     proc_delay: [Cycle; 2],
     stats_epoch: Cycle,
@@ -275,8 +354,8 @@ impl Network {
                     router,
                     port,
                     inj: (0..total_vcs).map(|_| None).collect(),
+                    live: 0,
                     inj_rr: 0,
-                    want: [false; 2],
                     eject_used: 0,
                     ejected: VecDeque::new(),
                 }
@@ -294,11 +373,30 @@ impl Network {
             proc_delay(&params, TrafficClass::Request),
             proc_delay(&params, TrafficClass::Reply),
         ];
-        Network {
+        let words = nis.len().div_ceil(64);
+        let part_mask = [TrafficClass::Request, TrafficClass::Reply].map(|class| {
+            [Priority::Cpu, Priority::Gpu].map(|prio| {
+                partition(&params, class, prio).map_or(0, |r| r.fold(0, |m, v| m | 1u64 << v))
+            })
+        });
+        let max_ports = (0..n_routers)
+            .map(|r| topo.port_count(r))
+            .max()
+            .unwrap_or(0);
+        let split = (0..max_ports * total_vcs)
+            .map(|bit| ((bit / total_vcs) as u8, (bit % total_vcs) as u8))
+            .collect();
+        let mut net = Network {
             params,
             routers,
+            split,
             ni_progress: vec![false; nis.len() * total_vcs],
-            ni_live: vec![0; nis.len().div_ceil(64)],
+            ni_live: vec![0; words],
+            ni_parked: vec![0; words],
+            part_mask,
+            free_slots: std::array::from_fn(|_| std::array::from_fn(|_| vec![0; words])),
+            want: [vec![0; words], vec![0; words]],
+            ejected_any: vec![0; words],
             nis,
             packets: PacketSlab::default(),
             now: 0,
@@ -315,7 +413,9 @@ impl Network {
             eject_counts: Vec::new(),
             route_tables,
             topo,
-        }
+        };
+        net.rebuild_free_slots();
+        net
     }
 
     /// Toggle the bitset fast path (on by default). Turning it off makes
@@ -326,6 +426,7 @@ impl Network {
     /// differs.
     pub fn set_idle_skip(&mut self, on: bool) {
         self.idle_skip = on;
+        self.ni_parked.fill(0);
     }
 
     /// Configure spatial sharding. `n == 1` restores the sequential
@@ -452,8 +553,9 @@ impl Network {
                 w.bool(p);
             }
             w.usize(ni.inj_rr);
-            w.bool(ni.want[0]);
-            w.bool(ni.want[1]);
+            let (word, bit) = node_bit(n);
+            w.bool(self.want[0][word] & bit != 0);
+            w.bool(self.want[1][word] & bit != 0);
             w.usize(ni.eject_used);
             w.usize(ni.ejected.len());
             for p in &ni.ejected {
@@ -494,14 +596,26 @@ impl Network {
             let p = packets.v.get(slot as usize)?.as_ref()?;
             Some((p.prio, p.class()))
         })?;
-        self.ni_live.fill(0);
+        for bits in [
+            &mut self.ni_live,
+            &mut self.ni_parked,
+            &mut self.ejected_any,
+        ]
+        .into_iter()
+        .chain(&mut self.want)
+        {
+            bits.fill(0);
+        }
         for (n, ni) in self.nis.iter_mut().enumerate() {
-            for s in &mut ni.inj {
+            let (word, bit) = node_bit(n);
+            ni.live = 0;
+            for (v, s) in ni.inj.iter_mut().enumerate() {
                 *s = if r.bool()? {
                     let (slot, next_idx, total) = (r.u32()?, r.u8()?, r.u8()?);
                     let p = self.packets.v.get(slot as usize).and_then(Option::as_ref);
                     let p = p.ok_or(SnapError::Corrupt("injection slot of a dead packet"))?;
-                    self.ni_live[n / 64] |= 1 << (n % 64);
+                    self.ni_live[word] |= bit;
+                    ni.live |= 1 << v;
                     Some(InjSlot {
                         slot,
                         next_idx,
@@ -517,13 +631,21 @@ impl Network {
                 *p = r.bool()?;
             }
             ni.inj_rr = r.usize()?;
-            ni.want = [r.bool()?, r.bool()?];
+            for want in &mut self.want {
+                if r.bool()? {
+                    want[word] |= bit;
+                }
+            }
             ni.eject_used = r.usize()?;
             ni.ejected.clear();
             for _ in 0..r.usize()? {
                 ni.ejected.push_back(snap::load_packet(r)?);
             }
+            if !ni.ejected.is_empty() {
+                self.ejected_any[word] |= bit;
+            }
         }
+        self.rebuild_free_slots();
         self.eject_counts = r.bytes()?;
         self.stats_epoch = r.u64()?;
         self.stats.load_state(r)?;
@@ -536,6 +658,11 @@ impl Network {
     /// not yet taken).
     pub fn in_flight(&self) -> usize {
         self.packets.live + self.nis.iter().map(|ni| ni.ejected.len()).sum::<usize>()
+    }
+
+    /// Whether [`Self::in_flight`] is non-zero, without counting.
+    pub fn has_in_flight(&self) -> bool {
+        self.packets.live > 0 || self.ejected_any.iter().any(|&w| w != 0)
     }
 
     /// Flits buffered inside router input VCs (congestion diagnostic).
@@ -552,12 +679,25 @@ impl Network {
     /// Whether a new packet of (`class`, `prio`) could start streaming at
     /// `node` right now (a free injection VC in its partition exists).
     pub fn can_inject(&self, node: NodeId, class: TrafficClass, prio: Priority) -> bool {
-        if self.params.classes.vc_range(class).is_none() {
-            return false;
-        }
-        let mut slots = self.vc_partition(class, prio);
-        let ni = &self.nis[node.index()];
-        slots.any(|v| ni.inj[v].is_none())
+        !self.nis[node.index()].live & self.part_mask[class_ix(class)][prio_ix(prio)] != 0
+    }
+
+    /// Word `w` of the nodes whose NI has a free (`class`, `prio`) slot:
+    /// bit `n % 64` of word `n / 64` is [`Self::can_inject`] at node `n`.
+    pub fn free_slot_word(&self, class: TrafficClass, prio: Priority, w: usize) -> u64 {
+        self.free_slots[class_ix(class)][prio_ix(prio)][w]
+    }
+
+    /// Word `w` of the nodes whose NI holds reassembled packets.
+    pub fn ejected_word(&self, w: usize) -> u64 {
+        self.ejected_any[w]
+    }
+
+    /// Record that `class` packets were refused at the nodes of `mask` in
+    /// word `w` this cycle, as a refused [`Self::try_inject`] does: each
+    /// such NI counts one injection-stall cycle at the next tick.
+    pub fn note_refused(&mut self, class: TrafficClass, w: usize, mask: u64) {
+        self.want[class_ix(class)][w] |= mask;
     }
 
     /// True when `node` could not inject (`class`, `prio`) traffic: every
@@ -566,13 +706,12 @@ impl Network {
     /// speculative delegation ("only ... when memory nodes cannot inject
     /// reply traffic into the NoC").
     pub fn inject_blocked(&self, node: NodeId, class: TrafficClass, prio: Priority) -> bool {
-        if self.params.classes.vc_range(class).is_none() {
-            return true;
+        let mask = self.part_mask[class_ix(class)][prio_ix(prio)];
+        if !self.nis[node.index()].live & mask != 0 {
+            return false;
         }
-        let mut slots = self.vc_partition(class, prio);
-        let ni = &self.nis[node.index()];
         let progress = &self.ni_progress[node.index() * self.total_vcs..];
-        slots.all(|v| ni.inj[v].is_some() && !progress[v])
+        (0..self.total_vcs).all(|v| mask & 1 << v == 0 || !progress[v])
     }
 
     /// Hand a packet to the node's network interface.
@@ -593,17 +732,20 @@ impl Network {
         if self.params.classes.vc_range(class).is_none() {
             panic!("network does not carry {class}");
         }
-        let mut slots = self.vc_partition(class, pkt.prio);
-        let n = pkt.src.index();
-        let ni = &mut self.nis[n];
-        let Some(vc) = slots.find(|&v| ni.inj[v].is_none()) else {
-            ni.want[class_ix(class)] = true;
+        let (ci, n) = (class_ix(class), pkt.src.index());
+        let (word, bit) = node_bit(n);
+        let free = !self.nis[n].live & self.part_mask[ci][prio_ix(pkt.prio)];
+        if free == 0 {
+            self.want[ci][word] |= bit;
             return Err(pkt);
-        };
-        self.stats.injected_pkts[class_ix(class)] += 1;
-        self.stats.injected_flits[class_ix(class)] += pkt.flits as u64;
+        }
+        // The lowest free VC of the partition.
+        let vc = free.trailing_zeros() as usize;
+        self.stats.injected_pkts[ci] += 1;
+        self.stats.injected_flits[ci] += pkt.flits as u64;
         let (total, prio) = (pkt.flits, pkt.prio);
         let slot = self.packets.insert(pkt);
+        let ni = &mut self.nis[n];
         ni.inj[vc] = Some(InjSlot {
             slot,
             next_idx: 0,
@@ -611,8 +753,43 @@ impl Network {
             prio,
             class,
         });
-        self.ni_live[n / 64] |= 1 << (n % 64);
+        ni.live |= 1 << vc;
+        self.ni_live[word] |= bit;
+        // A new slot may face a VC with room: wake the NI.
+        self.ni_parked[word] &= !bit;
+        self.update_free_slots(n);
         Ok(())
+    }
+
+    /// Recompute every node's bits in the free-slot bitsets.
+    fn rebuild_free_slots(&mut self) {
+        for n in 0..self.nis.len() {
+            self.update_free_slots(n);
+        }
+    }
+
+    /// Refresh node `n`'s bits in the free-slot bitsets from its NI's
+    /// live-slot mask.
+    fn update_free_slots(&mut self, n: usize) {
+        let (word, bit) = node_bit(n);
+        let live = self.nis[n].live;
+        for (masks, bits) in self.part_mask.iter().zip(&mut self.free_slots) {
+            for (&m, bits) in masks.iter().zip(bits) {
+                if !live & m != 0 {
+                    bits[word] |= bit;
+                } else {
+                    bits[word] &= !bit;
+                }
+            }
+        }
+    }
+
+    /// Clear node `n`'s reassembled-packet bit once its queue is empty.
+    fn note_ejected_taken(&mut self, n: usize) {
+        if self.nis[n].ejected.is_empty() {
+            let (word, bit) = node_bit(n);
+            self.ejected_any[word] &= !bit;
+        }
     }
 
     /// Take the oldest fully-reassembled packet destined to `node`, if
@@ -624,6 +801,7 @@ impl Network {
         let ni = &mut self.nis[node.index()];
         let p = ni.ejected.pop_front()?;
         ni.eject_used -= p.flits as usize;
+        self.note_ejected_taken(node.index());
         Some(p)
     }
 
@@ -641,6 +819,7 @@ impl Network {
             ni.eject_used -= p.flits as usize;
             out.push(p);
         }
+        self.note_ejected_taken(node.index());
         n
     }
 
@@ -679,6 +858,7 @@ impl Network {
             out.push(p);
             n += 1;
         }
+        self.note_ejected_taken(node.index());
         n
     }
 
@@ -700,30 +880,10 @@ impl Network {
         self.nis[node.index()].ejected.len()
     }
 
-    /// The VC sub-range a packet of (`class`, `prio`) may occupy.
-    ///
-    /// On the reply network the top VC of the class range is reserved for
-    /// CPU packets (and CPU packets use only it): this is how "higher
-    /// priority to CPU packets in the VC allocator" (Table I / Zhan+
-    /// OSCAR) becomes effective despite FIFO VC buffers — a CPU reply is
-    /// never stuck behind a wormholing GPU reply. The request network
-    /// keeps shared VCs: 1-flit requests cause no wormhole head-of-line
-    /// blocking worth a dedicated VC, and halving the GPU request VCs
-    /// measurably hurts both classes. Dragonfly needs its second VC for
-    /// deadlock avoidance, so no reservation there.
+    /// The VC sub-range a packet of (`class`, `prio`) may occupy (see
+    /// [`partition`]).
     fn vc_partition(&self, class: TrafficClass, prio: Priority) -> std::ops::Range<usize> {
-        let range = self.params.classes.vc_range(class).expect("carried class");
-        if class == TrafficClass::Reply
-            && range.len() >= 2
-            && self.params.topology != Topology::Dragonfly
-        {
-            match prio {
-                Priority::Cpu => range.end - 1..range.end,
-                Priority::Gpu => range.start..range.end - 1,
-            }
-        } else {
-            range
-        }
+        partition(&self.params, class, prio).expect("carried class")
     }
 
     /// The earliest future cycle at which [`Self::tick`] could change
@@ -763,13 +923,15 @@ impl Network {
     /// Steady-state ticks perform zero heap allocations: all per-cycle
     /// working sets (SA requests/grants/matches, link transfers, credit
     /// returns) live in per-shard scratch buffers that are drained in
-    /// place. The phases follow the per-router bitsets, so a tick pays
-    /// only for VCs that hold flits and could move: VA visits occupied,
-    /// unallocated VCs not asleep on a `VaWait`, SA occupied, allocated
-    /// ones not parked on a credit, and a router with nothing to visit
-    /// costs one word test.
+    /// place. The phases follow the per-router and per-NI bitsets, so a
+    /// tick pays only for what holds flits and could move: VA visits
+    /// occupied, unallocated VCs not asleep on a `VaWait`, SA occupied,
+    /// allocated ones not parked on a credit, a router with nothing to
+    /// visit costs one word test, and injection visits NIs with a live
+    /// slot that are not parked on a full input VC.
     ///
-    /// The VA and SA/ST phases run over the shard plan — inline for the
+    /// Each router runs VA and then SA/ST in one pass (see
+    /// [`Self::router_shard`]), over the shard plan — inline for the
     /// sequential engine, fanned out over the worker pool when sharded
     /// — and the per-shard results merge in shard (= router) order, so
     /// both engines execute the identical state transition.
@@ -783,14 +945,8 @@ impl Network {
             self.eject_counts.resize(self.packets.v.len(), 0);
         }
         match self.pool.clone() {
-            Some(pool) => {
-                pool.run(self, Phase::Va);
-                pool.run(self, Phase::SaSt);
-            }
-            None => {
-                self.va_shard(0);
-                self.sa_st_shard(0);
-            }
+            Some(pool) => pool.run(self),
+            None => self.router_shard(0),
         }
         self.merge_shards();
         // Apply link transfers (arrivals become visible next tick).
@@ -805,12 +961,16 @@ impl Network {
         for (r, p, vc) in self.credit_returns.drain(..) {
             self.routers.return_credit(r, p, vc);
         }
-        // Injection-stall accounting.
-        for (n, ni) in self.nis.iter_mut().enumerate() {
-            if ni.want.iter().any(|&w| w) {
+        // Injection-stall accounting: one count per NI refused a packet
+        // of either class since the last tick.
+        let [want_req, want_rep] = &mut self.want;
+        for (w, (a, b)) in want_req.iter_mut().zip(want_rep.iter_mut()).enumerate() {
+            let mut stalled = std::mem::take(a) | std::mem::take(b);
+            while stalled != 0 {
+                let n = w * 64 + stalled.trailing_zeros() as usize;
+                stalled &= stalled - 1;
                 self.stats.node_inj_stall_cycles[n] += 1;
             }
-            ni.want = [false; 2];
         }
         self.now += 1;
         self.stats.cycles = self.now - self.stats_epoch;
@@ -821,48 +981,104 @@ impl Network {
         );
     }
 
-    /// Whether every router's bitsets and free-VC masks, and the live-NI
-    /// bitset, equal the state they summarize.
+    /// Whether every router's bitsets and free-VC masks, and the NI
+    /// bitsets and masks, equal the state they summarize, and every
+    /// parked NI really cannot inject: each of its live slots faces a
+    /// full input VC.
     fn bitsets_consistent(&self) -> bool {
         let routers = (0..self.topo.routers()).all(|r| self.routers.bitsets_consistent(r));
         let nis = self.nis.iter().enumerate().all(|(n, ni)| {
-            let live = self.ni_live[n / 64] & (1 << (n % 64)) != 0;
-            live == ni.inj.iter().any(Option::is_some)
+            let (word, bit) = node_bit(n);
+            let has = |bits: &[u64]| bits[word] & bit != 0;
+            let live_mask = (0..self.total_vcs)
+                .filter(|&v| ni.inj[v].is_some())
+                .fold(0u64, |m, v| m | 1 << v);
+            let free_ok = self
+                .part_mask
+                .iter()
+                .zip(&self.free_slots)
+                .all(|(masks, bits)| {
+                    masks
+                        .iter()
+                        .zip(bits)
+                        .all(|(&m, bits)| has(bits) == (!live_mask & m != 0))
+                });
+            let parked_ok = !has(&self.ni_parked)
+                || live_mask != 0
+                    && (0..self.total_vcs).all(|v| {
+                        live_mask & 1 << v == 0
+                            || self
+                                .routers
+                                .len(self.routers.vc_ix(ni.router, ni.port * self.total_vcs + v))
+                                >= self.params.vc_buf_flits as usize
+                    });
+            ni.live == live_mask
+                && has(&self.ni_live) == (live_mask != 0)
+                && has(&self.ejected_any) != ni.ejected.is_empty()
+                && free_ok
+                && parked_ok
         });
         routers && nis
     }
 
-    /// VC allocation over shard `s`'s router range. Mutates only those
-    /// routers' state, so shards run this concurrently.
-    pub(crate) fn va_shard(&mut self, s: usize) {
-        for r in self.plan.router_range(s) {
-            self.for_each_vc(r, false, |net, bit| net.va_vc(r, bit));
-        }
-    }
-
-    /// Switch allocation + traversal over shard `s`'s router range.
-    /// In-place mutations stay within the shard (its routers and their
-    /// locally attached NIs); everything crossing a boundary is deferred
-    /// into the shard's scratch for the in-order merge.
-    pub(crate) fn sa_st_shard(&mut self, s: usize) {
+    /// One pass over shard `s`'s router range: each router runs VC
+    /// allocation and then switch allocation + traversal before the next
+    /// router starts. That equals running VA over every router and then
+    /// SA/ST over every router: VA at a router reads and writes only
+    /// that router's state, and SA/ST mutates in place only its router
+    /// and the router's locally attached NIs, deferring everything that
+    /// crosses to another router into the shard's scratch for the
+    /// in-order merge. The same property lets shards run concurrently.
+    ///
+    /// A router with nothing to visit (no flit, or every occupied VC
+    /// parked) costs one test of its bitset word.
+    pub(crate) fn router_shard(&mut self, s: usize) {
         let mut sc = std::mem::take(&mut self.scratch[s]);
-        for r in self.plan.router_range(s) {
-            sc.sa_requests.clear();
-            self.for_each_vc(r, true, |net, bit| net.sa_request(r, bit, &mut sc));
-            if !sc.sa_requests.is_empty() {
-                self.sa_st_router(r, &mut sc);
+        let range = self.plan.router_range(s);
+        if self.idle_skip {
+            // A router's pass changes no other router's bitsets, so the
+            // set of routers with work can be taken up front.
+            self.routers
+                .routers_with_work(range.clone(), &mut sc.routers);
+            for w in 0..sc.routers.len() {
+                let mut todo = sc.routers[w];
+                while todo != 0 {
+                    let r = range.start + w * 64 + todo.trailing_zeros() as usize;
+                    todo &= todo - 1;
+                    self.router_pass(r, &mut sc);
+                }
+            }
+        } else {
+            for r in range {
+                self.router_pass(r, &mut sc);
             }
         }
         self.scratch[s] = sc;
     }
 
+    /// VA and then SA/ST at router `r`.
+    fn router_pass(&mut self, r: usize, sc: &mut ShardScratch) {
+        let words = self.routers.words(r);
+        self.for_each_vc(r, words.clone(), false, |net, bit| net.va_vc(r, bit));
+        sc.sa_requests.clear();
+        self.for_each_vc(r, words, true, |net, bit| net.sa_request(r, bit, sc));
+        if !sc.sa_requests.is_empty() {
+            self.sa_st_router(r, sc);
+        }
+    }
+
     /// Visit router `r`'s occupied input VCs that hold an allocation
     /// (`allocated`) or still need one, in ascending bit order: the set
-    /// bits of its bitsets minus the parked ones, or in the reference
-    /// mode every VC, tested one by one.
-    fn for_each_vc(&mut self, r: usize, allocated: bool, mut visit: impl FnMut(&mut Self, usize)) {
+    /// bits of its bitset `words` minus the parked ones, or in the
+    /// reference mode every VC, tested one by one.
+    fn for_each_vc(
+        &mut self,
+        r: usize,
+        words: std::ops::Range<usize>,
+        allocated: bool,
+        mut visit: impl FnMut(&mut Self, usize),
+    ) {
         if self.idle_skip {
-            let words = self.routers.words(r);
             for w in words.clone() {
                 let base = (w - words.start) * 64;
                 let mut bits = if allocated {
@@ -900,8 +1116,14 @@ impl Network {
                 self.stats
                     .record_ejection(pkt.class(), pkt.prio, latency, node, pkt.flits);
                 self.nis[node].ejected.push_back(pkt);
+                let (word, bit) = node_bit(node);
+                self.ejected_any[word] |= bit;
             }
             sc.ejections.clear();
+            for n in sc.ni_wakes.drain(..) {
+                let (word, bit) = node_bit(n);
+                self.ni_parked[word] &= !bit;
+            }
             // The global apply buffers are empty here (drained last
             // tick); swapping donates the scratch's capacity instead of
             // copying, keeping the single-shard path free of extra work.
@@ -992,11 +1214,17 @@ impl Network {
         self.choose_output(r, f.class, f.prio, dst, policy, &cand)
     }
 
+    /// The (input port, VC) of router-local VC bit `bit`.
+    fn split(&self, bit: usize) -> (usize, usize) {
+        let (port, vc) = self.split[bit];
+        (port as usize, vc as usize)
+    }
+
     /// Hand router `r`'s input VC `bit` its allocation, claiming the
     /// output VC unless it ejects.
     fn allocate(&mut self, r: usize, bit: usize, alloc: Alloc) {
         if !alloc.eject {
-            let (i, v) = (bit / self.total_vcs, bit % self.total_vcs);
+            let (i, v) = self.split(bit);
             self.routers
                 .claim_out(r, alloc.port as usize, alloc.vc as usize, i, v);
         }
@@ -1170,9 +1398,9 @@ impl Network {
             // A lone request wins its output's grant and its input's
             // accept outright.
             let q = sc.sa_requests[0];
-            let (i, v) = (q.bit / v_count, q.bit % v_count);
-            self.routers.grant_ptr[pb + q.out] = (q.bit + 1) % id_space;
-            self.routers.accept_ptr[pb + i] = (v + 1) % v_count;
+            let (i, v) = self.split(q.bit);
+            self.routers.grant_ptr[pb + q.out] = ring_next(q.bit, id_space);
+            self.routers.accept_ptr[pb + i] = ring_next(v, v_count);
             sc.sa_accepted.push((q.bit, q.out));
         } else {
             if sc.sa_out_taken.len() < n_ports {
@@ -1188,11 +1416,11 @@ impl Network {
                 // then rotating from the output's grant pointer).
                 sc.sa_out_best[..n_ports].fill(None);
                 for (k, q) in sc.sa_requests.iter().enumerate() {
-                    if sc.sa_out_taken[q.out] || sc.sa_in_taken[q.bit / v_count] {
+                    if sc.sa_out_taken[q.out] || sc.sa_in_taken[self.split(q.bit).0] {
                         continue;
                     }
                     let ptr = self.routers.grant_ptr[pb + q.out];
-                    let key = (q.prio, (q.bit + id_space - ptr) % id_space);
+                    let key = (q.prio, ring_dist(q.bit, ptr, id_space));
                     let best = &mut sc.sa_out_best[q.out];
                     if best.is_none_or(|(_, b)| key < b) {
                         *best = Some((k, key));
@@ -1206,9 +1434,9 @@ impl Network {
                         continue;
                     };
                     let q = sc.sa_requests[k];
-                    let (i, v) = (q.bit / v_count, q.bit % v_count);
+                    let (i, v) = self.split(q.bit);
                     let ptr = self.routers.accept_ptr[pb + i];
-                    let key = (q.prio, (v + v_count - ptr) % v_count);
+                    let key = (q.prio, ring_dist(v, ptr, v_count));
                     let best = &mut sc.sa_in_best[i];
                     if best.is_none_or(|(_, b)| key < b) {
                         *best = Some((k, key));
@@ -1227,8 +1455,8 @@ impl Network {
                     // iSLIP pointer updates only on first-iteration
                     // accepts (the classic desynchronization rule).
                     if round == 0 {
-                        self.routers.grant_ptr[pb + q.out] = (q.bit + 1) % id_space;
-                        self.routers.accept_ptr[pb + i] = (q.bit % v_count + 1) % v_count;
+                        self.routers.grant_ptr[pb + q.out] = ring_next(q.bit, id_space);
+                        self.routers.accept_ptr[pb + i] = ring_next(self.split(q.bit).1, v_count);
                     }
                 }
                 if !progress {
@@ -1247,7 +1475,7 @@ impl Network {
     /// output port `op`. Cross-shard effects (credit returns, link
     /// transfers, ejection finalization) are deferred into `sc`.
     fn traverse(&mut self, r: usize, bit: usize, op: usize, sc: &mut ShardScratch) {
-        let (i, v) = (bit / self.total_vcs, bit % self.total_vcs);
+        let (i, v) = self.split(bit);
         let alloc = self
             .routers
             .alloc(self.routers.vc_ix(r, bit))
@@ -1255,10 +1483,20 @@ impl Network {
         debug_assert_eq!(alloc.port as usize, op);
         let f = self.routers.pop(r, bit);
         self.stats.link_flits[r][op] += 1;
-        // Credit return towards whoever feeds this input VC (possibly a
-        // router in another shard — deferred).
-        if let PortLink::Router { router: s, port: q } = self.routers.link(r, i) {
-            sc.credit_returns.push((s, q, v));
+        match self.routers.link(r, i) {
+            // Credit return towards whoever feeds this input VC (possibly
+            // a router in another shard — deferred).
+            PortLink::Router { router: s, port: q } => sc.credit_returns.push((s, q, v)),
+            // The pop made room for an NI parked on this VC. The parked
+            // bitset spans shards, so the wake is deferred too.
+            PortLink::Node(n) => {
+                let n = n.index();
+                let (word, b) = node_bit(n);
+                if self.ni_parked[word] & b != 0 && self.nis[n].live & 1 << v != 0 {
+                    sc.ni_wakes.push(n);
+                }
+            }
+            PortLink::Unused => {}
         }
         let tail = f.is_tail();
         match self.routers.link(r, op) {
@@ -1305,15 +1543,18 @@ impl Network {
     /// Stream flits from NI injection slots into the local input VCs:
     /// at most ONE flit per node per cycle — the node's single physical
     /// injection channel, whatever the topology. Only NIs holding a live
-    /// slot are visited (every NI in the reference mode).
+    /// slot and not parked are visited (every NI in the reference mode);
+    /// a visited NI that cannot move a flit parks.
     fn ni_injection(&mut self) {
         if self.idle_skip {
             for w in 0..self.ni_live.len() {
-                let mut live = self.ni_live[w];
-                while live != 0 {
-                    let n = w * 64 + live.trailing_zeros() as usize;
-                    live &= live - 1;
-                    self.ni_inject(n);
+                let mut todo = self.ni_live[w] & !self.ni_parked[w];
+                while todo != 0 {
+                    let low = todo.trailing_zeros() as usize;
+                    todo &= todo - 1;
+                    if !self.ni_inject(w * 64 + low) {
+                        self.ni_parked[w] |= 1 << low;
+                    }
                 }
             }
         } else {
@@ -1324,42 +1565,57 @@ impl Network {
     }
 
     /// Stream at most one flit from NI `n`, round-robin over its VCs.
-    fn ni_inject(&mut self, n: usize) {
+    /// Returns false when no flit moved.
+    fn ni_inject(&mut self, n: usize) -> bool {
         let v_count = self.total_vcs;
-        let (router, port) = (self.nis[n].router, self.nis[n].port);
-        let start = self.nis[n].inj_rr;
-        for k in 0..v_count {
-            let vc = (start + k) % v_count;
-            let Some(slot) = self.nis[n].inj[vc].as_mut() else {
-                continue;
-            };
-            let bit = port * v_count + vc;
-            if self.routers.len(self.routers.vc_ix(router, bit))
-                >= self.params.vc_buf_flits as usize
-            {
-                continue;
-            }
-            let f = Flit {
-                slot: slot.slot,
-                idx: slot.next_idx,
-                total: slot.total,
-                prio: slot.prio,
-                class: slot.class,
-                eligible: self.now + 1 + self.proc_delay[class_ix(slot.class)],
-            };
-            slot.next_idx += 1;
-            if slot.next_idx == slot.total {
-                self.nis[n].inj[vc] = None;
-                if self.nis[n].inj.iter().all(Option::is_none) {
-                    self.ni_live[n / 64] &= !(1 << (n % 64));
+        let Ni {
+            router,
+            port,
+            live,
+            inj_rr: start,
+            ..
+        } = self.nis[n];
+        // Live VCs from the round-robin pointer upwards, then the ones
+        // below it: the order of a scan over `start..V` then `0..start`.
+        let above = live & (u64::MAX << start);
+        for mut vcs in [above, live & !above] {
+            while vcs != 0 {
+                let vc = vcs.trailing_zeros() as usize;
+                vcs &= vcs - 1;
+                let bit = port * v_count + vc;
+                if self.routers.len(self.routers.vc_ix(router, bit))
+                    >= self.params.vc_buf_flits as usize
+                {
+                    continue;
                 }
+                let ni = &mut self.nis[n];
+                let slot = ni.inj[vc].as_mut().expect("live slot");
+                let f = Flit {
+                    slot: slot.slot,
+                    idx: slot.next_idx,
+                    total: slot.total,
+                    prio: slot.prio,
+                    class: slot.class,
+                    eligible: self.now + 1 + self.proc_delay[class_ix(slot.class)],
+                };
+                slot.next_idx += 1;
+                ni.inj_rr = ring_next(vc, v_count);
+                if slot.next_idx == slot.total {
+                    ni.inj[vc] = None;
+                    ni.live &= !(1 << vc);
+                    if ni.live == 0 {
+                        let (word, mask) = node_bit(n);
+                        self.ni_live[word] &= !mask;
+                    }
+                    self.update_free_slots(n);
+                }
+                self.routers.push(router, bit, f);
+                self.stats.node_tx_flits[n] += 1;
+                self.ni_progress[n * v_count + vc] = true;
+                return true;
             }
-            self.routers.push(router, bit, f);
-            self.stats.node_tx_flits[n] += 1;
-            self.ni_progress[n * v_count + vc] = true;
-            self.nis[n].inj_rr = (vc + 1) % v_count;
-            break;
         }
+        false
     }
 }
 
@@ -1785,6 +2041,95 @@ mod tests {
             classes: ClassAssignment::Single(TrafficClass::Reply, 2),
             ..params(Topology::Mesh)
         })
+    }
+
+    fn parked(net: &Network, n: usize) -> bool {
+        let (word, bit) = node_bit(n);
+        net.ni_parked[word] & bit != 0
+    }
+
+    /// A reply network in which node 0 streams 9-flit GPU replies to
+    /// node 1, which never takes its one-packet ejection buffer. The
+    /// stream backs up until the only slot NI 0 may use (VC 0; VC 1 is
+    /// the CPU's) faces a full input VC, and the NI parks.
+    fn parked_stream() -> Network {
+        let mut net = Network::new(NetParams {
+            classes: ClassAssignment::Single(TrafficClass::Reply, 2),
+            eject_buf_flits: 9,
+            ..params(Topology::Mesh)
+        });
+        for id in 1..300 {
+            let _ = net.try_inject(mk_pkt(id, 0, 1, MsgKind::ReadReply, net.now()));
+            net.tick();
+            if parked(&net, 0) {
+                return net;
+            }
+        }
+        panic!("NI 0 never parked");
+    }
+
+    #[test]
+    fn parked_ni_wakes_only_on_a_pop_at_its_port() {
+        let mut net = parked_stream();
+        let east = crate::topology::mesh_port::EAST;
+        let tx = net.stats().node_tx_flits[0];
+        // Refused injections at the NI and traffic elsewhere leave it
+        // parked, and it moves no flit.
+        for id in 1000..1100 {
+            assert!(net
+                .try_inject(mk_pkt(id, 0, 1, MsgKind::ReadReply, net.now()))
+                .is_err());
+            let _ = net.try_inject(mk_pkt(id, 9, 18, MsgKind::ReadReply, net.now()));
+            net.tick();
+            net.take_ejected(NodeId(18), usize::MAX);
+            assert!(
+                parked(&net, 0),
+                "woke without an event at cycle {}",
+                net.now()
+            );
+        }
+        assert_eq!(net.stats().node_tx_flits[0], tx);
+        // Node 1 takes its packet: the stream moves again. Router 0 sends
+        // east only flits from NI 0's input VC, so a flit leaving east is
+        // a pop at the NI's port, and exactly those cycles wake it.
+        net.take_ejected(NodeId(1), usize::MAX);
+        let mut wakes = 0;
+        for _ in 0..200 {
+            let was_parked = parked(&net, 0);
+            let (sent, tx) = (
+                net.stats().link_flits[0][east],
+                net.stats().node_tx_flits[0],
+            );
+            net.tick();
+            let popped = net.stats().link_flits[0][east] > sent;
+            if was_parked {
+                assert_eq!(parked(&net, 0), !popped, "cycle {}", net.now());
+                if popped {
+                    wakes += 1;
+                    assert_eq!(net.stats().node_tx_flits[0], tx + 1, "a woken NI injects");
+                }
+            }
+            net.take_ejected(NodeId(1), usize::MAX);
+        }
+        assert!(wakes > 0, "the NI was never woken by a pop");
+    }
+
+    #[test]
+    fn parked_ni_wakes_on_a_new_slot() {
+        let mut net = parked_stream();
+        // A CPU reply takes the free CPU slot (VC 1), whose input VC has
+        // room: the NI wakes at once and streams it south to node 8.
+        let mut cpu = mk_pkt(999, 0, 8, MsgKind::ReadReply, net.now());
+        cpu.prio = Priority::Cpu;
+        net.try_inject(cpu).unwrap();
+        assert!(!parked(&net, 0), "a new slot must wake the NI");
+        let tx = net.stats().node_tx_flits[0];
+        net.tick();
+        assert_eq!(net.stats().node_tx_flits[0], tx + 1);
+        for _ in 0..200 {
+            net.tick();
+        }
+        assert_eq!(net.take_ejected(NodeId(8), usize::MAX).len(), 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use crate::flit::{Flit, Slot};
 use crate::topology::{PortLink, TopologyGraph};
 use clognet_proto::snap::{SnapError, SnapReader, SnapWriter};
-use clognet_proto::{Cycle, Priority, TrafficClass};
+use clognet_proto::{Cycle, NodeId, Priority, TrafficClass};
 use std::ops::Range;
 
 /// An output allocation held by an input VC.
@@ -55,6 +55,42 @@ pub(crate) struct VaWait {
     pub lo: u8,
     /// One past the last output VC the head may take.
     pub hi: u8,
+}
+
+/// A [`PortLink`] packed into 32 bits: all ones for an unwired port,
+/// bit 31 plus the node id for a node, else `router << 8 | port`. The
+/// tick reads a link per traversal, and the packed form puts 16 ports
+/// in a cache line where the 24-byte enum put fewer than 3.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link(u32);
+
+impl Link {
+    const UNUSED: u32 = u32::MAX;
+    const NODE: u32 = 1 << 31;
+
+    fn pack(l: PortLink) -> Link {
+        match l {
+            PortLink::Node(n) => Link(Self::NODE | u32::from(n.0)),
+            PortLink::Router { router, port } => {
+                assert!(router < 1 << 23 && port < 1 << 8, "link does not pack");
+                Link((router as u32) << 8 | port as u32)
+            }
+            PortLink::Unused => Link(Self::UNUSED),
+        }
+    }
+
+    fn unpack(self) -> PortLink {
+        if self.0 == Self::UNUSED {
+            PortLink::Unused
+        } else if self.0 & Self::NODE != 0 {
+            PortLink::Node(NodeId(self.0 as u16))
+        } else {
+            PortLink::Router {
+                router: (self.0 >> 8) as usize,
+                port: (self.0 & 0xff) as usize,
+            }
+        }
+    }
 }
 
 /// Mask of bits `lo..hi` of a `u64` (`hi <= 64`).
@@ -98,7 +134,7 @@ pub(crate) struct RouterState {
     /// Per output VC: free buffer slots in the downstream input VC.
     credits: Vec<u8>,
     /// Per port: what the port connects to.
-    links: Vec<PortLink>,
+    links: Vec<Link>,
     /// Per port: bit `v` set while output VC `v` has no owner.
     out_free: Vec<u64>,
     /// Per port: iSLIP grant pointer (rotates over input-VC ids).
@@ -109,19 +145,30 @@ pub(crate) struct RouterState {
     pub hare_score: Vec<f64>,
     /// Per port: Footprint's cycle of the last profitable adaptive use.
     pub footprint: Vec<Cycle>,
-    /// Per router words: input VC buffers at least one flit.
-    occ: Vec<u64>,
-    /// Per router words: input VC holds an allocation.
-    allocated: Vec<u64>,
-    /// Per router words: allocated, non-ejecting input VC whose output VC
-    /// has no credit. Its head cannot traverse, so it keeps its output VC
-    /// until a credit returns there. Derived state: never serialized,
-    /// cleared on restore.
-    credit_wait: Vec<u64>,
-    /// Per router words: unallocated input VC whose [`VaWait`] range has
-    /// no free output VC. Only a release in that range can change the
-    /// answer. Derived state, like `credit_wait`.
-    va_sleep: Vec<u64>,
+    /// Per router words: the four bitsets of 64 input VCs, side by side
+    /// so the tick's scan of a router reads one 32-byte record.
+    bits: Vec<Word>,
+    /// Every router fits its input VCs in one word, so router `r`'s only
+    /// word is word `r` (all topologies but the wide crossbar).
+    one_word: bool,
+}
+
+/// Four bitsets over 64 input VCs of one router.
+#[derive(Debug, Clone, Copy, Default)]
+struct Word {
+    /// The input VC buffers at least one flit.
+    occ: u64,
+    /// The input VC holds an allocation.
+    allocated: u64,
+    /// Allocated, non-ejecting input VC whose output VC has no credit.
+    /// Its head cannot traverse, so it keeps its output VC until a credit
+    /// returns there. Derived state: never serialized, cleared on
+    /// restore.
+    credit_wait: u64,
+    /// Unallocated input VC whose [`VaWait`] range has no free output
+    /// VC. Only a release in that range can change the answer. Derived
+    /// state, like `credit_wait`.
+    va_sleep: u64,
 }
 
 const EMPTY_FLIT: Flit = Flit {
@@ -147,7 +194,7 @@ impl RouterState {
         let mut links = Vec::new();
         for r in 0..routers {
             let ports = topo.port_count(r);
-            links.extend((0..ports).map(|p| topo.link(r, p)));
+            links.extend((0..ports).map(|p| Link::pack(topo.link(r, p))));
             port_base.push(port_base[r] + ports);
             vc_base.push(vc_base[r] + ports * vcs);
             word_base.push(word_base[r] + (ports * vcs).div_ceil(64));
@@ -170,10 +217,8 @@ impl RouterState {
             accept_ptr: vec![0; n_ports],
             hare_score: vec![0.0; n_ports],
             footprint: vec![0; n_ports],
-            occ: vec![0; n_words],
-            allocated: vec![0; n_words],
-            credit_wait: vec![0; n_words],
-            va_sleep: vec![0; n_words],
+            bits: vec![Word::default(); n_words],
+            one_word: n_words == routers,
             vc_base,
             port_base,
             word_base,
@@ -202,7 +247,7 @@ impl RouterState {
 
     /// What router `r`'s port `p` connects to.
     pub fn link(&self, r: usize, p: usize) -> PortLink {
-        self.links[self.port_base[r] + p]
+        self.links[self.port_base[r] + p].unpack()
     }
 
     /// Router `r`'s bitset words, as flat word indices.
@@ -210,16 +255,43 @@ impl RouterState {
         self.word_base[r]..self.word_base[r + 1]
     }
 
+    /// Which of routers `range` have an input VC the tick visits
+    /// (occupied and not parked): bit `i` of `out` stands for router
+    /// `range.start + i`. Without one, neither VA nor SA has anything to
+    /// do at a router. On one-word routers the test is branch-free.
+    pub fn routers_with_work(&self, range: Range<usize>, out: &mut Vec<u64>) {
+        let work = |b: &Word| {
+            b.occ & !(b.allocated | b.va_sleep) | b.occ & b.allocated & !b.credit_wait != 0
+        };
+        out.clear();
+        if self.one_word {
+            out.extend(self.bits[range].chunks(64).map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |m, (i, b)| m | u64::from(work(b)) << i)
+            }));
+        } else {
+            out.resize(range.len().div_ceil(64), 0);
+            for (i, r) in range.enumerate() {
+                let busy = self.bits[self.words(r)].iter().any(work);
+                out[i / 64] |= u64::from(busy) << (i % 64);
+            }
+        }
+    }
+
     /// Occupied input VCs of word `w` that still need VC allocation and
     /// are not asleep.
     pub fn unallocated_word(&self, w: usize) -> u64 {
-        self.occ[w] & !self.allocated[w] & !self.va_sleep[w]
+        let b = &self.bits[w];
+        b.occ & !b.allocated & !b.va_sleep
     }
 
     /// Occupied input VCs of word `w` that hold an allocation and are not
     /// waiting for a credit.
     pub fn allocated_word(&self, w: usize) -> u64 {
-        self.occ[w] & self.allocated[w] & !self.credit_wait[w]
+        let b = &self.bits[w];
+        b.occ & b.allocated & !b.credit_wait
     }
 
     /// Flits buffered in input VC `ix`.
@@ -242,14 +314,14 @@ impl RouterState {
     pub fn set_va_wait(&mut self, r: usize, bit: usize, wait: VaWait) {
         self.va_wait[self.vc_base[r] + bit] = Some(wait);
         let (w, m) = self.bit_of(r, bit);
-        self.va_sleep[w] |= m;
+        self.bits[w].va_sleep |= m;
     }
 
     /// Park router `r`'s input VC `bit` (allocated, not ejecting) until a
     /// credit returns to its output VC, which is empty now.
     pub fn park_credit(&mut self, r: usize, bit: usize) {
         let (w, m) = self.bit_of(r, bit);
-        self.credit_wait[w] |= m;
+        self.bits[w].credit_wait |= m;
     }
 
     /// The flit at the head of input VC `ix`, if any.
@@ -283,7 +355,7 @@ impl RouterState {
         self.ring[ix * self.depth + slot] = f;
         self.len[ix] += 1;
         let (w, m) = self.bit_of(r, bit);
-        self.occ[w] |= m;
+        self.bits[w].occ |= m;
     }
 
     /// Remove and return the head flit of router `r`'s input VC `bit`.
@@ -300,7 +372,7 @@ impl RouterState {
         self.len[ix] -= 1;
         if self.len[ix] == 0 {
             let (w, m) = self.bit_of(r, bit);
-            self.occ[w] &= !m;
+            self.bits[w].occ &= !m;
         }
         f
     }
@@ -310,14 +382,14 @@ impl RouterState {
         self.alloc[self.vc_base[r] + bit] = Some(a);
         self.va_wait[self.vc_base[r] + bit] = None;
         let (w, m) = self.bit_of(r, bit);
-        self.allocated[w] |= m;
+        self.bits[w].allocated |= m;
     }
 
     /// Drop router `r`'s input VC `bit`'s allocation (its tail left).
     pub fn clear_alloc(&mut self, r: usize, bit: usize) {
         self.alloc[self.vc_base[r] + bit] = None;
         let (w, m) = self.bit_of(r, bit);
-        self.allocated[w] &= !m;
+        self.bits[w].allocated &= !m;
     }
 
     /// Lowest output VC in `lo..hi` of router `r`'s port `p` without an
@@ -354,14 +426,14 @@ impl RouterState {
         self.out_free[self.port_base[r] + p] |= 1 << v;
         let (vb, wb) = (self.vc_base[r], self.word_base[r]);
         for w in self.words(r) {
-            let mut sleepers = self.va_sleep[w];
+            let mut sleepers = self.bits[w].va_sleep;
             while sleepers != 0 {
                 let low = sleepers.trailing_zeros() as usize;
                 let (bit, m) = ((w - wb) * 64 + low, 1u64 << low);
                 sleepers &= sleepers - 1;
                 let wait = self.va_wait[vb + bit].expect("a sleeper holds a VaWait");
                 if wait.port as usize == p && (wait.lo as usize..wait.hi as usize).contains(&v) {
-                    self.va_sleep[w] &= !m;
+                    self.bits[w].va_sleep &= !m;
                 }
             }
         }
@@ -398,7 +470,7 @@ impl RouterState {
         if *c == 1 {
             if let Some((i, iv)) = self.owner[ix] {
                 let (w, m) = self.bit_of(r, i as usize * self.vcs + iv as usize);
-                self.credit_wait[w] &= !m;
+                self.bits[w].credit_wait &= !m;
             }
         }
     }
@@ -443,14 +515,14 @@ impl RouterState {
         let (vb, wb, bits) = (self.vc_base[r], self.word_base[r], self.bits(r));
         let bits_ok = (0..bits).all(|bit| {
             let (w, m) = (wb + bit / 64, 1u64 << (bit % 64));
-            let (ix, occ) = (vb + bit, self.occ[w] & m != 0);
+            let (ix, occ) = (vb + bit, self.bits[w].occ & m != 0);
             let alloc = self.alloc[ix];
-            let credit_ok = self.credit_wait[w] & m == 0
+            let credit_ok = self.bits[w].credit_wait & m == 0
                 || occ
                     && alloc.is_some_and(|a| {
                         !a.eject && self.credits(r, a.port as usize, a.vc as usize) == 0
                     });
-            let sleep_ok = self.va_sleep[w] & m == 0
+            let sleep_ok = self.bits[w].va_sleep & m == 0
                 || occ
                     && alloc.is_none()
                     && self.va_wait[ix].is_some_and(|wait| {
@@ -458,17 +530,17 @@ impl RouterState {
                         self.first_free_out(r, p, lo, hi, true).is_none()
                     });
             (self.len[ix] > 0) == occ
-                && alloc.is_some() == (self.allocated[w] & m != 0)
+                && alloc.is_some() == (self.bits[w].allocated & m != 0)
                 && credit_ok
                 && sleep_ok
         });
         // Bits past the router's last VC stay clear.
         let last = self.word_base[r + 1] - 1;
         let spare = !range_mask(0, bits - 64 * (last - wb));
-        let spare_ok =
-            (self.occ[last] | self.allocated[last] | self.credit_wait[last] | self.va_sleep[last])
-                & spare
-                == 0;
+        let spare_ok = {
+            let b = &self.bits[last];
+            (b.occ | b.allocated | b.credit_wait | b.va_sleep) & spare == 0
+        };
         let free_ok = (0..self.ports(r))
             .all(|p| self.out_free[self.port_base[r] + p] == self.owner_free(r, p));
         bits_ok && spare_ok && free_ok
@@ -607,19 +679,16 @@ impl RouterState {
 
     fn rebuild_bitsets(&mut self) {
         self.va_wait.fill(None);
-        self.credit_wait.fill(0);
-        self.va_sleep.fill(0);
-        self.occ.fill(0);
-        self.allocated.fill(0);
+        self.bits.fill(Word::default());
         for r in 0..self.port_base.len() - 1 {
             for bit in 0..self.bits(r) {
                 let ix = self.vc_base[r] + bit;
                 let (w, m) = self.bit_of(r, bit);
                 if self.len[ix] > 0 {
-                    self.occ[w] |= m;
+                    self.bits[w].occ |= m;
                 }
                 if self.alloc[ix].is_some() {
-                    self.allocated[w] |= m;
+                    self.bits[w].allocated |= m;
                 }
             }
             for p in 0..self.ports(r) {
@@ -651,6 +720,23 @@ mod tests {
         assert_eq!(s.buffered(0), 0);
         assert_eq!(s.unallocated_word(s.words(0).start), 0);
         assert_eq!(s.free_credits(0, 2, 0, 4), 16);
+    }
+
+    #[test]
+    fn packed_links_round_trip_on_every_topology() {
+        for kind in Topology::ALL {
+            let topo = TopologyGraph::build(kind, 8, 8);
+            let s = RouterState::new(&topo, 2, 4);
+            for r in 0..topo.routers() {
+                for p in 0..topo.port_count(r) {
+                    assert_eq!(
+                        s.link(r, p),
+                        topo.link(r, p),
+                        "{kind:?} router {r} port {p}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

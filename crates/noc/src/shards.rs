@@ -1,11 +1,12 @@
 //! Deterministic spatial sharding of one network across worker threads.
 //!
 //! A sharded [`crate::Network`] partitions the mesh into per-row router
-//! groups and ticks the VA and SA/ST phases of each group on a pool of
-//! persistent worker threads, with a spin barrier between phases. The
-//! protocol keeps reports **byte-identical** to the sequential loop:
+//! groups and ticks each group's router pass (VA then SA/ST, router by
+//! router) on a pool of persistent worker threads: one phase per tick,
+//! bracketed by a spin barrier. The protocol keeps reports
+//! **byte-identical** to the sequential loop:
 //!
-//! - Every mutation a phase performs in place is shard-local: input VC
+//! - Every mutation the phase performs in place is shard-local: input VC
 //!   buffers, allocations, output-VC ownership, credit decrements,
 //!   iSLIP pointers, the per-router occupancy, allocation and parked
 //!   bitsets and free-VC masks, per-router link counters, and the
@@ -14,9 +15,10 @@
 //!   range owns the identical node range.
 //! - Anything that crosses a shard boundary or lands in shared state —
 //!   link transfers, credit returns, completed ejections (slab removal,
-//!   global stats, per-node ejection queues) — is recorded in a
-//!   per-shard [`ShardScratch`] during the phase and merged on the main
-//!   thread *in shard order* after the barrier. Shard order equals
+//!   global stats, per-node ejection queues), wakes of parked NIs (the
+//!   NI bitsets pack 64 nodes to a word, across shards) — is recorded
+//!   in a per-shard [`ShardScratch`] during the phase and merged on the
+//!   main thread *in shard order* after the barrier. Shard order equals
 //!   router order, so the merged streams are exactly what the
 //!   sequential loop pushes, flit for flit, and the packet-slab free
 //!   list (which decides future slot assignment) evolves identically.
@@ -172,15 +174,12 @@ pub(crate) struct ShardScratch {
     /// Slab removal, stats recording, and the ejection-queue push all
     /// touch shared state and happen in the merge.
     pub ejections: Vec<(Slot, usize)>,
-}
-
-/// Which tick phase the pool is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
-    /// VC allocation.
-    Va,
-    /// Switch allocation + switch/link traversal.
-    SaSt,
+    /// Parked NIs (by node index) whose local input VC popped a flit
+    /// this cycle; unparked in the merge.
+    pub ni_wakes: Vec<usize>,
+    /// The shard's routers with something to visit this cycle, as a
+    /// bitset over its router range.
+    pub routers: Vec<u64>,
 }
 
 /// Sense-reversing spin barrier: cheap per-cycle rendezvous without
@@ -229,7 +228,6 @@ impl SpinBarrier {
 #[derive(Clone, Copy)]
 struct Work {
     net: *mut Network,
-    phase: Phase,
 }
 
 struct PoolShared {
@@ -247,8 +245,8 @@ struct PoolShared {
 unsafe impl Sync for PoolShared {}
 unsafe impl Send for PoolShared {}
 
-/// A pool of persistent shard workers. One pool drives every phase of
-/// one or more `Network`s (the baseline's request/reply pair shares a
+/// A pool of persistent shard workers. One pool drives the router pass
+/// of one or more `Network`s (the baseline's request/reply pair shares a
 /// single pool) — networks tick strictly one at a time, so the workers
 /// only ever see one live `*mut Network`.
 ///
@@ -281,7 +279,6 @@ impl ShardPool {
             barrier: SpinBarrier::new(shards),
             work: UnsafeCell::new(Work {
                 net: std::ptr::null_mut(),
-                phase: Phase::Va,
             }),
             stop: AtomicBool::new(false),
         });
@@ -306,16 +303,17 @@ impl ShardPool {
         self.shards
     }
 
-    /// Run one phase of `net` across all shards and wait for completion.
-    pub(crate) fn run(&self, net: &mut Network, phase: Phase) {
+    /// Run the router pass of `net` across all shards and wait for
+    /// completion.
+    pub(crate) fn run(&self, net: &mut Network) {
         let ptr: *mut Network = net;
         // SAFETY: workers are parked at the start barrier, so nothing
         // reads `work` until this thread arrives there below.
         unsafe {
-            *self.shared.work.get() = Work { net: ptr, phase };
+            *self.shared.work.get() = Work { net: ptr };
         }
         self.shared.barrier.wait(); // release the phase
-        run_shard(net, 0, phase); // coordinator takes shard 0
+        net.router_shard(0); // coordinator takes shard 0
         self.shared.barrier.wait(); // all shards done
     }
 }
@@ -338,21 +336,14 @@ fn worker_loop(shared: &PoolShared, shard: usize) {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        let Work { net, phase } = unsafe { *shared.work.get() };
+        let Work { net } = unsafe { *shared.work.get() };
         // SAFETY: the coordinator published a live `&mut Network` for
         // this phase and every participant touches only its own shard's
         // disjoint state (see module docs); the reference does not
         // outlive the done barrier below.
         let net = unsafe { &mut *net };
-        run_shard(net, shard, phase);
+        net.router_shard(shard);
         shared.barrier.wait(); // phase done
-    }
-}
-
-fn run_shard(net: &mut Network, shard: usize, phase: Phase) {
-    match phase {
-        Phase::Va => net.va_shard(shard),
-        Phase::SaSt => net.sa_st_shard(shard),
     }
 }
 
