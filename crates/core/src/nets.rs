@@ -2,7 +2,7 @@
 //! networks, or a single shared network with per-class virtual networks
 //! (Section VII; AVCP in Fig. 6 varies the VC split).
 
-use clognet_noc::{ClassAssignment, NetParams, Network, ShardError, ShardPool};
+use clognet_noc::{ClassAssignment, NetParams, Network, NodeSet, ShardError, ShardPool};
 use clognet_proto::snap::{SnapError, SnapReader, SnapWriter};
 use clognet_proto::{Cycle, NodeId, Packet, Priority, SystemConfig, TrafficClass};
 use std::sync::Arc;
@@ -96,6 +96,34 @@ impl Nets {
     /// Can a (`class`, `prio`) packet start injecting at `node`?
     pub fn can_inject(&self, node: NodeId, class: TrafficClass, prio: Priority) -> bool {
         self.net(class).can_inject(node, class, prio)
+    }
+
+    /// The nodes at which [`Self::can_inject`] holds for (`class`,
+    /// `prio`).
+    pub fn free_slots(&self, class: TrafficClass, prio: Priority) -> &NodeSet {
+        self.net(class).free_slots(class, prio)
+    }
+
+    /// Record that a `class` packet was refused at `node` this cycle, as
+    /// a refused [`Self::try_inject`] does.
+    pub fn note_refused(&mut self, node: NodeId, class: TrafficClass) {
+        self.net_mut(class).note_refused(node, class);
+    }
+
+    /// [`Self::note_refused`] at every node of `nodes`.
+    pub fn note_refused_all(&mut self, nodes: &NodeSet, class: TrafficClass) {
+        self.net_mut(class).note_refused_all(nodes, class);
+    }
+
+    /// Set `out` to the nodes holding reassembled packets on any network.
+    pub fn ejected_into(&self, out: &mut NodeSet) {
+        match self {
+            Nets::Separate { request, reply } => {
+                out.copy_from(request.ejected());
+                out.union_with(reply.ejected());
+            }
+            Nets::Shared(n) => out.copy_from(n.ejected()),
+        }
     }
 
     /// Enable/disable the bitset fast path on all physical networks

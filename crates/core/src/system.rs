@@ -16,7 +16,7 @@ use crate::trace::{Event, TraceLog};
 use clognet_control::{ControlInput, Controller, DecisionLog};
 use clognet_cpu::{CpuOut, CpuSubsystem};
 use clognet_gpu::{GpuIn, GpuOut, GpuSubsystem};
-use clognet_noc::{Network, ShardError};
+use clognet_noc::{Network, NodeSet, ShardError};
 use clognet_proto::snap::{self as snap, SnapError};
 use clognet_proto::{
     AddressMap, CoreId, Cycle, FabricConfig, FabricInterleave, Layout, LineAddr, MsgKind, NodeId,
@@ -151,13 +151,15 @@ pub struct System {
     /// draining visit only the nodes their bitsets name. Off, they scan
     /// every node — the reference mode, toggled with the NoC's.
     idle_skip: bool,
-    /// Bit `n` set for the GPU and CPU nodes: the ones ejection delivery
-    /// serves (memory nodes pull their requests themselves).
-    endpoints: Vec<u64>,
-    /// `outbox_heads[class][prio]`: bit `n` set while node `n`'s `class`
-    /// lane is non-empty and its head packet has priority `prio`.
-    /// Derived state: never serialized, rebuilt on restore.
-    outbox_heads: [[Vec<u64>; 2]; 2],
+    /// The GPU and CPU nodes: the ones ejection delivery serves (memory
+    /// nodes pull their requests themselves).
+    endpoints: NodeSet,
+    /// `outbox_heads[class][prio]`: the nodes whose `class` lane is
+    /// non-empty with a head packet of priority `prio`. Derived state:
+    /// never serialized, rebuilt on restore.
+    outbox_heads: [[NodeSet; 2]; 2],
+    /// The nodes an endpoint loop visits this cycle, reused per tick.
+    node_todo: NodeSet,
     /// Scratch buffers reused across ticks.
     gpu_out: Vec<(CoreId, GpuOut)>,
     cpu_out: Vec<(CoreId, CpuOut)>,
@@ -234,10 +236,10 @@ impl System {
         let outboxes = (0..layout.node_count())
             .map(|_| Outbox::default())
             .collect();
-        let words = layout.node_count().div_ceil(64);
-        let mut endpoints = vec![0u64; words];
+        let nodes = NodeSet::new(layout.node_count());
+        let mut endpoints = nodes.clone();
         for n in layout.gpu_nodes().chain(layout.cpu_nodes()) {
-            endpoints[n.index() / 64] |= 1 << (n.index() % 64);
+            endpoints.insert(n.index());
         }
         let control = cfg
             .control
@@ -267,7 +269,8 @@ impl System {
             port: None,
             idle_skip: true,
             endpoints,
-            outbox_heads: std::array::from_fn(|_| std::array::from_fn(|_| vec![0; words])),
+            outbox_heads: std::array::from_fn(|_| std::array::from_fn(|_| nodes.clone())),
+            node_todo: nodes,
             gpu_out: Vec::new(),
             cpu_out: Vec::new(),
             gpu_budgets: Vec::new(),
@@ -582,12 +585,7 @@ impl System {
         // queue — queued outbox packets, and cross-chip requests
         // awaiting fabric handoff are same-cycle work.
         if self.nets.has_in_flight()
-            || self
-                .outbox_heads
-                .iter()
-                .flatten()
-                .flatten()
-                .any(|&w| w != 0)
+            || self.outbox_heads.iter().flatten().any(|s| !s.is_empty())
             || self.port.as_ref().is_some_and(|p| !p.egress.is_empty())
         {
             return None;
@@ -784,27 +782,18 @@ impl System {
     /// node order (every node in the reference mode).
     fn deliver_ejections(&mut self) {
         let mut forwards = std::mem::take(&mut self.gpu_forwards);
-        for w in 0..self.endpoints.len() {
-            let mut todo = if self.idle_skip {
-                let ejected = match &self.nets {
-                    Nets::Separate { request, reply } => {
-                        request.ejected_word(w) | reply.ejected_word(w)
-                    }
-                    Nets::Shared(n) => n.ejected_word(w),
-                };
-                self.endpoints[w] & ejected
-            } else {
-                u64::MAX
-            };
-            while todo != 0 {
-                let node = w * 64 + todo.trailing_zeros() as usize;
-                todo &= todo - 1;
-                if node >= self.layout.node_count() {
-                    break;
-                }
-                self.deliver_node(NodeId(node as u16), &mut forwards);
-            }
+        let mut todo = std::mem::take(&mut self.node_todo);
+        if self.idle_skip {
+            self.nets.ejected_into(&mut todo);
+            todo.intersect_with(&self.endpoints);
+        } else {
+            todo.clear();
+            (0..self.layout.node_count()).for_each(|n| todo.insert(n));
         }
+        for n in todo.iter() {
+            self.deliver_node(NodeId(n as u16), &mut forwards);
+        }
+        self.node_todo = todo;
         for (core, out) in forwards.drain(..) {
             self.route_gpu_out(core, out);
         }
@@ -1240,10 +1229,7 @@ impl System {
                     // What a refused `try_inject` does: the packet id is
                     // spent, the reply goes back to the buffer's front,
                     // and the NI records the stall.
-                    let n = node.index();
-                    self.nets
-                        .net_mut(class)
-                        .note_refused(class, n / 64, 1 << (n % 64));
+                    self.nets.note_refused(node, class);
                     let was_cpu = r.prio == Priority::Cpu;
                     self.mems[mi].put_back(r);
                     if was_cpu {
@@ -1271,10 +1257,11 @@ impl System {
 
     /// Queue `pkt` in the outbox lane of its class at `node`.
     fn push_outbox(&mut self, node: NodeId, pkt: Packet) {
+        debug_assert_eq!(pkt.src, node, "an outbox holds its own node's packets");
         let (lane, n) = (pkt.class() as usize, node.index());
         let q = &mut self.outboxes[n].lanes[lane];
         if q.is_empty() {
-            self.outbox_heads[lane][pkt.prio as usize][n / 64] |= 1 << (n % 64);
+            self.outbox_heads[lane][pkt.prio as usize].insert(n);
         }
         q.push_back(pkt);
     }
@@ -1285,12 +1272,8 @@ impl System {
             let prio = self.outboxes[n].lanes[lane]
                 .front()
                 .map(|p| p.prio as usize);
-            for (p, bits) in heads.iter_mut().enumerate() {
-                if prio == Some(p) {
-                    bits[n / 64] |= 1 << (n % 64);
-                } else {
-                    bits[n / 64] &= !(1 << (n % 64));
-                }
+            for (p, set) in heads.iter_mut().enumerate() {
+                set.set(n, prio == Some(p));
             }
         }
     }
@@ -1304,7 +1287,7 @@ impl System {
             heads
                 .iter()
                 .enumerate()
-                .all(|(p, bits)| (bits[n / 64] & 1 << (n % 64) != 0) == (prio == Some(p)))
+                .all(|(p, set)| set.contains(n) == (prio == Some(p)))
         })
     }
 
@@ -1314,52 +1297,47 @@ impl System {
     /// the NI records as an injection stall. Only nodes whose lane head
     /// has a free slot are visited, in node order (every node in the
     /// reference mode); the stall of every other queued node is recorded
-    /// one bitset word at a time.
+    /// with one set operation per lane head priority.
     fn drain_outboxes(&mut self) {
         debug_assert!(
             (0..self.outboxes.len()).all(|n| self.outbox_heads_consistent(n)),
             "outbox head bitsets diverged from the lanes at cycle {}",
             self.now
         );
-        for w in 0..self.endpoints.len() {
-            let mut todo = if self.idle_skip {
-                let mut ready = 0;
-                for class in TrafficClass::ALL {
-                    let net = self.nets.net(class);
-                    for prio in [Priority::Cpu, Priority::Gpu] {
-                        ready |= self.outbox_heads[class as usize][prio as usize][w]
-                            & net.free_slot_word(class, prio, w);
-                    }
-                }
-                ready
-            } else {
-                u64::MAX
-            };
-            while todo != 0 {
-                let n = w * 64 + todo.trailing_zeros() as usize;
-                todo &= todo - 1;
-                if n >= self.outboxes.len() {
-                    break;
-                }
-                for lane in 0..2 {
-                    while let Some(pkt) = self.outboxes[n].lanes[lane].front() {
-                        if !self.nets.can_inject(pkt.src, pkt.class(), pkt.prio) {
-                            break;
-                        }
-                        let pkt = self.outboxes[n].lanes[lane]
-                            .pop_front()
-                            .expect("checked above");
-                        self.nets.try_inject(pkt).expect("can_inject checked above");
-                    }
-                }
-                self.note_outbox_heads(n);
-            }
+        // Offering at a node changes only that node's lanes and NI, so
+        // the nodes to visit can be taken up front.
+        let mut todo = std::mem::take(&mut self.node_todo);
+        todo.clear();
+        if self.idle_skip {
             for class in TrafficClass::ALL {
-                let [cpu, gpu] = &self.outbox_heads[class as usize];
-                let refused = cpu[w] | gpu[w];
-                if refused != 0 {
-                    self.nets.net_mut(class).note_refused(class, w, refused);
+                for prio in [Priority::Cpu, Priority::Gpu] {
+                    todo.union_with_both(
+                        &self.outbox_heads[class as usize][prio as usize],
+                        self.nets.free_slots(class, prio),
+                    );
                 }
+            }
+        } else {
+            (0..self.outboxes.len()).for_each(|n| todo.insert(n));
+        }
+        for n in todo.iter() {
+            for lane in 0..2 {
+                while let Some(pkt) = self.outboxes[n].lanes[lane].front() {
+                    if !self.nets.can_inject(pkt.src, pkt.class(), pkt.prio) {
+                        break;
+                    }
+                    let pkt = self.outboxes[n].lanes[lane]
+                        .pop_front()
+                        .expect("checked above");
+                    self.nets.try_inject(pkt).expect("can_inject checked above");
+                }
+            }
+            self.note_outbox_heads(n);
+        }
+        self.node_todo = todo;
+        for class in TrafficClass::ALL {
+            for queued in &self.outbox_heads[class as usize] {
+                self.nets.note_refused_all(queued, class);
             }
         }
     }

@@ -49,6 +49,7 @@
 
 mod flit;
 pub mod network;
+pub mod nodeset;
 mod router;
 pub mod routing;
 pub mod shards;
@@ -56,6 +57,7 @@ pub mod stats;
 pub mod topology;
 
 pub use network::{ClassAssignment, NetParams, Network};
+pub use nodeset::NodeSet;
 pub use shards::{ShardError, ShardPlan, ShardPool};
 pub use stats::{LatencyBin, NocStats};
 pub use topology::{mesh_port, PortLink, TopologyGraph};

@@ -6,6 +6,7 @@
 //! instantiates a single shared one with per-class VC partitions.
 
 use crate::flit::{Flit, Slot};
+use crate::nodeset::NodeSet;
 use crate::router::{Alloc, RouterState, VaWait};
 use crate::routing;
 use crate::shards::{SaRequest, ShardError, ShardPlan, ShardPool, ShardScratch};
@@ -130,30 +131,6 @@ fn partition(
     )
 }
 
-/// `(a + m - b) % m` for `a, b < m`: how far `a` lies past `b` on a
-/// ring of `m` (an iSLIP pointer distance), without a division.
-fn ring_dist(a: usize, b: usize, m: usize) -> usize {
-    if a >= b {
-        a - b
-    } else {
-        a + m - b
-    }
-}
-
-/// `(a + 1) % m` for `a < m`, without a division.
-fn ring_next(a: usize, m: usize) -> usize {
-    if a + 1 == m {
-        0
-    } else {
-        a + 1
-    }
-}
-
-/// Word index and mask of bit `n` in a node bitset.
-fn node_bit(n: usize) -> (usize, u64) {
-    (n / 64, 1 << (n % 64))
-}
-
 /// RC + VA delay of a `class` flit entering a router: RC + VA occupy
 /// pipeline-2 of the pipeline stages; SA and ST are explicit in the tick
 /// loop. Adaptive routing pays one extra stage for the heavier route
@@ -271,26 +248,27 @@ pub struct Network {
     /// `ni_progress[node * V + vc]`: did a flit stream from the node's NI
     /// into its router on this VC during the last tick? Cleared per tick.
     ni_progress: Vec<bool>,
-    /// Bit `n` set while NI `n` holds at least one live injection slot;
-    /// injection visits only those NIs.
-    ni_live: Vec<u64>,
-    /// Bit `n` set while every live slot of NI `n` faces a full input VC
-    /// at its router. Only a pop at that local port
-    /// ([`ShardScratch::ni_wakes`]) or a new slot can change that, so
-    /// injection skips the NI until one happens. Derived state: never
-    /// serialized, empty after a restore.
-    ni_parked: Vec<u64>,
+    /// The NIs holding at least one live injection slot; injection
+    /// visits only those NIs.
+    ni_live: NodeSet,
+    /// The NIs whose every live slot faces a full input VC at their
+    /// router. Only a pop at that local port ([`ShardScratch::ni_wakes`])
+    /// or a new slot can change that, so injection skips the NI until one
+    /// happens. Derived state: never serialized, empty after a restore.
+    ni_parked: NodeSet,
+    /// Injection's working set (live and not parked), reused per tick.
+    ni_todo: NodeSet,
     /// `part_mask[class][prio]`: the VCs of [`Self::vc_partition`] as a
     /// mask; zero for a class this network does not carry.
     part_mask: [[u64; 2]; 2],
-    /// `free_slots[class][prio]`: bit `n` set while NI `n` has a free
-    /// slot a (`class`, `prio`) packet may take.
-    free_slots: [[Vec<u64>; 2]; 2],
-    /// `want[class]`: bit `n` set when a `class` packet was refused at
-    /// NI `n` since the last tick (the injection-stall counter's input).
-    want: [Vec<u64>; 2],
-    /// Bit `n` set while NI `n` holds reassembled packets.
-    ejected_any: Vec<u64>,
+    /// `free_slots[class][prio]`: the NIs with a free slot a (`class`,
+    /// `prio`) packet may take.
+    free_slots: [[NodeSet; 2]; 2],
+    /// `want[class]`: the NIs that refused a `class` packet since the
+    /// last tick (the injection-stall counter's input).
+    want: [NodeSet; 2],
+    /// The NIs holding reassembled packets.
+    ejected_any: NodeSet,
     packets: PacketSlab,
     now: Cycle,
     stats: NocStats,
@@ -299,10 +277,6 @@ pub struct Network {
     /// Link transfers (router, input VC bit, flit) applied after the merge.
     transfers: Vec<(usize, usize, Flit)>,
     total_vcs: usize,
-    /// `split[bit]`: the (input port, VC) of router-local VC bit `bit`,
-    /// i.e. `bit / V` and `bit % V`, tabulated so that switch allocation
-    /// and traversal divide nothing.
-    split: Vec<(u8, u8)>,
     /// RC + VA pipeline delay of a flit entering a router, by class.
     proc_delay: [Cycle; 2],
     stats_epoch: Cycle,
@@ -373,30 +347,23 @@ impl Network {
             proc_delay(&params, TrafficClass::Request),
             proc_delay(&params, TrafficClass::Reply),
         ];
-        let words = nis.len().div_ceil(64);
+        let nodes = NodeSet::new(nis.len());
         let part_mask = [TrafficClass::Request, TrafficClass::Reply].map(|class| {
             [Priority::Cpu, Priority::Gpu].map(|prio| {
                 partition(&params, class, prio).map_or(0, |r| r.fold(0, |m, v| m | 1u64 << v))
             })
         });
-        let max_ports = (0..n_routers)
-            .map(|r| topo.port_count(r))
-            .max()
-            .unwrap_or(0);
-        let split = (0..max_ports * total_vcs)
-            .map(|bit| ((bit / total_vcs) as u8, (bit % total_vcs) as u8))
-            .collect();
         let mut net = Network {
             params,
             routers,
-            split,
             ni_progress: vec![false; nis.len() * total_vcs],
-            ni_live: vec![0; words],
-            ni_parked: vec![0; words],
+            ni_live: nodes.clone(),
+            ni_parked: nodes.clone(),
+            ni_todo: nodes.clone(),
             part_mask,
-            free_slots: std::array::from_fn(|_| std::array::from_fn(|_| vec![0; words])),
-            want: [vec![0; words], vec![0; words]],
-            ejected_any: vec![0; words],
+            free_slots: std::array::from_fn(|_| std::array::from_fn(|_| nodes.clone())),
+            want: [nodes.clone(), nodes.clone()],
+            ejected_any: nodes,
             nis,
             packets: PacketSlab::default(),
             now: 0,
@@ -426,7 +393,7 @@ impl Network {
     /// differs.
     pub fn set_idle_skip(&mut self, on: bool) {
         self.idle_skip = on;
-        self.ni_parked.fill(0);
+        self.ni_parked.clear();
     }
 
     /// Configure spatial sharding. `n == 1` restores the sequential
@@ -553,9 +520,8 @@ impl Network {
                 w.bool(p);
             }
             w.usize(ni.inj_rr);
-            let (word, bit) = node_bit(n);
-            w.bool(self.want[0][word] & bit != 0);
-            w.bool(self.want[1][word] & bit != 0);
+            w.bool(self.want[0].contains(n));
+            w.bool(self.want[1].contains(n));
             w.usize(ni.eject_used);
             w.usize(ni.ejected.len());
             for p in &ni.ejected {
@@ -596,7 +562,7 @@ impl Network {
             let p = packets.v.get(slot as usize)?.as_ref()?;
             Some((p.prio, p.class()))
         })?;
-        for bits in [
+        for set in [
             &mut self.ni_live,
             &mut self.ni_parked,
             &mut self.ejected_any,
@@ -604,17 +570,16 @@ impl Network {
         .into_iter()
         .chain(&mut self.want)
         {
-            bits.fill(0);
+            set.clear();
         }
         for (n, ni) in self.nis.iter_mut().enumerate() {
-            let (word, bit) = node_bit(n);
             ni.live = 0;
             for (v, s) in ni.inj.iter_mut().enumerate() {
                 *s = if r.bool()? {
                     let (slot, next_idx, total) = (r.u32()?, r.u8()?, r.u8()?);
                     let p = self.packets.v.get(slot as usize).and_then(Option::as_ref);
                     let p = p.ok_or(SnapError::Corrupt("injection slot of a dead packet"))?;
-                    self.ni_live[word] |= bit;
+                    self.ni_live.insert(n);
                     ni.live |= 1 << v;
                     Some(InjSlot {
                         slot,
@@ -632,18 +597,14 @@ impl Network {
             }
             ni.inj_rr = r.usize()?;
             for want in &mut self.want {
-                if r.bool()? {
-                    want[word] |= bit;
-                }
+                want.set(n, r.bool()?);
             }
             ni.eject_used = r.usize()?;
             ni.ejected.clear();
             for _ in 0..r.usize()? {
                 ni.ejected.push_back(snap::load_packet(r)?);
             }
-            if !ni.ejected.is_empty() {
-                self.ejected_any[word] |= bit;
-            }
+            self.ejected_any.set(n, !ni.ejected.is_empty());
         }
         self.rebuild_free_slots();
         self.eject_counts = r.bytes()?;
@@ -662,7 +623,7 @@ impl Network {
 
     /// Whether [`Self::in_flight`] is non-zero, without counting.
     pub fn has_in_flight(&self) -> bool {
-        self.packets.live > 0 || self.ejected_any.iter().any(|&w| w != 0)
+        self.packets.live > 0 || !self.ejected_any.is_empty()
     }
 
     /// Flits buffered inside router input VCs (congestion diagnostic).
@@ -682,22 +643,27 @@ impl Network {
         !self.nis[node.index()].live & self.part_mask[class_ix(class)][prio_ix(prio)] != 0
     }
 
-    /// Word `w` of the nodes whose NI has a free (`class`, `prio`) slot:
-    /// bit `n % 64` of word `n / 64` is [`Self::can_inject`] at node `n`.
-    pub fn free_slot_word(&self, class: TrafficClass, prio: Priority, w: usize) -> u64 {
-        self.free_slots[class_ix(class)][prio_ix(prio)][w]
+    /// The nodes at which [`Self::can_inject`] holds for (`class`,
+    /// `prio`).
+    pub fn free_slots(&self, class: TrafficClass, prio: Priority) -> &NodeSet {
+        &self.free_slots[class_ix(class)][prio_ix(prio)]
     }
 
-    /// Word `w` of the nodes whose NI holds reassembled packets.
-    pub fn ejected_word(&self, w: usize) -> u64 {
-        self.ejected_any[w]
+    /// The nodes whose NI holds reassembled packets.
+    pub fn ejected(&self) -> &NodeSet {
+        &self.ejected_any
     }
 
-    /// Record that `class` packets were refused at the nodes of `mask` in
-    /// word `w` this cycle, as a refused [`Self::try_inject`] does: each
-    /// such NI counts one injection-stall cycle at the next tick.
-    pub fn note_refused(&mut self, class: TrafficClass, w: usize, mask: u64) {
-        self.want[class_ix(class)][w] |= mask;
+    /// Record that a `class` packet was refused at `node` this cycle, as
+    /// a refused [`Self::try_inject`] does: the NI counts one
+    /// injection-stall cycle at the next tick.
+    pub fn note_refused(&mut self, node: NodeId, class: TrafficClass) {
+        self.want[class_ix(class)].insert(node.index());
+    }
+
+    /// [`Self::note_refused`] at every node of `nodes`.
+    pub fn note_refused_all(&mut self, nodes: &NodeSet, class: TrafficClass) {
+        self.want[class_ix(class)].union_with(nodes);
     }
 
     /// True when `node` could not inject (`class`, `prio`) traffic: every
@@ -733,10 +699,9 @@ impl Network {
             panic!("network does not carry {class}");
         }
         let (ci, n) = (class_ix(class), pkt.src.index());
-        let (word, bit) = node_bit(n);
         let free = !self.nis[n].live & self.part_mask[ci][prio_ix(pkt.prio)];
         if free == 0 {
-            self.want[ci][word] |= bit;
+            self.want[ci].insert(n);
             return Err(pkt);
         }
         // The lowest free VC of the partition.
@@ -754,9 +719,9 @@ impl Network {
             class,
         });
         ni.live |= 1 << vc;
-        self.ni_live[word] |= bit;
+        self.ni_live.insert(n);
         // A new slot may face a VC with room: wake the NI.
-        self.ni_parked[word] &= !bit;
+        self.ni_parked.remove(n);
         self.update_free_slots(n);
         Ok(())
     }
@@ -771,15 +736,10 @@ impl Network {
     /// Refresh node `n`'s bits in the free-slot bitsets from its NI's
     /// live-slot mask.
     fn update_free_slots(&mut self, n: usize) {
-        let (word, bit) = node_bit(n);
         let live = self.nis[n].live;
-        for (masks, bits) in self.part_mask.iter().zip(&mut self.free_slots) {
-            for (&m, bits) in masks.iter().zip(bits) {
-                if !live & m != 0 {
-                    bits[word] |= bit;
-                } else {
-                    bits[word] &= !bit;
-                }
+        for (masks, sets) in self.part_mask.iter().zip(&mut self.free_slots) {
+            for (&m, set) in masks.iter().zip(sets) {
+                set.set(n, !live & m != 0);
             }
         }
     }
@@ -787,8 +747,7 @@ impl Network {
     /// Clear node `n`'s reassembled-packet bit once its queue is empty.
     fn note_ejected_taken(&mut self, n: usize) {
         if self.nis[n].ejected.is_empty() {
-            let (word, bit) = node_bit(n);
-            self.ejected_any[word] &= !bit;
+            self.ejected_any.remove(n);
         }
     }
 
@@ -961,17 +920,7 @@ impl Network {
         for (r, p, vc) in self.credit_returns.drain(..) {
             self.routers.return_credit(r, p, vc);
         }
-        // Injection-stall accounting: one count per NI refused a packet
-        // of either class since the last tick.
-        let [want_req, want_rep] = &mut self.want;
-        for (w, (a, b)) in want_req.iter_mut().zip(want_rep.iter_mut()).enumerate() {
-            let mut stalled = std::mem::take(a) | std::mem::take(b);
-            while stalled != 0 {
-                let n = w * 64 + stalled.trailing_zeros() as usize;
-                stalled &= stalled - 1;
-                self.stats.node_inj_stall_cycles[n] += 1;
-            }
-        }
+        self.count_injection_stalls();
         self.now += 1;
         self.stats.cycles = self.now - self.stats_epoch;
         debug_assert!(
@@ -988,8 +937,6 @@ impl Network {
     fn bitsets_consistent(&self) -> bool {
         let routers = (0..self.topo.routers()).all(|r| self.routers.bitsets_consistent(r));
         let nis = self.nis.iter().enumerate().all(|(n, ni)| {
-            let (word, bit) = node_bit(n);
-            let has = |bits: &[u64]| bits[word] & bit != 0;
             let live_mask = (0..self.total_vcs)
                 .filter(|&v| ni.inj[v].is_some())
                 .fold(0u64, |m, v| m | 1 << v);
@@ -997,13 +944,13 @@ impl Network {
                 .part_mask
                 .iter()
                 .zip(&self.free_slots)
-                .all(|(masks, bits)| {
+                .all(|(masks, sets)| {
                     masks
                         .iter()
-                        .zip(bits)
-                        .all(|(&m, bits)| has(bits) == (!live_mask & m != 0))
+                        .zip(sets)
+                        .all(|(&m, set)| set.contains(n) == (!live_mask & m != 0))
                 });
-            let parked_ok = !has(&self.ni_parked)
+            let parked_ok = !self.ni_parked.contains(n)
                 || live_mask != 0
                     && (0..self.total_vcs).all(|v| {
                         live_mask & 1 << v == 0
@@ -1013,8 +960,8 @@ impl Network {
                                 >= self.params.vc_buf_flits as usize
                     });
             ni.live == live_mask
-                && has(&self.ni_live) == (live_mask != 0)
-                && has(&self.ejected_any) != ni.ejected.is_empty()
+                && self.ni_live.contains(n) == (live_mask != 0)
+                && self.ejected_any.contains(n) != ni.ejected.is_empty()
                 && free_ok
                 && parked_ok
         });
@@ -1034,51 +981,27 @@ impl Network {
     /// parked) costs one test of its bitset word.
     pub(crate) fn router_shard(&mut self, s: usize) {
         let mut sc = std::mem::take(&mut self.scratch[s]);
-        let range = self.plan.router_range(s);
-        if self.idle_skip {
-            // A router's pass changes no other router's bitsets, so the
-            // set of routers with work can be taken up front.
-            self.routers
-                .routers_with_work(range.clone(), &mut sc.routers);
-            for w in 0..sc.routers.len() {
-                let mut todo = sc.routers[w];
-                while todo != 0 {
-                    let r = range.start + w * 64 + todo.trailing_zeros() as usize;
-                    todo &= todo - 1;
-                    self.router_pass(r, &mut sc);
-                }
+        for r in self.plan.router_range(s) {
+            if self.idle_skip && !self.routers.has_work(r) {
+                continue;
             }
-        } else {
-            for r in range {
-                self.router_pass(r, &mut sc);
+            self.for_each_vc(r, false, |net, bit| net.va_vc(r, bit));
+            sc.sa_requests.clear();
+            self.for_each_vc(r, true, |net, bit| net.sa_request(r, bit, &mut sc));
+            if !sc.sa_requests.is_empty() {
+                self.sa_st_router(r, &mut sc);
             }
         }
         self.scratch[s] = sc;
     }
 
-    /// VA and then SA/ST at router `r`.
-    fn router_pass(&mut self, r: usize, sc: &mut ShardScratch) {
-        let words = self.routers.words(r);
-        self.for_each_vc(r, words.clone(), false, |net, bit| net.va_vc(r, bit));
-        sc.sa_requests.clear();
-        self.for_each_vc(r, words, true, |net, bit| net.sa_request(r, bit, sc));
-        if !sc.sa_requests.is_empty() {
-            self.sa_st_router(r, sc);
-        }
-    }
-
     /// Visit router `r`'s occupied input VCs that hold an allocation
     /// (`allocated`) or still need one, in ascending bit order: the set
-    /// bits of its bitset `words` minus the parked ones, or in the
-    /// reference mode every VC, tested one by one.
-    fn for_each_vc(
-        &mut self,
-        r: usize,
-        words: std::ops::Range<usize>,
-        allocated: bool,
-        mut visit: impl FnMut(&mut Self, usize),
-    ) {
+    /// bits of its bitsets minus the parked ones, or in the reference
+    /// mode every VC, tested one by one.
+    fn for_each_vc(&mut self, r: usize, allocated: bool, mut visit: impl FnMut(&mut Self, usize)) {
         if self.idle_skip {
+            let words = self.routers.words(r);
             for w in words.clone() {
                 let base = (w - words.start) * 64;
                 let mut bits = if allocated {
@@ -1116,13 +1039,11 @@ impl Network {
                 self.stats
                     .record_ejection(pkt.class(), pkt.prio, latency, node, pkt.flits);
                 self.nis[node].ejected.push_back(pkt);
-                let (word, bit) = node_bit(node);
-                self.ejected_any[word] |= bit;
+                self.ejected_any.insert(node);
             }
             sc.ejections.clear();
             for n in sc.ni_wakes.drain(..) {
-                let (word, bit) = node_bit(n);
-                self.ni_parked[word] &= !bit;
+                self.ni_parked.remove(n);
             }
             // The global apply buffers are empty here (drained last
             // tick); swapping donates the scratch's capacity instead of
@@ -1214,17 +1135,11 @@ impl Network {
         self.choose_output(r, f.class, f.prio, dst, policy, &cand)
     }
 
-    /// The (input port, VC) of router-local VC bit `bit`.
-    fn split(&self, bit: usize) -> (usize, usize) {
-        let (port, vc) = self.split[bit];
-        (port as usize, vc as usize)
-    }
-
     /// Hand router `r`'s input VC `bit` its allocation, claiming the
     /// output VC unless it ejects.
     fn allocate(&mut self, r: usize, bit: usize, alloc: Alloc) {
         if !alloc.eject {
-            let (i, v) = self.split(bit);
+            let (i, v) = (bit / self.total_vcs, bit % self.total_vcs);
             self.routers
                 .claim_out(r, alloc.port as usize, alloc.vc as usize, i, v);
         }
@@ -1398,9 +1313,9 @@ impl Network {
             // A lone request wins its output's grant and its input's
             // accept outright.
             let q = sc.sa_requests[0];
-            let (i, v) = self.split(q.bit);
-            self.routers.grant_ptr[pb + q.out] = ring_next(q.bit, id_space);
-            self.routers.accept_ptr[pb + i] = ring_next(v, v_count);
+            let (i, v) = (q.bit / v_count, q.bit % v_count);
+            self.routers.grant_ptr[pb + q.out] = (q.bit + 1) % id_space;
+            self.routers.accept_ptr[pb + i] = (v + 1) % v_count;
             sc.sa_accepted.push((q.bit, q.out));
         } else {
             if sc.sa_out_taken.len() < n_ports {
@@ -1416,11 +1331,11 @@ impl Network {
                 // then rotating from the output's grant pointer).
                 sc.sa_out_best[..n_ports].fill(None);
                 for (k, q) in sc.sa_requests.iter().enumerate() {
-                    if sc.sa_out_taken[q.out] || sc.sa_in_taken[self.split(q.bit).0] {
+                    if sc.sa_out_taken[q.out] || sc.sa_in_taken[q.bit / v_count] {
                         continue;
                     }
                     let ptr = self.routers.grant_ptr[pb + q.out];
-                    let key = (q.prio, ring_dist(q.bit, ptr, id_space));
+                    let key = (q.prio, (q.bit + id_space - ptr) % id_space);
                     let best = &mut sc.sa_out_best[q.out];
                     if best.is_none_or(|(_, b)| key < b) {
                         *best = Some((k, key));
@@ -1434,9 +1349,9 @@ impl Network {
                         continue;
                     };
                     let q = sc.sa_requests[k];
-                    let (i, v) = self.split(q.bit);
+                    let (i, v) = (q.bit / v_count, q.bit % v_count);
                     let ptr = self.routers.accept_ptr[pb + i];
-                    let key = (q.prio, ring_dist(v, ptr, v_count));
+                    let key = (q.prio, (v + v_count - ptr) % v_count);
                     let best = &mut sc.sa_in_best[i];
                     if best.is_none_or(|(_, b)| key < b) {
                         *best = Some((k, key));
@@ -1455,8 +1370,8 @@ impl Network {
                     // iSLIP pointer updates only on first-iteration
                     // accepts (the classic desynchronization rule).
                     if round == 0 {
-                        self.routers.grant_ptr[pb + q.out] = ring_next(q.bit, id_space);
-                        self.routers.accept_ptr[pb + i] = ring_next(self.split(q.bit).1, v_count);
+                        self.routers.grant_ptr[pb + q.out] = (q.bit + 1) % id_space;
+                        self.routers.accept_ptr[pb + i] = (q.bit % v_count + 1) % v_count;
                     }
                 }
                 if !progress {
@@ -1475,7 +1390,7 @@ impl Network {
     /// output port `op`. Cross-shard effects (credit returns, link
     /// transfers, ejection finalization) are deferred into `sc`.
     fn traverse(&mut self, r: usize, bit: usize, op: usize, sc: &mut ShardScratch) {
-        let (i, v) = self.split(bit);
+        let (i, v) = (bit / self.total_vcs, bit % self.total_vcs);
         let alloc = self
             .routers
             .alloc(self.routers.vc_ix(r, bit))
@@ -1491,8 +1406,7 @@ impl Network {
             // bitset spans shards, so the wake is deferred too.
             PortLink::Node(n) => {
                 let n = n.index();
-                let (word, b) = node_bit(n);
-                if self.ni_parked[word] & b != 0 && self.nis[n].live & 1 << v != 0 {
+                if self.ni_parked.contains(n) && self.nis[n].live & 1 << v != 0 {
                     sc.ni_wakes.push(n);
                 }
             }
@@ -1540,6 +1454,18 @@ impl Network {
         }
     }
 
+    /// Injection-stall accounting: one count per NI that refused a
+    /// packet of either class since the last tick.
+    fn count_injection_stalls(&mut self) {
+        let [want_req, want_rep] = &mut self.want;
+        want_req.union_with(want_rep);
+        for n in want_req.iter() {
+            self.stats.node_inj_stall_cycles[n] += 1;
+        }
+        want_req.clear();
+        want_rep.clear();
+    }
+
     /// Stream flits from NI injection slots into the local input VCs:
     /// at most ONE flit per node per cycle — the node's single physical
     /// injection channel, whatever the topology. Only NIs holding a live
@@ -1547,16 +1473,17 @@ impl Network {
     /// a visited NI that cannot move a flit parks.
     fn ni_injection(&mut self) {
         if self.idle_skip {
-            for w in 0..self.ni_live.len() {
-                let mut todo = self.ni_live[w] & !self.ni_parked[w];
-                while todo != 0 {
-                    let low = todo.trailing_zeros() as usize;
-                    todo &= todo - 1;
-                    if !self.ni_inject(w * 64 + low) {
-                        self.ni_parked[w] |= 1 << low;
-                    }
+            // Injecting at one NI changes only that NI's bits, so the
+            // working set can be taken up front.
+            let mut todo = std::mem::take(&mut self.ni_todo);
+            todo.copy_from(&self.ni_live);
+            todo.subtract(&self.ni_parked);
+            for n in todo.iter() {
+                if !self.ni_inject(n) {
+                    self.ni_parked.insert(n);
                 }
             }
+            self.ni_todo = todo;
         } else {
             for n in 0..self.nis.len() {
                 self.ni_inject(n);
@@ -1599,13 +1526,12 @@ impl Network {
                     eligible: self.now + 1 + self.proc_delay[class_ix(slot.class)],
                 };
                 slot.next_idx += 1;
-                ni.inj_rr = ring_next(vc, v_count);
+                ni.inj_rr = (vc + 1) % v_count;
                 if slot.next_idx == slot.total {
                     ni.inj[vc] = None;
                     ni.live &= !(1 << vc);
                     if ni.live == 0 {
-                        let (word, mask) = node_bit(n);
-                        self.ni_live[word] &= !mask;
+                        self.ni_live.remove(n);
                     }
                     self.update_free_slots(n);
                 }
@@ -2044,8 +1970,7 @@ mod tests {
     }
 
     fn parked(net: &Network, n: usize) -> bool {
-        let (word, bit) = node_bit(n);
-        net.ni_parked[word] & bit != 0
+        net.ni_parked.contains(n)
     }
 
     /// A reply network in which node 0 streams 9-flit GPU replies to

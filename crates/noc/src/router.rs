@@ -146,11 +146,8 @@ pub(crate) struct RouterState {
     /// Per port: Footprint's cycle of the last profitable adaptive use.
     pub footprint: Vec<Cycle>,
     /// Per router words: the four bitsets of 64 input VCs, side by side
-    /// so the tick's scan of a router reads one 32-byte record.
+    /// so the tick's test of a router reads one 32-byte record.
     bits: Vec<Word>,
-    /// Every router fits its input VCs in one word, so router `r`'s only
-    /// word is word `r` (all topologies but the wide crossbar).
-    one_word: bool,
 }
 
 /// Four bitsets over 64 input VCs of one router.
@@ -218,7 +215,6 @@ impl RouterState {
             hare_score: vec![0.0; n_ports],
             footprint: vec![0; n_ports],
             bits: vec![Word::default(); n_words],
-            one_word: n_words == routers,
             vc_base,
             port_base,
             word_base,
@@ -255,29 +251,12 @@ impl RouterState {
         self.word_base[r]..self.word_base[r + 1]
     }
 
-    /// Which of routers `range` have an input VC the tick visits
-    /// (occupied and not parked): bit `i` of `out` stands for router
-    /// `range.start + i`. Without one, neither VA nor SA has anything to
-    /// do at a router. On one-word routers the test is branch-free.
-    pub fn routers_with_work(&self, range: Range<usize>, out: &mut Vec<u64>) {
-        let work = |b: &Word| {
-            b.occ & !(b.allocated | b.va_sleep) | b.occ & b.allocated & !b.credit_wait != 0
-        };
-        out.clear();
-        if self.one_word {
-            out.extend(self.bits[range].chunks(64).map(|chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |m, (i, b)| m | u64::from(work(b)) << i)
-            }));
-        } else {
-            out.resize(range.len().div_ceil(64), 0);
-            for (i, r) in range.enumerate() {
-                let busy = self.bits[self.words(r)].iter().any(work);
-                out[i / 64] |= u64::from(busy) << (i % 64);
-            }
-        }
+    /// Whether router `r` has an input VC the tick visits (occupied and
+    /// not parked). Without one, neither VA nor SA has anything to do at
+    /// the router.
+    pub fn has_work(&self, r: usize) -> bool {
+        self.words(r)
+            .any(|w| self.unallocated_word(w) | self.allocated_word(w) != 0)
     }
 
     /// Occupied input VCs of word `w` that still need VC allocation and

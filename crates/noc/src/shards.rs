@@ -177,9 +177,6 @@ pub(crate) struct ShardScratch {
     /// Parked NIs (by node index) whose local input VC popped a flit
     /// this cycle; unparked in the merge.
     pub ni_wakes: Vec<usize>,
-    /// The shard's routers with something to visit this cycle, as a
-    /// bitset over its router range.
-    pub routers: Vec<u64>,
 }
 
 /// Sense-reversing spin barrier: cheap per-cycle rendezvous without
