@@ -4,12 +4,16 @@
 use clognet_bench::banner;
 use clognet_proto::{Knob, SystemConfig};
 
+/// SIMT width of a warp. Only this table prints it: the simulator
+/// issues whole warp instructions and never models lanes.
+const THREADS_PER_WARP: usize = 32;
+
 fn main() {
     banner("Table I", "simulated CPU-GPU architecture parameters");
     let c = SystemConfig::default();
     println!(
         "GPU cores   : {} SIMT cores, {} warps/core, {} threads/warp, {} GTO schedulers",
-        c.n_gpu, c.gpu.warps_per_core, c.gpu.threads_per_warp, c.gpu.issue_width
+        c.n_gpu, c.gpu.warps_per_core, THREADS_PER_WARP, c.gpu.issue_width
     );
     println!(
         "GPU L1      : {} KB, {}-way, LRU, {} B lines, {} MSHRs, {}-entry FRQ",

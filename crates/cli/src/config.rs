@@ -13,7 +13,7 @@ pub const JOB_KEYS: [&str; 4] = ["gpu", "cpu", "warm", "cycles"];
 /// Execution-mode options: they choose how a job runs, never what it
 /// computes, so they are not `SystemConfig` fields and move neither the
 /// job fingerprint nor the snapshot key.
-pub const EXEC_KEYS: [&str; 2] = ["no-ff", "shards"];
+pub const EXEC_KEYS: [&str; 1] = ["no-ff"];
 
 /// Every option that sets `SystemConfig` fields, in
 /// [`knobs::RUN_KEYS`] order.
@@ -56,22 +56,8 @@ pub fn check_benchmarks(gpu: &str, cpu: &str) -> Result<(), ParseArgsError> {
     Ok(())
 }
 
-/// Intra-run shard count from `--shards` (default 1 = the sequential
-/// engine), validated against the configured topology up front so a
-/// count that cannot partition the mesh fails with a clear message
-/// before any simulation is built.
-///
-/// # Errors
-///
-/// A malformed count, or one the topology cannot be split into.
-pub fn shard_count(args: &Args, cfg: &SystemConfig) -> Result<usize, ParseArgsError> {
-    let n = args.get_num("shards", 1usize)?;
-    clognet_core::validate_shards(cfg, n).map_err(|e| ParseArgsError(format!("--shards: {e}")))?;
-    Ok(n)
-}
-
-/// Validate the `--chips` / `--fabric-*` combination up front, exactly
-/// like [`shard_count`] does for `--shards`.
+/// Validate the `--chips` / `--fabric-*` combination up front, before
+/// any simulation is built.
 ///
 /// # Errors
 ///

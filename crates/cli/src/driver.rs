@@ -12,15 +12,13 @@
 use crate::args::ParseArgsError;
 use crate::report;
 use clognet_bench::runner::{run_jobs, run_jobs_with_state, timed};
-use clognet_core::{MultiChipSystem, Report, Snapshot, System, TickEngine};
+use clognet_core::{MultiChipSystem, Report, Snapshot, System};
 use clognet_proto::{AddressMap, ControlConfig, FabricConfig, Layout, Scheme, SystemConfig};
 
 /// Build, warm, measure, and report one workload under one config.
 /// `ff` selects event-horizon fast-forward (the default) or the
-/// per-cycle reference loop (`--no-ff`); `shards` > 1 runs the spatial
-/// sharding engine. Reports are identical across both knobs — that
-/// equivalence is what the CI smoke steps assert.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface 1:1
+/// per-cycle reference loop (`--no-ff`). Reports are identical either
+/// way — that equivalence is what the CI smoke steps assert.
 pub fn measure(
     cfg: SystemConfig,
     gpu: &str,
@@ -28,14 +26,9 @@ pub fn measure(
     warm: u64,
     cycles: u64,
     ff: bool,
-    shards: usize,
 ) -> Report {
     let mut sys = MultiChipSystem::new(cfg, gpu, cpu);
     sys.set_fast_forward(ff);
-    if shards > 1 {
-        sys.set_tick_engine(TickEngine::Sharded(shards))
-            .expect("shard plan validated before job construction");
-    }
     sys.run(warm);
     sys.reset_stats();
     sys.run(cycles);
@@ -62,7 +55,6 @@ pub fn run_compare(
     cycles: u64,
     threads: usize,
     ff: bool,
-    shards: usize,
 ) -> Vec<(Scheme, Report)> {
     let jobs: Vec<(Scheme, SystemConfig)> = compare_schemes()
         .into_iter()
@@ -73,7 +65,7 @@ pub fn run_compare(
         })
         .collect();
     run_jobs(jobs, threads, |(scheme, cfg)| {
-        (scheme, measure(cfg, gpu, cpu, warm, cycles, ff, shards))
+        (scheme, measure(cfg, gpu, cpu, warm, cycles, ff))
     })
 }
 
@@ -372,7 +364,6 @@ pub fn run_sweep(
     cycles: u64,
     threads: usize,
     ff: bool,
-    shards: usize,
 ) -> Result<Vec<SweepPoint>, ParseArgsError> {
     // None of the sweep parameters move nodes or re-interleave
     // addresses, so derive both once instead of per (point, scheme).
@@ -390,10 +381,6 @@ pub fn run_sweep(
     let reports = run_jobs(jobs, threads, |cfg| {
         let mut sys = MultiChipSystem::new_prebuilt(cfg, gpu, cpu, layout.clone(), map);
         sys.set_fast_forward(ff);
-        if shards > 1 {
-            sys.set_tick_engine(TickEngine::Sharded(shards))
-                .expect("shard plan validated before job construction");
-        }
         sys.run(warm);
         sys.reset_stats();
         sys.run(cycles);
@@ -716,181 +703,6 @@ pub fn run_bench(threads: usize, warm: u64, cycles: u64) -> BenchResult {
     }
 }
 
-/// One timed leg of the intra-run shard-scaling benchmark.
-pub struct ShardLeg {
-    /// Shard count for this leg (1 = sequential engine).
-    pub shards: usize,
-    /// Wall-clock seconds for the measured span (minimum over reps).
-    pub wall_s: f64,
-    /// Mean wall-clock seconds across reps.
-    pub wall_s_mean: f64,
-    /// Standard deviation of wall-clock seconds across reps.
-    pub wall_s_stddev: f64,
-    /// Simulated cycles per wall-clock second (best rep).
-    pub sim_cycles_per_s: f64,
-}
-
-/// Result of `clognet bench --shards <max>`: a strong-scaling curve
-/// for one simulation spatially sharded across cores, on a mesh big
-/// enough (16x16) that per-cycle router work dwarfs barrier overhead.
-pub struct ShardBenchResult {
-    /// Mesh dimensions of the benchmarked chip.
-    pub mesh: (usize, usize),
-    /// Warmup cycles per leg (excluded from the timed span).
-    pub warm: u64,
-    /// Measured cycles per leg.
-    pub cycles: u64,
-    /// One leg per shard count, ascending, starting at 1.
-    pub legs: Vec<ShardLeg>,
-    /// Whether every sharded leg reproduced the sequential leg's
-    /// report byte-for-byte (the determinism contract, re-checked on
-    /// the benchmark's own runs).
-    pub identical_reports: bool,
-}
-
-impl ShardBenchResult {
-    /// Wall-clock speedup of the `shards`-way leg over the sequential
-    /// leg, or 0 when that leg was not run.
-    pub fn speedup_at(&self, shards: usize) -> f64 {
-        let seq = self.legs.iter().find(|l| l.shards == 1);
-        let leg = self.legs.iter().find(|l| l.shards == shards);
-        match (seq, leg) {
-            (Some(s), Some(l)) if l.wall_s > 0.0 => s.wall_s / l.wall_s,
-            _ => 0.0,
-        }
-    }
-
-    /// Whether any benchmarked leg ran more shards than the host has
-    /// hardware threads. Shard workers are busy-wait barrier peers, so
-    /// oversubscribing them serializes (and then some) — speedups from
-    /// such a run describe scheduler behavior, not the engine. See
-    /// DESIGN.md §9.5.
-    pub fn shards_gt_host_threads(&self) -> bool {
-        let host = std::thread::available_parallelism().map_or(1, usize::from);
-        self.legs.iter().map(|l| l.shards).max().unwrap_or(1) > host
-    }
-
-    /// The `BENCH_shards.json` document: scaling legs plus the
-    /// headline 4-shard speedup. Single-core CI hosts record the curve
-    /// without enforcing a ratio, so the host's parallelism is included
-    /// for interpretation, and `shards_gt_host_threads` flags a curve
-    /// whose wall-clock numbers are not meaningful speedups.
-    pub fn to_json(&self) -> String {
-        let legs: Vec<String> = self
-            .legs
-            .iter()
-            .map(|l| {
-                format!(
-                    "{{\"shards\":{},\"wall_s\":{:.6},\"wall_s_mean\":{:.6},\
-                     \"wall_s_stddev\":{:.6},\"sim_cycles_per_s\":{:.1},\"speedup\":{:.3}}}",
-                    l.shards,
-                    l.wall_s,
-                    l.wall_s_mean,
-                    l.wall_s_stddev,
-                    l.sim_cycles_per_s,
-                    self.speedup_at(l.shards)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"harness\":\"clognet bench --shards\",\"mesh\":\"{}x{}\",\
-             \"warm\":{},\"cycles\":{},\"reps\":{},\"host_threads\":{},\
-             \"shards_gt_host_threads\":{},\
-             \"legs\":[{}],\"speedup_at_4\":{:.3},\"identical_reports\":{}}}",
-            self.mesh.0,
-            self.mesh.1,
-            self.warm,
-            self.cycles,
-            LEG_REPS,
-            std::thread::available_parallelism().map_or(1, usize::from),
-            self.shards_gt_host_threads(),
-            legs.join(","),
-            self.speedup_at(4),
-            self.identical_reports
-        )
-    }
-}
-
-/// The chip the shard-scaling benchmark runs: a 16x16 mesh (4x the
-/// default router count) under Delegated Replies, following the
-/// `--mesh` convention for node counts (one memory node per row, CPUs
-/// at twice that, GPU cores on the remaining tiles).
-pub fn shard_bench_config() -> SystemConfig {
-    let mut cfg = SystemConfig::default().with_scheme(Scheme::DelegatedReplies);
-    cfg.mesh_width = 16;
-    cfg.mesh_height = 16;
-    cfg.n_mem = 16;
-    cfg.n_cpu = 32;
-    cfg.n_gpu = 16 * 16 - 3 * 16;
-    cfg
-}
-
-/// Time one simulation at shard counts 1, 2, 4, ... up to
-/// `max_shards` (skipping counts that do not divide the mesh rows).
-/// Build and warmup happen outside the timer; each leg runs
-/// [`LEG_REPS`] times on freshly built systems and reports the minimum
-/// wall time. Every leg's report is checked against the sequential
-/// leg's — a sharded run that got faster by diverging would be a bug,
-/// not a speedup.
-pub fn run_shard_bench(max_shards: usize, warm: u64, cycles: u64) -> ShardBenchResult {
-    let cfg = shard_bench_config();
-    let (gpu, cpu) = ("HS", "bodytrack");
-    let mut counts = vec![1];
-    let mut s = 2;
-    while s <= max_shards {
-        if cfg.mesh_height.is_multiple_of(s) {
-            counts.push(s);
-        }
-        s *= 2;
-    }
-    let mut legs = Vec::with_capacity(counts.len());
-    let mut reference: Option<Report> = None;
-    let mut identical_reports = true;
-    for shards in counts {
-        let mut samples = Vec::with_capacity(LEG_REPS);
-        let mut last_report = None;
-        for _ in 0..LEG_REPS {
-            let mut sys = System::new(cfg.clone(), gpu, cpu);
-            if shards > 1 {
-                sys.set_tick_engine(TickEngine::Sharded(shards))
-                    .expect("power-of-two shard counts divide the 16 mesh rows");
-            }
-            sys.run(warm);
-            sys.reset_stats();
-            let start = std::time::Instant::now();
-            sys.run(cycles);
-            samples.push(start.elapsed().as_secs_f64());
-            last_report = Some(sys.report());
-        }
-        match (&reference, last_report) {
-            (None, report) => reference = report,
-            (Some(reference), Some(report)) => {
-                identical_reports &= *reference == report;
-            }
-            _ => {}
-        }
-        let (wall_s, wall_s_mean, wall_s_stddev) = rep_stats(&samples);
-        legs.push(ShardLeg {
-            shards,
-            wall_s,
-            wall_s_mean,
-            wall_s_stddev,
-            sim_cycles_per_s: if wall_s > 0.0 {
-                cycles as f64 / wall_s
-            } else {
-                0.0
-            },
-        });
-    }
-    ShardBenchResult {
-        mesh: (cfg.mesh_width, cfg.mesh_height),
-        warm,
-        cycles,
-        legs,
-        identical_reports,
-    }
-}
-
 /// The injbuf values the warm-start benchmark sweeps: 8 variants, each
 /// measured under both schemes (16 forked systems per leg).
 pub const WARMSTART_VALUES: [u64; 8] = [2, 3, 4, 6, 8, 12, 16, 24];
@@ -1049,8 +861,8 @@ pub struct FabricBenchResult {
     /// One entry per degradation point, in [`FABRIC_POINTS`] order.
     pub points: Vec<FabricPoint>,
     /// Whether every DR cell reproduced byte-for-byte on the per-cycle
-    /// reference loop (`--no-ff`) and on the sharded engine — the
-    /// determinism contract, re-checked on the benchmark's own runs.
+    /// reference loop (`--no-ff`) — the determinism contract, re-checked
+    /// on the benchmark's own runs.
     pub identical_reports: bool,
 }
 
@@ -1107,23 +919,22 @@ pub fn fabric_bench_config(lat_mult: u32, reply_width: u32) -> SystemConfig {
 
 /// Run the scheme matrix across [`FABRIC_POINTS`] and self-check the
 /// DR cells (the scheme whose engine path exercises delegation plus the
-/// fabric) against the reference loop and the sharded engine.
+/// fabric) against the reference loop.
 pub fn run_fabric_bench(warm: u64, cycles: u64) -> FabricBenchResult {
     let (gpu, cpu) = ("HS", "bodytrack");
     let mut points = Vec::with_capacity(FABRIC_POINTS.len());
     let mut identical_reports = true;
     for (lat_mult, reply_width) in FABRIC_POINTS {
         let base = fabric_bench_config(lat_mult, reply_width);
-        let run = |scheme: Scheme, ff: bool, shards: usize| {
+        let run = |scheme: Scheme, ff: bool| {
             let mut cfg = base.clone();
             cfg.scheme = scheme;
-            measure(cfg, gpu, cpu, warm, cycles, ff, shards)
+            measure(cfg, gpu, cpu, warm, cycles, ff)
         };
-        let baseline = run(Scheme::Baseline, true, 1);
-        let rp = run(Scheme::rp_default(), true, 1);
-        let dr = run(Scheme::DelegatedReplies, true, 1);
-        identical_reports &= run(Scheme::DelegatedReplies, false, 1) == dr;
-        identical_reports &= run(Scheme::DelegatedReplies, true, 2) == dr;
+        let baseline = run(Scheme::Baseline, true);
+        let rp = run(Scheme::rp_default(), true);
+        let dr = run(Scheme::DelegatedReplies, true);
+        identical_reports &= run(Scheme::DelegatedReplies, false) == dr;
         points.push(FabricPoint {
             lat_mult,
             reply_width,
@@ -1307,7 +1118,7 @@ pub fn run_control_bench(warm: u64, cycles: u64) -> ControlBenchResult {
         let run_static = |scheme: Scheme| {
             let mut cfg = base.clone();
             cfg.scheme = scheme;
-            measure(cfg, gpu, cpu, warm, cycles, true, 1)
+            measure(cfg, gpu, cpu, warm, cycles, true)
         };
         let baseline = run_static(Scheme::Baseline);
         let rp = run_static(Scheme::rp_default());
@@ -1319,7 +1130,7 @@ pub fn run_control_bench(warm: u64, cycles: u64) -> ControlBenchResult {
         let mut noop_cfg = base.clone();
         noop_cfg.scheme = Scheme::Baseline;
         noop_cfg.control = Some(ControlConfig::noop());
-        identical_reports &= measure(noop_cfg, gpu, cpu, warm, cycles, true, 1) == baseline;
+        identical_reports &= measure(noop_cfg, gpu, cpu, warm, cycles, true) == baseline;
         points.push(ControlPoint {
             gpu,
             cpu,
@@ -1518,44 +1329,6 @@ mod tests {
         assert!((stddev - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
         let (min, mean, stddev) = rep_stats(&[1.5]);
         assert_eq!((min, mean, stddev), (1.5, 1.5, 0.0));
-    }
-
-    #[test]
-    fn shard_bench_config_fills_the_big_mesh() {
-        let cfg = shard_bench_config();
-        assert_eq!((cfg.mesh_width, cfg.mesh_height), (16, 16));
-        assert_eq!(cfg.n_gpu + cfg.n_cpu + cfg.n_mem, cfg.nodes());
-        assert_eq!(cfg.scheme, Scheme::DelegatedReplies);
-    }
-
-    #[test]
-    fn shard_bench_json_is_flat_and_balanced() {
-        let leg = |shards, wall_s, per_s| ShardLeg {
-            shards,
-            wall_s,
-            wall_s_mean: wall_s,
-            wall_s_stddev: 0.0,
-            sim_cycles_per_s: per_s,
-        };
-        let r = ShardBenchResult {
-            mesh: (16, 16),
-            warm: 10,
-            cycles: 100,
-            legs: vec![leg(1, 2.0, 50.0), leg(4, 0.5, 200.0)],
-            identical_reports: true,
-        };
-        let j = r.to_json();
-        assert!(j.contains("\"harness\":\"clognet bench --shards\""));
-        assert!(j.contains("\"mesh\":\"16x16\""));
-        assert!(j.contains("\"speedup_at_4\":4.000"));
-        assert!(j.contains("\"identical_reports\":true"));
-        assert!(j.contains("\"shards_gt_host_threads\":"));
-        assert!(j.contains("\"shards\":1"));
-        assert!(j.contains("\"speedup\":4.000"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        // A leg that was never run reports no speedup rather than NaN.
-        assert_eq!(r.speedup_at(2), 0.0);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //!
 //! Each seeded case (see [`clognet_control::fuzz::ScenarioGen`]) is a
 //! random-but-valid config + workload + scheme + fabric + control
-//! combination. The driver runs every case through the engine modes in
-//! lockstep — fast-forward on (the reference), the per-cycle loop
-//! (`--no-ff`), and the sharded engine when the case shards — and
-//! asserts the reports are identical. A mismatch is minimized greedily
+//! combination. The driver runs every case through both engine modes —
+//! fast-forward on (the reference) and the per-cycle loop (`--no-ff`)
+//! — and asserts the reports are identical. A mismatch is minimized greedily
 //! (drop one dimension at a time while the failure persists) and
 //! printed as a single `clognet run` reproducer line.
 
@@ -16,10 +15,10 @@ use clognet_control::fuzz::{FuzzCase, ScenarioGen};
 use clognet_core::Report;
 use clognet_proto::Knob;
 
-/// Run one case through every applicable engine mode. `Ok` carries the
-/// reference report; `Err` names the leg that diverged.
+/// Run one case through both engine modes. `Ok` carries the reference
+/// report; `Err` names the leg that diverged.
 fn run_case(case: &FuzzCase) -> Result<Report, String> {
-    let leg = |ff: bool, shards: usize| {
+    let leg = |ff: bool| {
         measure(
             case.cfg.clone(),
             &case.gpu,
@@ -27,15 +26,11 @@ fn run_case(case: &FuzzCase) -> Result<Report, String> {
             case.warm,
             case.cycles,
             ff,
-            shards,
         )
     };
-    let reference = leg(true, 1);
-    if leg(false, 1) != reference {
+    let reference = leg(true);
+    if leg(false) != reference {
         return Err("--no-ff (per-cycle reference loop)".into());
-    }
-    if case.shards > 1 && leg(true, case.shards) != reference {
-        return Err(format!("--shards {} (sharded engine)", case.shards));
     }
     Ok(reference)
 }
@@ -83,13 +78,6 @@ fn minimize(mut case: FuzzCase) -> FuzzCase {
                 return false;
             }
             c.cfg.noc.mem_inj_buf_pkts = default;
-            true
-        },
-        |c| {
-            if c.shards <= 2 {
-                return false;
-            }
-            c.shards = 2;
             true
         },
         |c| {
@@ -147,12 +135,11 @@ pub fn cmd_fuzz(args: &Args) -> Result<(), ParseArgsError> {
         let case = gen.next_case();
         match run_case(&case) {
             Ok(report) => eprintln!(
-                "case {:>3}/{cases}: ok  {}+{} {} shards={} ipc={:.2}",
+                "case {:>3}/{cases}: ok  {}+{} {} ipc={:.2}",
                 i + 1,
                 case.gpu,
                 case.cpu,
                 case.cfg.scheme.label(),
-                case.shards,
                 report.gpu_ipc
             ),
             Err(leg) => {
@@ -214,7 +201,6 @@ mod tests {
                     job_fingerprint(&case.cfg, &case.gpu, &case.cpu, case.warm, case.cycles),
                     "{line}"
                 );
-                assert_eq!(args.get_num("shards", 1usize).unwrap(), case.shards);
             }
         }
     }

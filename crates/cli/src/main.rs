@@ -26,10 +26,10 @@
 use clognet_bench::runner::default_threads;
 use clognet_cli::args::{Args, ParseArgsError};
 use clognet_cli::config::{
-    check_benchmarks, check_fabric, config_from, shard_count, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS,
+    check_benchmarks, check_fabric, config_from, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS,
 };
 use clognet_cli::{cluster_cmd, driver, fuzz_cmd, report, serve_cmd, timeline};
-use clognet_core::{DecisionLog, MultiChipSystem, System, TelemetryConfig, TickEngine};
+use clognet_core::{DecisionLog, MultiChipSystem, System, TelemetryConfig};
 use clognet_proto::{knobs, Knob, Scheme};
 
 fn main() {
@@ -82,14 +82,6 @@ fn dispatch(raw: Vec<String>) -> Result<(), ParseArgsError> {
 
 fn run_keys() -> Vec<&'static str> {
     [&JOB_KEYS[..], &CONFIG_KEYS, &EXEC_KEYS].concat()
-}
-
-/// Apply a validated `--shards` count to a freshly built package.
-fn apply_shards(sys: &mut MultiChipSystem, shards: usize) {
-    if shards > 1 {
-        sys.set_tick_engine(TickEngine::Sharded(shards))
-            .expect("shard count validated against this config");
-    }
 }
 
 /// Telemetry epoch length from `--sample` (default 500 cycles).
@@ -207,10 +199,8 @@ fn cmd_run(args: &Args) -> Result<(), ParseArgsError> {
             "--snapshot-out needs --snapshot-every <cycles>".into(),
         ));
     }
-    let shards = shard_count(args, &cfg)?;
     let mut sys = MultiChipSystem::new(cfg, gpu, cpu);
     sys.set_fast_forward(!args.flag("no-ff"));
-    apply_shards(&mut sys, shards);
     if want_telemetry {
         sys.enable_telemetry(telemetry_config(args)?);
     }
@@ -281,10 +271,8 @@ fn cmd_timeline(args: &Args) -> Result<(), ParseArgsError> {
     let cfg = config_from(args)?;
     check_fabric(&cfg)?;
     let scheme = cfg.scheme;
-    let shards = shard_count(args, &cfg)?;
     let mut sys = MultiChipSystem::new(cfg, gpu, cpu);
     sys.set_fast_forward(!args.flag("no-ff"));
-    apply_shards(&mut sys, shards);
     sys.enable_telemetry(telemetry_config(args)?);
     sys.run(warm + cycles);
     sys.finish_telemetry();
@@ -310,6 +298,11 @@ fn cmd_timeline(args: &Args) -> Result<(), ParseArgsError> {
     Ok(())
 }
 
+/// Why `--warm-from` refuses `--no-ff`: engine modes never change
+/// results, so the forked runs keep the default engine.
+const WARM_FROM_NO_FF: &str =
+    "--warm-from does not compose with --no-ff; engine modes never change results, so drop it";
+
 fn cmd_compare(args: &Args) -> Result<(), ParseArgsError> {
     let mut keys = run_keys();
     keys.extend_from_slice(&["json", "threads", "warm-from"]);
@@ -325,29 +318,15 @@ fn cmd_compare(args: &Args) -> Result<(), ParseArgsError> {
     }
     let base = config_from(args)?;
     check_fabric(&base)?;
-    let shards = shard_count(args, &base)?;
     let rows = match args.get("warm-from") {
         Some(mode) => {
-            if shards > 1 || args.flag("no-ff") {
-                return Err(ParseArgsError(
-                    "--warm-from composes with neither --shards nor --no-ff; \
-                     engine modes never change results, so drop them"
-                        .into(),
-                ));
+            if args.flag("no-ff") {
+                return Err(ParseArgsError(WARM_FROM_NO_FF.into()));
             }
             let mode = driver::parse_warm_start(mode);
             driver::run_compare_warm(&base, gpu, cpu, warm, cycles, threads, &mode)?
         }
-        None => driver::run_compare(
-            &base,
-            gpu,
-            cpu,
-            warm,
-            cycles,
-            threads,
-            !args.flag("no-ff"),
-            shards,
-        ),
+        None => driver::run_compare(&base, gpu, cpu, warm, cycles, threads, !args.flag("no-ff")),
     };
     if args.flag("json") {
         print!("{}", report::comparison_json(&rows));
@@ -386,17 +365,10 @@ fn cmd_sweep(args: &Args) -> Result<(), ParseArgsError> {
     }
     let base = config_from(args)?;
     check_fabric(&base)?;
-    // Sweep parameters never resize the mesh, so one validation against
-    // the base config covers every point.
-    let shards = shard_count(args, &base)?;
     let points = match args.get("warm-from") {
         Some(mode) => {
-            if shards > 1 || args.flag("no-ff") {
-                return Err(ParseArgsError(
-                    "--warm-from composes with neither --shards nor --no-ff; \
-                     engine modes never change results, so drop them"
-                        .into(),
-                ));
+            if args.flag("no-ff") {
+                return Err(ParseArgsError(WARM_FROM_NO_FF.into()));
             }
             let mode = driver::parse_warm_start(mode);
             driver::run_sweep_warm(
@@ -413,7 +385,6 @@ fn cmd_sweep(args: &Args) -> Result<(), ParseArgsError> {
             cycles,
             threads,
             !args.flag("no-ff"),
-            shards,
         )?,
     };
     for p in &points {
@@ -443,7 +414,6 @@ fn cmd_bench(args: &Args) -> Result<(), ParseArgsError> {
         "cycles",
         "out",
         "json",
-        "shards",
         "warm-start",
         "fabric",
         "adaptive",
@@ -486,11 +456,6 @@ fn cmd_bench(args: &Args) -> Result<(), ParseArgsError> {
     };
     let warm = args.get_num("warm", dwarm)?;
     let cycles = args.get_num("cycles", dcycles)?;
-    // `--shards <max>` switches to the intra-run strong-scaling curve:
-    // one big-mesh simulation at 1, 2, 4, ... shards.
-    if args.get("shards").is_some() {
-        return cmd_shard_bench(args, warm, cycles);
-    }
     // `--fabric` switches to the inter-chip degradation matrix: a
     // 2-chip package whose reply links get slower and narrower.
     if args.flag("fabric") {
@@ -525,47 +490,6 @@ fn cmd_bench(args: &Args) -> Result<(), ParseArgsError> {
             r.ff_on.wall_s,
             r.ff_speedup(),
             r.skipped_ratio() * 100.0
-        );
-    }
-    Ok(())
-}
-
-/// `clognet bench --shards <max>`: time one 16x16-mesh simulation at
-/// shard counts 1, 2, 4, ... `<max>` and report the scaling curve
-/// (the `BENCH_shards.json` artifact).
-fn cmd_shard_bench(args: &Args, warm: u64, cycles: u64) -> Result<(), ParseArgsError> {
-    let max = args.get_num("shards", 4usize)?;
-    let cfg = driver::shard_bench_config();
-    clognet_core::validate_shards(&cfg, max)
-        .map_err(|e| ParseArgsError(format!("--shards: {e}")))?;
-    let r = driver::run_shard_bench(max, warm, cycles);
-    let doc = r.to_json();
-    if args.flag("json") || args.get("out").is_none() {
-        println!("{doc}");
-    }
-    if let Some(path) = args.get("out") {
-        write_file(path, &format!("{doc}\n"))?;
-        eprintln!("wrote shard-scaling report to {path}");
-    }
-    if !args.flag("json") {
-        eprintln!(
-            "shard scaling on a {}x{} mesh ({} warm + {} measured cycles, reports identical: {}):",
-            r.mesh.0, r.mesh.1, r.warm, r.cycles, r.identical_reports
-        );
-        for leg in &r.legs {
-            eprintln!(
-                "  {:>2} shards: {:.3}s ({:.2}x)",
-                leg.shards,
-                leg.wall_s,
-                r.speedup_at(leg.shards)
-            );
-        }
-    }
-    if r.shards_gt_host_threads() {
-        eprintln!(
-            "warning: benchmarked more shards than this host has hardware threads; \
-             wall-clock ratios describe the scheduler, not the engine \
-             (identical_reports is still meaningful)"
         );
     }
     Ok(())
@@ -701,10 +625,8 @@ fn cmd_snapshot(args: &Args) -> Result<(), ParseArgsError> {
     }
     let cfg = config_from(args)?;
     check_fabric(&cfg)?;
-    let shards = shard_count(args, &cfg)?;
     let mut sys = MultiChipSystem::new(cfg, gpu, cpu);
     sys.set_fast_forward(!args.flag("no-ff"));
-    apply_shards(&mut sys, shards);
     sys.run(warm);
     let snap = sys.snapshot();
     std::fs::write(out, snap.as_bytes())
@@ -746,9 +668,7 @@ fn cmd_resume(args: &Args) -> Result<(), ParseArgsError> {
             sys.apply_warm_param(k, v).map_err(ParseArgsError)?;
         }
     }
-    let shards = shard_count(args, sys.config())?;
     sys.set_fast_forward(!args.flag("no-ff"));
-    apply_shards(&mut sys, shards);
     let scheme = sys.config().scheme;
     eprintln!(
         "resumed {}+{} at cycle {} from {path}",
@@ -787,16 +707,11 @@ fn cmd_trace(args: &Args) -> Result<(), ParseArgsError> {
     if args.get("scheme").is_none() {
         cfg.scheme = Scheme::DelegatedReplies;
     }
-    let shards = shard_count(args, &cfg)?;
     // Episode thresholds ride on telemetry, so asking for them turns
     // the episode detector on alongside the protocol trace.
     let want_episodes = args.get("episode-enter").is_some() || args.get("episode-exit").is_some();
     let mut sys = System::new(cfg, gpu, cpu);
     sys.set_fast_forward(!args.flag("no-ff"));
-    if shards > 1 {
-        sys.set_tick_engine(TickEngine::Sharded(shards))
-            .expect("shard count validated against this config");
-    }
     if want_episodes {
         sys.enable_telemetry(telemetry_config(args)?);
     }
@@ -914,9 +829,7 @@ fn print_help() {
          \x20 --warm/--cycles    warmup / measured cycles (6000 / 15000)\n\
          \x20 --no-ff            disable event-horizon fast-forward (reference loop)\n\
          \x20 --seed <n>         workload + mapping seed\n\
-         \x20 --threads <n>      compare/sweep/bench worker threads (default: all cores)\n\
-         \x20 --shards <n>       spatial shards ticking one simulation in parallel\n\
-         \x20                    (must divide the mesh rows; bench: max of scaling curve)\n\n\
+         \x20 --threads <n>      compare/sweep/bench worker threads (default: all cores)\n\n\
          MULTI-CHIP OPTIONS (run/compare/sweep/timeline/snapshot/serve):\n\
          \x20 --chips <n>        chips in the package (default 1 = no fabric)\n\
          \x20 --fabric-topology <t>   pair | ring | all (default: pair, ring when >2)\n\
@@ -984,7 +897,6 @@ fn print_help() {
          \x20 clognet snapshot --gpu HS --cpu bodytrack --warm 20000 --out warm.snap\n\
          \x20 clognet resume --from warm.snap --cycles 4000 --set injbuf=4\n\
          \x20 clognet bench --quick --out BENCH_smoke.json\n\
-         \x20 clognet bench --shards 4 --out BENCH_shards.json\n\
          \x20 clognet compare --chips 2 --fabric-reply-latency 40 --json\n\
          \x20 clognet bench --fabric --quick --out BENCH_fabric.json\n\
          \x20 clognet bench --warm-start --out BENCH_warmstart.json\n\
@@ -1024,37 +936,9 @@ mod tests {
     }
 
     #[test]
-    fn run_rejects_shard_counts_that_cannot_partition_the_mesh() {
-        // 3 does not divide the default 8 mesh rows: a clear error
-        // before any simulation is built, not a panic or a silent
-        // fallback to the sequential engine.
-        let e = dispatch(args_of(&["run", "--shards", "3"])).unwrap_err();
-        assert!(e.0.contains("mesh rows"), "{e}");
-        // More shards than rows fails the same way.
-        let e = dispatch(args_of(&["run", "--shards", "16"])).unwrap_err();
-        assert!(e.0.contains("mesh rows"), "{e}");
-        // Non-mesh topologies only run sequentially.
-        let e = dispatch(args_of(&["run", "--topology", "crossbar", "--shards", "2"])).unwrap_err();
-        assert!(e.0.contains("mesh topology"), "{e}");
-        // Zero shards is nonsense whatever the topology.
-        assert!(dispatch(args_of(&["run", "--shards", "0"])).is_err());
-    }
-
-    #[test]
-    fn compare_and_sweep_reject_bad_shard_counts_too() {
-        let e = dispatch(args_of(&["compare", "--shards", "5"])).unwrap_err();
-        assert!(e.0.contains("mesh rows"), "{e}");
-        let e = dispatch(args_of(&[
-            "sweep", "--param", "width", "--values", "8,16", "--shards", "7",
-        ]))
-        .unwrap_err();
-        assert!(e.0.contains("mesh rows"), "{e}");
-    }
-
-    #[test]
     fn run_rejects_degenerate_fabric_configs_up_front() {
         // Structurally impossible packages fail before any simulation
-        // is built, mirroring the --shards validation above.
+        // is built.
         let e = dispatch(args_of(&["run", "--chips", "0"])).unwrap_err();
         assert!(e.0.contains("chips must be at least 1"), "{e}");
         let e = dispatch(args_of(&["run", "--chips", "2", "--fabric-width", "0"])).unwrap_err();

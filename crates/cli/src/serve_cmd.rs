@@ -13,10 +13,10 @@
 use crate::args::{Args, ParseArgsError};
 use crate::cluster_cmd::parse_peers;
 use crate::config::{
-    check_benchmarks, check_fabric, config_from, shard_count, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS,
+    check_benchmarks, check_fabric, config_from, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS,
 };
 use crate::report;
-use clognet_core::{MultiChipSystem, Snapshot, TickEngine};
+use clognet_core::{MultiChipSystem, Snapshot};
 use clognet_proto::{
     fingerprint_hex, job_fingerprint, knobs, snapshot_key, HashRing, SystemConfig,
 };
@@ -43,33 +43,27 @@ const DEADLINE_CHUNK: u64 = 2_000;
 pub struct SimHandler;
 
 impl SimHandler {
-    /// Resolve a wire spec into a validated `(config, fast-forward,
-    /// shards)` triple, rejecting unknown benchmarks, options, and
-    /// shard counts that cannot partition the topology.
-    fn resolve(spec: &JobSpec) -> Result<(SystemConfig, bool, usize), JobError> {
+    /// Resolve a wire spec into a validated `(config, fast-forward)`
+    /// pair, rejecting unknown benchmarks and options.
+    fn resolve(spec: &JobSpec) -> Result<(SystemConfig, bool), JobError> {
         check_benchmarks(&spec.gpu, &spec.cpu).map_err(|e| JobError::bad_request(e.0))?;
         let args = Args::from_opts("run", &spec.opts);
         args.reject_unknown(&job_opt_keys())
             .map_err(|e| JobError::bad_request(e.0))?;
         let cfg = config_from(&args).map_err(|e| JobError::bad_request(e.0))?;
-        let shards = args
-            .get_num("shards", 1usize)
-            .map_err(|e| JobError::bad_request(e.0))?;
-        clognet_core::validate_shards(&cfg, shards)
-            .map_err(|e| JobError::bad_request(format!("shards: {e}")))?;
         clognet_core::validate_fabric(&cfg)
             .map_err(|e| JobError::bad_request(format!("chips/fabric: {e}")))?;
-        Ok((cfg, !args.flag("no-ff"), shards))
+        Ok((cfg, !args.flag("no-ff")))
     }
 }
 
 impl JobHandler for SimHandler {
     fn fingerprint(&self, spec: &JobSpec) -> Result<u64, JobError> {
-        let (cfg, _, _) = Self::resolve(spec)?;
+        let (cfg, _) = Self::resolve(spec)?;
         // Execution-mode knobs are deliberately excluded: reports are
-        // byte-identical with fast-forward on or off and at any shard
-        // count (the CI equivalence smokes), so all spellings should
-        // share one cache entry.
+        // byte-identical with fast-forward on or off (the CI
+        // equivalence smokes), so all spellings should share one cache
+        // entry.
         Ok(job_fingerprint(
             &cfg,
             &spec.gpu,
@@ -88,10 +82,10 @@ impl JobHandler for SimHandler {
         if spec.warm == 0 {
             return None; // No warmup prefix worth caching.
         }
-        let (cfg, _, _) = Self::resolve(spec).ok()?;
-        // Like the fingerprint, the key excludes execution-mode knobs
-        // (`no-ff`, `shards`): a sharded submit must hit the snapshot a
-        // sequential one cached, and vice versa.
+        let (cfg, _) = Self::resolve(spec).ok()?;
+        // Like the fingerprint, the key excludes the execution-mode
+        // knob `no-ff`: a no-ff submit must hit the snapshot a
+        // fast-forwarded one cached, and vice versa.
         Some(snapshot_key(&cfg, &spec.gpu, &spec.cpu, spec.warm))
     }
 
@@ -100,14 +94,10 @@ impl JobHandler for SimHandler {
         spec: &JobSpec,
         deadline: Instant,
     ) -> Result<(String, Option<Vec<u8>>), JobError> {
-        let (cfg, ff, shards) = Self::resolve(spec)?;
+        let (cfg, ff) = Self::resolve(spec)?;
         let scheme = cfg.scheme;
         let mut sys = MultiChipSystem::new(cfg, &spec.gpu, &spec.cpu);
         sys.set_fast_forward(ff);
-        if shards > 1 {
-            sys.set_tick_engine(TickEngine::Sharded(shards))
-                .expect("shard count validated in resolve");
-        }
         chunked(&mut sys, spec.warm, deadline)?;
         let snap = (spec.warm > 0).then(|| sys.snapshot().into_bytes());
         sys.reset_stats();
@@ -121,7 +111,7 @@ impl JobHandler for SimHandler {
         snapshot: &[u8],
         deadline: Instant,
     ) -> Result<String, JobError> {
-        let (cfg, ff, shards) = Self::resolve(spec)?;
+        let (cfg, ff) = Self::resolve(spec)?;
         let scheme = cfg.scheme;
         // A cache entry that fails to restore (corrupt bytes, a version
         // we no longer read) must never fail the job — snapshots are an
@@ -141,10 +131,6 @@ impl JobHandler for SimHandler {
             return self.run(spec, deadline);
         };
         sys.set_fast_forward(ff);
-        if shards > 1 {
-            sys.set_tick_engine(TickEngine::Sharded(shards))
-                .expect("shard count validated in resolve");
-        }
         sys.reset_stats();
         chunked(&mut sys, spec.cycles, deadline)?;
         Ok(report::report_json(scheme, &sys.report()))
@@ -422,7 +408,6 @@ pub fn cmd_fingerprint(args: &Args) -> Result<(), ParseArgsError> {
     let cycles = args.get_num("cycles", 15_000u64)?;
     let cfg = config_from(args)?;
     check_fabric(&cfg)?;
-    shard_count(args, &cfg)?;
     let fp = job_fingerprint(&cfg, gpu, cpu, warm, cycles);
     let peers = args.get("peers").map(parse_peers).unwrap_or_default();
     if peers.is_empty() {
@@ -504,30 +489,15 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_the_fingerprint() {
-        // Sharding is an execution mode, not part of the job's
-        // identity: a sharded submit must hit the cache entry a
-        // sequential run populated.
-        let h = SimHandler;
-        let a = JobSpec::new("HS", "bodytrack");
-        let mut b = a.clone();
-        b.opts.insert("shards".into(), "4".into());
-        assert_eq!(h.fingerprint(&a).unwrap(), h.fingerprint(&b).unwrap());
-    }
-
-    #[test]
     fn snapshot_keys_ignore_execution_mode_knobs() {
         // The snapshot tier obeys the same exclusion rule as the
-        // fingerprint: a sharded or no-ff submit must hit the snapshot
-        // a sequential run cached.
+        // fingerprint: a no-ff submit must hit the snapshot a
+        // fast-forwarded run cached.
         let h = SimHandler;
         let a = JobSpec::new("HS", "bodytrack");
         let key = h.snapshot_key(&a).expect("warmup > 0 has a key");
-        let mut sharded = a.clone();
-        sharded.opts.insert("shards".into(), "4".into());
         let mut no_ff = a.clone();
         no_ff.opts.insert("no-ff".into(), "true".into());
-        assert_eq!(h.snapshot_key(&sharded), Some(key));
         assert_eq!(h.snapshot_key(&no_ff), Some(key));
         // Anything that changes the warmup prefix changes the key.
         let mut other_warm = a.clone();
@@ -544,7 +514,7 @@ mod tests {
 
     #[test]
     fn fabric_knobs_are_identity_knobs_for_both_cache_tiers() {
-        // Unlike `no-ff`/`shards`, every `--chips`/`--fabric-*` option
+        // Unlike `no-ff`, every `--chips`/`--fabric-*` option
         // changes what is simulated: a 2-chip job must never hit the
         // single-chip cache entry, and degrading a fabric link must
         // miss both the result cache and the snapshot tier.
@@ -568,13 +538,13 @@ mod tests {
         // Spelling the defaults out loud still lands on a distinct
         // entry from no fabric at all (a package is not a chip), but
         // execution-mode knobs on a fabric job stay excluded.
-        let mut sharded = chips.clone();
-        sharded.opts.insert("shards".into(), "2".into());
+        let mut no_ff = chips.clone();
+        no_ff.opts.insert("no-ff".into(), "true".into());
         assert_eq!(
-            h.fingerprint(&sharded).unwrap(),
+            h.fingerprint(&no_ff).unwrap(),
             h.fingerprint(&chips).unwrap()
         );
-        assert_eq!(h.snapshot_key(&sharded), h.snapshot_key(&chips));
+        assert_eq!(h.snapshot_key(&no_ff), h.snapshot_key(&chips));
     }
 
     #[test]
@@ -662,13 +632,23 @@ mod tests {
     }
 
     #[test]
-    fn unpartitionable_shard_counts_are_rejected_as_bad_requests() {
+    fn removed_shards_option_is_rejected_as_a_bad_request() {
+        // A job from a client that still sends `shards` must fail
+        // loudly, never run sequentially under a cache entry it did
+        // not ask for.
         let h = SimHandler;
         let mut spec = JobSpec::new("HS", "bodytrack");
-        spec.opts.insert("shards".into(), "3".into());
+        spec.opts.insert("shards".into(), "2".into());
         let err = h.fingerprint(&spec).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);
-        assert!(err.message.contains("mesh rows"), "{}", err.message);
+        assert!(
+            err.message.starts_with("unknown option --shards"),
+            "{}",
+            err.message
+        );
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let err = h.run(&spec, deadline).unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadRequest);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Bad benchmark names and unbuildable jobs are usage errors: the
-//! `clognet` binary exits 2 with an `error:` line instead of panicking
-//! inside system construction, and `fingerprint` refuses exactly what
-//! `run` refuses.
+//! Bad benchmark names, removed options and unbuildable jobs are usage
+//! errors: the `clognet` binary exits 2 with an `error:` line instead
+//! of panicking inside system construction, and `fingerprint` refuses
+//! exactly what `run` refuses.
 
 use std::process::Command;
 
@@ -31,6 +31,10 @@ fn unknown_benchmarks_exit_2_with_an_error_line() {
             &["compare", "--cpu", "nope", "--json"][..],
             "error: unknown CPU benchmark `nope`",
         ),
+        (
+            &["run", "--shards", "2"][..],
+            "error: unknown option --shards",
+        ),
     ] {
         let out = clognet(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -48,7 +52,6 @@ fn fingerprint_refuses_jobs_run_refuses_with_the_same_message() {
             "error: unknown GPU benchmark `NOPE`",
         ),
         (&["--chips", "0"][..], "error: --chips/--fabric: "),
-        (&["--shards", "3"][..], "error: --shards: "),
     ] {
         let run = clognet(&[&["run", "--cycles", "10"][..], job].concat());
         let fp = clognet(&[&["fingerprint"][..], job].concat());

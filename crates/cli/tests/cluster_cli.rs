@@ -42,7 +42,7 @@ fn inline_report(spec: &JobSpec) -> String {
     let args = Args::from_opts("run", &spec.opts);
     let cfg = config_from(&args).expect("valid job options");
     let scheme = cfg.scheme;
-    let r = measure(cfg, &spec.gpu, &spec.cpu, spec.warm, spec.cycles, true, 1);
+    let r = measure(cfg, &spec.gpu, &spec.cpu, spec.warm, spec.cycles, true);
     report::report_json(scheme, &r)
 }
 

@@ -13,7 +13,7 @@ fn one_chip_cli_measurement_matches_a_plain_system() {
     // `clognet run` without `--chips` must produce exactly what it
     // produced before packages existed.
     let cfg = SystemConfig::default().with_scheme(Scheme::DelegatedReplies);
-    let via_cli = measure(cfg.clone(), "HS", "bodytrack", 400, 800, true, 1);
+    let via_cli = measure(cfg.clone(), "HS", "bodytrack", 400, 800, true);
     let mut sys = System::new(cfg, "HS", "bodytrack");
     sys.run(400);
     sys.reset_stats();
@@ -25,9 +25,7 @@ fn one_chip_cli_measurement_matches_a_plain_system() {
 fn two_chip_cli_measurements_are_engine_invariant() {
     let mut cfg = SystemConfig::default().with_scheme(Scheme::DelegatedReplies);
     cfg.fabric = Some(FabricConfig::default());
-    let reference = measure(cfg.clone(), "HS", "bodytrack", 300, 700, true, 1);
-    let no_ff = measure(cfg.clone(), "HS", "bodytrack", 300, 700, false, 1);
-    let sharded = measure(cfg, "HS", "bodytrack", 300, 700, true, 2);
+    let reference = measure(cfg.clone(), "HS", "bodytrack", 300, 700, true);
+    let no_ff = measure(cfg, "HS", "bodytrack", 300, 700, false);
     assert_eq!(reference, no_ff, "--no-ff changed a 2-chip report");
-    assert_eq!(reference, sharded, "--shards 2 changed a 2-chip report");
 }

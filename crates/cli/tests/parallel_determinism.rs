@@ -15,9 +15,9 @@ const CYCLES: u64 = 900;
 #[test]
 fn compare_json_identical_across_thread_counts_and_ff_modes() {
     let cfg = SystemConfig::default();
-    let seq = driver::run_compare(&cfg, "HS", "bodytrack", WARM, CYCLES, 1, true, 1);
-    let par = driver::run_compare(&cfg, "HS", "bodytrack", WARM, CYCLES, 4, true, 1);
-    let no_ff = driver::run_compare(&cfg, "HS", "bodytrack", WARM, CYCLES, 4, false, 1);
+    let seq = driver::run_compare(&cfg, "HS", "bodytrack", WARM, CYCLES, 1, true);
+    let par = driver::run_compare(&cfg, "HS", "bodytrack", WARM, CYCLES, 4, true);
+    let no_ff = driver::run_compare(&cfg, "HS", "bodytrack", WARM, CYCLES, 4, false);
     assert_eq!(
         report::comparison_json(&seq),
         report::comparison_json(&par),
@@ -42,15 +42,15 @@ fn sweep_json_identical_across_thread_counts_and_ff_modes() {
             .join("\n")
     };
     let seq = driver::run_sweep(
-        &cfg, "width", &values, "MM", "canneal", WARM, CYCLES, 1, true, 1,
+        &cfg, "width", &values, "MM", "canneal", WARM, CYCLES, 1, true,
     )
     .unwrap();
     let par = driver::run_sweep(
-        &cfg, "width", &values, "MM", "canneal", WARM, CYCLES, 3, true, 1,
+        &cfg, "width", &values, "MM", "canneal", WARM, CYCLES, 3, true,
     )
     .unwrap();
     let no_ff = driver::run_sweep(
-        &cfg, "width", &values, "MM", "canneal", WARM, CYCLES, 3, false, 1,
+        &cfg, "width", &values, "MM", "canneal", WARM, CYCLES, 3, false,
     )
     .unwrap();
     assert_eq!(

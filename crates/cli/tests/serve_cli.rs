@@ -38,7 +38,7 @@ fn inline_report(spec: &JobSpec) -> String {
     let args = Args::from_opts("run", &spec.opts);
     let cfg = config_from(&args).expect("valid job options");
     let scheme = cfg.scheme;
-    let r = measure(cfg, &spec.gpu, &spec.cpu, spec.warm, spec.cycles, true, 1);
+    let r = measure(cfg, &spec.gpu, &spec.cpu, spec.warm, spec.cycles, true);
     report::report_json(scheme, &r)
 }
 
@@ -116,28 +116,23 @@ fn concurrent_submissions_match_single_threaded_inline_runs() {
 }
 
 /// Regression: execution-mode knobs must not split the cache. A
-/// sharded submit has to hit the entry a sequential submit wrote —
+/// no-ff submit has to hit the entry a fast-forwarded submit wrote —
 /// same fingerprint, same bytes.
 #[test]
-fn sharded_submit_hits_the_cache_entry_a_sequential_one_wrote() {
+fn no_ff_submit_hits_the_cache_entry_a_fast_forwarded_one_wrote() {
     let (addr, handle) = serve(ServeConfig::default());
     let mut client = Client::connect(&addr, &retry()).unwrap();
 
-    let sequential = spec("HS", "bodytrack", "dr");
-    let mut sharded = sequential.clone();
-    sharded.opts.insert("shards".into(), "4".into());
-    let mut no_ff = sequential.clone();
+    let fast = spec("HS", "bodytrack", "dr");
+    let mut no_ff = fast.clone();
     no_ff.opts.insert("no-ff".into(), "true".into());
 
-    let first = client.submit(&sequential).unwrap();
+    let first = client.submit(&fast).unwrap();
     assert!(!first.cache_hit);
-    let second = client.submit(&sharded).unwrap();
+    let second = client.submit(&no_ff).unwrap();
     assert_eq!(first.fingerprint, second.fingerprint);
-    assert!(second.cache_hit, "sharded submit shares the cache entry");
+    assert!(second.cache_hit, "no-ff submit shares the cache entry");
     assert_eq!(first.report, second.report);
-    let third = client.submit(&no_ff).unwrap();
-    assert!(third.cache_hit, "no-ff submit shares the cache entry");
-    assert_eq!(first.report, third.report);
 
     client.shutdown().unwrap();
     handle.join().unwrap();

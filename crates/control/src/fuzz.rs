@@ -2,13 +2,12 @@
 //!
 //! Each case is a random-but-**valid** combination of system
 //! configuration, workload pairing, scheme, fabric, control policy,
-//! cycle budget, and shard count — valid *by construction*, so the
-//! fuzz driver never wastes a case on an up-front validation error.
+//! and cycle budget — valid *by construction*, so the fuzz driver
+//! never wastes a case on an up-front validation error.
 //! The grammar (DESIGN.md §14) only draws from combinations every
 //! engine mode supports:
 //!
-//! * the mesh stays 8×8 (so shard counts 1/2/4 always partition it);
-//!   non-mesh topologies force `shards = 1`;
+//! * the chip stays the default 8×8 node grid;
 //! * multi-chip packages stay at 2 chips on the pair fabric with
 //!   valid gateway counts, and never combine with `--vnets` (the
 //!   gateway adapter needs physically separate networks);
@@ -27,7 +26,7 @@ use clognet_proto::{
 use clognet_rng::{Rng, SeedableRng, SmallRng};
 
 /// One generated fuzz case: everything a single `clognet run`
-/// invocation needs, plus the shard count to cross-check.
+/// invocation needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzCase {
     /// Case index within the sequence (for progress display).
@@ -42,8 +41,6 @@ pub struct FuzzCase {
     pub warm: u64,
     /// Measured cycles.
     pub cycles: u64,
-    /// Shard count for the sharded-engine legs (1 = sequential only).
-    pub shards: usize,
 }
 
 impl FuzzCase {
@@ -52,11 +49,7 @@ impl FuzzCase {
     /// fails the lockstep check.
     pub fn repro_line(&self) -> String {
         let opts = knobs::job_options(&self.cfg, &self.gpu, &self.cpu, self.warm, self.cycles);
-        let mut line = format!("clognet run {opts}");
-        if self.shards > 1 {
-            line += &format!(" --shards {}", self.shards);
-        }
-        line
+        format!("clognet run {opts}")
     }
 }
 
@@ -96,8 +89,8 @@ impl<'a> ScenarioGen<'a> {
         let (req, rep) = SystemConfig::best_routing_for(cfg.layout);
         cfg.noc.routing_request = req;
         cfg.noc.routing_reply = rep;
-        // Mostly mesh (sharding needs it); occasionally another
-        // topology, which forces the sequential engine.
+        // Mostly mesh (the paper's chip); occasionally another
+        // topology.
         cfg.noc.topology = match rng.gen_range(0..8u32) {
             0 => Topology::Crossbar,
             1 => Topology::FlattenedButterfly,
@@ -162,11 +155,6 @@ impl<'a> ScenarioGen<'a> {
                 });
             }
         }
-        let shards = if cfg.noc.topology == Topology::Mesh {
-            [1usize, 2, 4][rng.gen_range(0..3usize)]
-        } else {
-            1
-        };
         let case = FuzzCase {
             index: self.next_index,
             cfg,
@@ -174,7 +162,6 @@ impl<'a> ScenarioGen<'a> {
             cpu: self.pick(self.cpus).to_string(),
             warm: 100 * self.rng.gen_range(2..10u64),
             cycles: 100 * self.rng.gen_range(4..20u64),
-            shards,
         };
         self.next_index += 1;
         case
@@ -208,12 +195,6 @@ mod tests {
         let mut g = ScenarioGen::new(1, &GPUS, &CPUS);
         for _ in 0..200 {
             let c = g.next_case();
-            // Shards always partition the 8-row mesh; non-mesh
-            // topologies never shard.
-            assert!(c.cfg.mesh_height.is_multiple_of(c.shards) || c.shards == 1);
-            if c.cfg.noc.topology != Topology::Mesh {
-                assert_eq!(c.shards, 1);
-            }
             if let Some(f) = &c.cfg.fabric {
                 assert_eq!(f.chips, 2);
                 assert!(f.gateways <= c.cfg.n_mem);

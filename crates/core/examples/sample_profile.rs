@@ -31,6 +31,10 @@
 //! and `addr2line` from binutils; build with debug info (the release
 //! profile has it).
 
+// Installing the SIGPROF handler and reading the interrupted address
+// out of its signal frame go through libc and a raw pointer.
+#![allow(unsafe_code)]
+
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
     use std::ffi::c_void;

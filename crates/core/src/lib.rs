@@ -37,6 +37,6 @@ pub use multichip::{validate_fabric, FabricSummary, MultiChipSystem};
 pub use nets::Nets;
 pub use report::{MissBreakdown, Report};
 pub use snapshot::Snapshot;
-pub use system::{validate_shards, System, TickEngine};
+pub use system::System;
 pub use telemetry::SystemTelemetry;
 pub use trace::{Event, TraceLog, Traced};

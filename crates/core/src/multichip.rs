@@ -24,9 +24,8 @@
 
 use crate::report::{MissBreakdown, Report};
 use crate::snapshot::{self, Snapshot};
-use crate::system::{System, TickEngine};
+use crate::system::System;
 use clognet_fabric::{FabricMsg, FabricNetwork};
-use clognet_noc::ShardError;
 use clognet_proto::snap::{self as snap, SnapError};
 use clognet_proto::{
     Addr, AddressMap, Cycle, FabricTopology, MsgKind, NodeId, Priority, Scheme, SystemConfig,
@@ -38,7 +37,7 @@ use std::collections::VecDeque;
 /// Validate a prospective fabric configuration without building a
 /// package — the CLI and serve/cluster layers reject a bad `--chips` /
 /// `--fabric-*` combination with a clear message before any
-/// construction work (the `validate_shards` of the fabric axis).
+/// construction work.
 ///
 /// # Errors
 ///
@@ -288,9 +287,8 @@ impl MultiChipSystem {
     }
 
     /// Run for `cycles` cycles. Fast-forward jumps the package clock
-    /// only when *every* chip is quiescent and the fabric is empty —
-    /// the global quiescence the sharded engine's barrier also relies
-    /// on — so results stay byte-identical across engine modes.
+    /// only when *every* chip is quiescent and the fabric is empty, so
+    /// results stay byte-identical across engine modes.
     pub fn run(&mut self, cycles: u64) {
         if self.fabric.is_none() {
             self.chips[0].run(cycles);
@@ -455,24 +453,6 @@ impl MultiChipSystem {
     /// so chip 0's count is the package count).
     pub fn skipped_cycles(&self) -> u64 {
         self.chips[0].skipped_cycles()
-    }
-
-    /// Select the NoC tick engine on every chip.
-    ///
-    /// # Errors
-    ///
-    /// As [`System::set_tick_engine`]; all chips share one topology, so
-    /// validation is uniform.
-    pub fn set_tick_engine(&mut self, engine: TickEngine) -> Result<(), ShardError> {
-        for c in &mut self.chips {
-            c.set_tick_engine(engine)?;
-        }
-        Ok(())
-    }
-
-    /// The active tick engine.
-    pub fn tick_engine(&self) -> TickEngine {
-        self.chips[0].tick_engine()
     }
 
     /// Enable/disable the NoC idle-router fast path on every chip.

@@ -2,10 +2,9 @@
 //! networks, or a single shared network with per-class virtual networks
 //! (Section VII; AVCP in Fig. 6 varies the VC split).
 
-use clognet_noc::{ClassAssignment, NetParams, Network, NodeSet, ShardError, ShardPool};
+use clognet_noc::{ClassAssignment, NetParams, Network, NodeSet};
 use clognet_proto::snap::{SnapError, SnapReader, SnapWriter};
 use clognet_proto::{Cycle, NodeId, Packet, Priority, SystemConfig, TrafficClass};
-use std::sync::Arc;
 
 /// The system's physical network(s).
 #[allow(clippy::large_enum_variant)] // one-per-system; boxing buys nothing
@@ -135,35 +134,6 @@ impl Nets {
                 reply.set_idle_skip(on);
             }
             Nets::Shared(n) => n.set_idle_skip(on),
-        }
-    }
-
-    /// Configure spatial sharding on all physical networks. One worker
-    /// pool is shared between them: the networks tick strictly one at a
-    /// time, so the baseline's request/reply pair reuses a single set
-    /// of threads instead of spawning two.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `n` shards cannot partition the topology (more than
-    /// one shard requires a mesh whose row count `n` divides evenly);
-    /// the engine is left unchanged on error.
-    pub fn set_shards(&mut self, n: usize) -> Result<(), ShardError> {
-        let pool = (n > 1).then(|| Arc::new(ShardPool::new(n)));
-        match self {
-            Nets::Separate { request, reply } => {
-                request.set_shards_pooled(n, pool.clone())?;
-                reply.set_shards_pooled(n, pool)
-            }
-            Nets::Shared(net) => net.set_shards_pooled(n, pool),
-        }
-    }
-
-    /// Current shard count (1 = sequential engine).
-    pub fn shards(&self) -> usize {
-        match self {
-            Nets::Separate { request, .. } => request.shards(),
-            Nets::Shared(n) => n.shards(),
         }
     }
 

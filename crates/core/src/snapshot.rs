@@ -8,10 +8,10 @@
 //! snapshot and running to cycle `N` is byte-identical to running the
 //! original system straight to `N`, under every engine mode.
 //!
-//! Execution-mode knobs (fast-forward, idle-skip, the tick engine,
-//! thread counts) are deliberately **not** part of a snapshot: they
-//! never change results, so one snapshot can be resumed under any of
-//! them. See DESIGN.md §12 for the wire format.
+//! Execution-mode knobs (fast-forward, idle-skip, thread counts) are
+//! deliberately **not** part of a snapshot: they never change results,
+//! so one snapshot can be resumed under any of them. See DESIGN.md
+//! §12 for the wire format.
 
 use clognet_proto::snap::{self, SnapError, SnapReader, SnapWriter};
 use clognet_proto::{snapshot_key, Cycle, SystemConfig};

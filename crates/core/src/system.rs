@@ -16,7 +16,7 @@ use crate::trace::{Event, TraceLog};
 use clognet_control::{ControlInput, Controller, DecisionLog};
 use clognet_cpu::{CpuOut, CpuSubsystem};
 use clognet_gpu::{GpuIn, GpuOut, GpuSubsystem};
-use clognet_noc::{Network, NodeSet, ShardError};
+use clognet_noc::{Network, NodeSet};
 use clognet_proto::snap::{self as snap, SnapError};
 use clognet_proto::{
     AddressMap, CoreId, Cycle, FabricConfig, FabricInterleave, Layout, LineAddr, MsgKind, NodeId,
@@ -25,34 +25,6 @@ use clognet_proto::{
 use clognet_telemetry::TelemetryConfig;
 use clognet_workloads::{cpu_benchmark, gpu_benchmark};
 use std::collections::VecDeque;
-
-/// How the NoC portion of [`System::tick`] executes.
-///
-/// Both engines compute the identical state transition; the sharded
-/// engine spreads it over a worker pool. Reports are byte-identical —
-/// the engine is an execution-mode knob like fast-forward and
-/// idle-skip, never part of a result's identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TickEngine {
-    /// One thread ticks every router (the reference loop).
-    Sequential,
-    /// Per-row spatial shards ticked on `n` threads with a
-    /// deterministic per-cycle barrier exchange of boundary flits and
-    /// credits. `Sharded(1)` is equivalent to `Sequential`.
-    Sharded(usize),
-}
-
-/// Validate a prospective shard count against a configuration without
-/// building a system — lets front ends reject a bad `--shards` with a
-/// clear message before any construction work.
-///
-/// # Errors
-///
-/// Fails when `shards` cannot partition `cfg`'s topology (more than
-/// one shard requires a mesh whose row count divides evenly).
-pub fn validate_shards(cfg: &SystemConfig, shards: usize) -> Result<(), ShardError> {
-    clognet_noc::shards::validate(cfg.noc.topology, cfg.mesh_height, shards)
-}
 
 /// Per-node outboxes between the cores and the NIs: one lane per
 /// traffic class, indexed by `TrafficClass as usize`.
@@ -545,33 +517,6 @@ impl System {
     /// like every other counter).
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
-    }
-
-    /// Select the NoC tick engine. [`TickEngine::Sharded`] partitions
-    /// each physical network into per-row router groups ticked on a
-    /// worker pool with per-cycle barriers; reports stay byte-identical
-    /// to [`TickEngine::Sequential`], and the mode composes with
-    /// idle-skip and event-horizon fast-forward (shards run in lockstep
-    /// inside one network tick, so the quiescence horizon is global —
-    /// the clock only jumps when every shard agrees there is no work).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the shard count cannot partition the topology; the
-    /// current engine is left in place.
-    pub fn set_tick_engine(&mut self, engine: TickEngine) -> Result<(), ShardError> {
-        match engine {
-            TickEngine::Sequential => self.nets.set_shards(1),
-            TickEngine::Sharded(n) => self.nets.set_shards(n),
-        }
-    }
-
-    /// The active tick engine.
-    pub fn tick_engine(&self) -> TickEngine {
-        match self.nets.shards() {
-            1 => TickEngine::Sequential,
-            n => TickEngine::Sharded(n),
-        }
     }
 
     /// If the whole chip is quiescent at `self.now`, the cycle to jump
@@ -1368,9 +1313,8 @@ impl System {
     /// Call between [`run`](Self::run) spans (never mid-tick). The
     /// snapshot embeds the config and benchmark names, so restoring
     /// needs nothing else; execution-mode knobs (fast-forward,
-    /// idle-skip, the tick engine) are not captured — a snapshot taken
-    /// under one mode restores into any other with byte-identical
-    /// results.
+    /// idle-skip) are not captured — a snapshot taken under one mode
+    /// restores into any other with byte-identical results.
     pub fn snapshot(&self) -> Snapshot {
         let mut w = snapshot::begin_snapshot(&self.cfg, &self.gpu_bench, &self.cpu_bench, self.now);
         // Multi-chip tag: false = this body is one plain chip. The
@@ -1436,7 +1380,7 @@ impl System {
     /// Rebuild a system from a [`Snapshot`]: construct a fresh system
     /// from the embedded config and benchmark names, then overlay every
     /// piece of captured mutable state. The restored system starts in
-    /// the default execution mode (fast-forward on, sequential engine);
+    /// the default execution mode (fast-forward and idle-skip on);
     /// apply mode knobs afterwards as desired.
     ///
     /// # Errors

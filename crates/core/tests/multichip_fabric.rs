@@ -1,11 +1,12 @@
 //! Property tests for the multi-chip package engine
 //! ([`MultiChipSystem`]): the 1-chip package must be *invisible* (byte-
-//! identical to a plain [`System`] under every tick engine), multi-chip
-//! packages must be engine-invariant the same way single chips are, and
-//! package snapshots must round-trip — with typed rejection when a
-//! snapshot and a restore target disagree about the chip count.
+//! identical to a plain [`System`] with fast-forward on and off),
+//! multi-chip packages must be engine-invariant the same way single
+//! chips are, and package snapshots must round-trip — with typed
+//! rejection when a snapshot and a restore target disagree about the
+//! chip count.
 
-use clognet_core::{MultiChipSystem, System, TickEngine};
+use clognet_core::{MultiChipSystem, System};
 use clognet_proto::{FabricConfig, Scheme, SnapError, SystemConfig};
 use clognet_telemetry::TelemetryConfig;
 
@@ -19,21 +20,13 @@ fn two_chip_cfg(scheme: Scheme) -> SystemConfig {
 fn one_chip_package_is_byte_identical_to_a_plain_system() {
     // The degenerate package must not merely be "close": reports,
     // clocks, telemetry series, and snapshot bytes all match the plain
-    // single-chip engine exactly, under every engine mode.
-    for (ff, shards) in [(true, 1), (false, 1), (true, 2), (false, 4)] {
+    // single-chip engine exactly, with fast-forward on and off.
+    for ff in [true, false] {
         let cfg = SystemConfig::default().with_scheme(Scheme::DelegatedReplies);
         let mut package = MultiChipSystem::new(cfg.clone(), "HS", "bodytrack");
         let mut plain = System::new(cfg, "HS", "bodytrack");
         package.set_fast_forward(ff);
         plain.set_fast_forward(ff);
-        if shards > 1 {
-            package
-                .set_tick_engine(TickEngine::Sharded(shards))
-                .expect("valid shard plan");
-            plain
-                .set_tick_engine(TickEngine::Sharded(shards))
-                .expect("valid shard plan");
-        }
         package.enable_telemetry(TelemetryConfig {
             epoch_len: 256,
             ring_cap: 64,
@@ -55,27 +48,23 @@ fn one_chip_package_is_byte_identical_to_a_plain_system() {
         assert_eq!(
             package.export_series_csv(),
             plain.export_series_csv(),
-            "telemetry series (ff={ff}, shards={shards})"
+            "telemetry series (ff={ff})"
         );
         assert_eq!(
             package.snapshot().as_bytes(),
             plain.snapshot().as_bytes(),
-            "snapshot bytes (ff={ff}, shards={shards})"
+            "snapshot bytes (ff={ff})"
         );
         assert!(package.fabric_summary().is_none(), "1 chip has no fabric");
     }
 }
 
-fn assert_two_chip_engine_invariance(scheme: Scheme, shards: usize) {
+fn assert_two_chip_engine_invariance(scheme: Scheme) {
     let cfg = two_chip_cfg(scheme);
     let mut reference = MultiChipSystem::new(cfg.clone(), "HS", "bodytrack");
-    let mut no_ff = MultiChipSystem::new(cfg.clone(), "HS", "bodytrack");
-    let mut sharded = MultiChipSystem::new(cfg, "HS", "bodytrack");
+    let mut no_ff = MultiChipSystem::new(cfg, "HS", "bodytrack");
     no_ff.set_fast_forward(false);
-    sharded
-        .set_tick_engine(TickEngine::Sharded(shards))
-        .expect("valid shard plan");
-    for sys in [&mut reference, &mut no_ff, &mut sharded] {
+    for sys in [&mut reference, &mut no_ff] {
         sys.enable_telemetry(TelemetryConfig {
             epoch_len: 256,
             ring_cap: 64,
@@ -86,19 +75,12 @@ fn assert_two_chip_engine_invariance(scheme: Scheme, shards: usize) {
         sys.run(1_500);
     }
     assert_eq!(reference.now(), no_ff.now());
-    assert_eq!(reference.now(), sharded.now());
     assert_eq!(
         reference.report(),
         no_ff.report(),
         "fast-forward changed a 2-chip report under {scheme:?}"
     );
-    assert_eq!(
-        reference.report(),
-        sharded.report(),
-        "{shards} shards changed a 2-chip report under {scheme:?}"
-    );
     assert_eq!(reference.export_series_csv(), no_ff.export_series_csv());
-    assert_eq!(reference.export_series_csv(), sharded.export_series_csv());
     // The fabric is not decorative: the package actually moved
     // messages between chips in the measured span.
     let summary = reference.fabric_summary().expect("2 chips have a fabric");
@@ -110,9 +92,9 @@ fn assert_two_chip_engine_invariance(scheme: Scheme, shards: usize) {
 
 #[test]
 fn two_chip_reports_are_engine_invariant_across_schemes() {
-    assert_two_chip_engine_invariance(Scheme::Baseline, 2);
-    assert_two_chip_engine_invariance(Scheme::DelegatedReplies, 4);
-    assert_two_chip_engine_invariance(Scheme::rp_default(), 2);
+    assert_two_chip_engine_invariance(Scheme::Baseline);
+    assert_two_chip_engine_invariance(Scheme::DelegatedReplies);
+    assert_two_chip_engine_invariance(Scheme::rp_default());
 }
 
 #[test]

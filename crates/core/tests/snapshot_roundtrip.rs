@@ -2,10 +2,10 @@
 //! restore → run-to-N must be **byte-identical** to a straight
 //! run-to-N — same report, same telemetry series, and the same
 //! serialized snapshot bytes at N — across topologies, schemes,
-//! engine modes (fast-forward, idle-skip, sharding), and with warmup
+//! engine modes (fast-forward, idle-skip), and with warmup
 //! stats-reset in the middle.
 
-use clognet_core::{Snapshot, System, TickEngine};
+use clognet_core::{Snapshot, System};
 use clognet_proto::{Scheme, SystemConfig, Topology, VirtualNetConfig, SNAP_VERSION};
 use clognet_telemetry::TelemetryConfig;
 
@@ -65,9 +65,9 @@ fn roundtrip_on_shared_network() {
 }
 
 /// A snapshot taken under one engine mode must restore into any other
-/// with identical results: run the warmup sharded + fast-forward,
-/// restore sequential + no-ff, and compare against a straight
-/// sequential no-ff run.
+/// with identical results: run the warmup with fast-forward and the
+/// NoC idle-skip, restore with both off, and compare against a straight
+/// run with both off.
 #[test]
 fn roundtrip_crosses_engine_modes() {
     let cfg = SystemConfig::default().with_scheme(Scheme::DelegatedReplies);
@@ -77,23 +77,14 @@ fn roundtrip_crosses_engine_modes() {
     straight.run(2_000);
 
     let mut warm = System::new(cfg, "HS", "bodytrack");
-    warm.set_tick_engine(TickEngine::Sharded(4)).unwrap();
     warm.run(1_000);
     let snap = warm.snapshot();
     let mut forked = System::restore(&snap).expect("restore");
-    assert_eq!(
-        forked.tick_engine(),
-        TickEngine::Sequential,
-        "engine modes are not part of a snapshot"
-    );
     forked.set_fast_forward(false);
     forked.set_noc_idle_skip(false);
     forked.run(1_000);
     assert_eq!(straight.now(), forked.now());
     assert_eq!(straight.report(), forked.report());
-    // And the restored system can itself go sharded afterwards.
-    forked.set_tick_engine(TickEngine::Sharded(2)).unwrap();
-    forked.run(200);
 }
 
 /// Snapshot → restore → reset_stats → measure must equal
@@ -214,7 +205,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn snapshot_bytes_are_pinned() {
     assert_eq!(
-        SNAP_VERSION, 3,
+        SNAP_VERSION, 4,
         "new snapshot format: re-record the digests below"
     );
     let dr = SystemConfig::default().with_scheme(Scheme::DelegatedReplies);
@@ -224,8 +215,8 @@ fn snapshot_bytes_are_pinned() {
         reply_vcs: 2,
     });
     for (chip, cfg, want) in [
-        ("default DR chip", dr, 0x56d2_8260_9720_b96d),
-        ("shared-network chip", shared, 0xc0f0_2f6d_c69a_48dd),
+        ("default DR chip", dr, 0x882c_9acf_e0f7_7fb6),
+        ("shared-network chip", shared, 0xa7c3_91fb_dbb2_adc0),
     ] {
         let mut sys = System::new(cfg, "HS", "bodytrack");
         sys.run(1_500);

@@ -52,12 +52,10 @@ pub mod network;
 pub mod nodeset;
 mod router;
 pub mod routing;
-pub mod shards;
 pub mod stats;
 pub mod topology;
 
 pub use network::{ClassAssignment, NetParams, Network};
 pub use nodeset::NodeSet;
-pub use shards::{ShardError, ShardPlan, ShardPool};
 pub use stats::{LatencyBin, NocStats};
 pub use topology::{mesh_port, PortLink, TopologyGraph};

@@ -9,13 +9,11 @@ use crate::flit::{Flit, Slot};
 use crate::nodeset::NodeSet;
 use crate::router::{Alloc, RouterState, VaWait};
 use crate::routing;
-use crate::shards::{SaRequest, ShardError, ShardPlan, ShardPool, ShardScratch};
 use crate::stats::{class_ix, prio_ix, NocStats};
 use crate::topology::{PortLink, TopologyGraph};
 use clognet_proto::snap::{self, SnapError, SnapReader, SnapWriter};
 use clognet_proto::{Cycle, NodeId, Packet, Priority, RoutingPolicy, Topology, TrafficClass};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// How traffic classes map onto this physical network's VCs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +175,42 @@ struct Ni {
     ejected: VecDeque<Packet>,
 }
 
+/// One switch-allocation request: router input VC `bit` (`port·V + vc`)
+/// asks for output port `out`.
+#[derive(Debug, Clone, Copy)]
+struct SaRequest {
+    /// Requested output port.
+    out: usize,
+    /// Requesting input VC, as the router-local bit `port·V + vc` (also
+    /// its iSLIP grant id).
+    bit: usize,
+    /// Priority of the requesting packet.
+    prio: Priority,
+}
+
+/// The best request so far of one iSLIP bucket: (request index,
+/// (priority, pointer distance)).
+type SaBest = Option<(usize, (Priority, usize))>;
+
+/// Switch allocation's working set, reused router after router (cleared
+/// or refilled, never shrunk, so steady-state ticks stay heap-free).
+#[derive(Debug, Default)]
+struct SaScratch {
+    /// Requests gathered at the current router, in ascending input-VC
+    /// order.
+    requests: Vec<SaRequest>,
+    /// Per-round grant winner of each output port.
+    out_best: Vec<SaBest>,
+    /// Per-round accept winner of each input port.
+    in_best: Vec<SaBest>,
+    /// Accepted matches (input VC bit, output port), in traversal order.
+    accepted: Vec<(usize, usize)>,
+    /// Output ports already matched this cycle.
+    out_taken: Vec<bool>,
+    /// Input ports already matched this cycle.
+    in_taken: Vec<bool>,
+}
+
 #[derive(Debug, Default)]
 struct PacketSlab {
     v: Vec<Option<Packet>>,
@@ -252,8 +286,8 @@ pub struct Network {
     /// visits only those NIs.
     ni_live: NodeSet,
     /// The NIs whose every live slot faces a full input VC at their
-    /// router. Only a pop at that local port ([`ShardScratch::ni_wakes`])
-    /// or a new slot can change that, so injection skips the NI until one
+    /// router. Only a pop at that local port (in [`Self::traverse`]) or a
+    /// new slot can change that, so injection skips the NI until one
     /// happens. Derived state: never serialized, empty after a restore.
     ni_parked: NodeSet,
     /// Injection's working set (live and not parked), reused per tick.
@@ -265,16 +299,19 @@ pub struct Network {
     /// `prio`) packet may take.
     free_slots: [[NodeSet; 2]; 2],
     /// `want[class]`: the NIs that refused a `class` packet since the
-    /// last tick (the injection-stall counter's input).
+    /// last tick (the injection-stall counter's input); empty at a
+    /// snapshot boundary (see [`Self::save_state`]).
     want: [NodeSet; 2],
     /// The NIs holding reassembled packets.
     ejected_any: NodeSet,
     packets: PacketSlab,
     now: Cycle,
     stats: NocStats,
-    /// Credit returns (router, output port, VC) applied after the merge.
+    /// Credit returns (router, output port, VC) applied after the router
+    /// pass.
     credit_returns: Vec<(usize, usize, usize)>,
-    /// Link transfers (router, input VC bit, flit) applied after the merge.
+    /// Link transfers (router, input VC bit, flit) applied after the
+    /// router pass.
     transfers: Vec<(usize, usize, Flit)>,
     total_vcs: usize,
     /// RC + VA pipeline delay of a flit entering a router, by class.
@@ -285,16 +322,8 @@ pub struct Network {
     /// allocation and free-VC bitsets (for equivalence tests; results
     /// must be identical either way).
     idle_skip: bool,
-    /// Spatial partition of the router range: one entry (all routers)
-    /// for the sequential engine, per-row groups when sharded.
-    plan: ShardPlan,
-    /// Per-shard working sets (SA scratch + deferred cross-shard
-    /// traffic), reused across cycles; `scratch.len() == plan.shards()`.
-    scratch: Vec<ShardScratch>,
-    /// Worker pool driving shards 1.. in parallel (`None` = sequential).
-    /// Shared between sibling networks so the request/reply pair uses
-    /// one set of threads.
-    pool: Option<Arc<ShardPool>>,
+    /// Switch allocation's scratch buffers.
+    sa: SaScratch,
     /// Per-slot received-flit counts for ejection reassembly, indexed by
     /// packet slot (a packet ejects at exactly one node, so one shared
     /// flat array replaces the former per-NI `HashMap<Slot, u8>`). Grows
@@ -336,7 +365,6 @@ impl Network {
             })
             .collect();
         let stats = NocStats::new(topo.routers(), |r| topo.port_count(r), topo.nodes());
-        let n_routers = topo.routers();
         // Tables only for the classes this network carries: the other
         // class never routes here.
         let route_tables = [TrafficClass::Request, TrafficClass::Reply].map(|class| {
@@ -374,9 +402,7 @@ impl Network {
             proc_delay,
             stats_epoch: 0,
             idle_skip: true,
-            plan: ShardPlan::single(n_routers),
-            scratch: vec![ShardScratch::default()],
-            pool: None,
+            sa: SaScratch::default(),
             eject_counts: Vec::new(),
             route_tables,
             topo,
@@ -394,54 +420,6 @@ impl Network {
     pub fn set_idle_skip(&mut self, on: bool) {
         self.idle_skip = on;
         self.ni_parked.clear();
-    }
-
-    /// Configure spatial sharding. `n == 1` restores the sequential
-    /// engine; `n > 1` partitions the mesh into per-row router groups
-    /// ticked on a dedicated worker pool with per-phase barriers.
-    /// Reports are byte-identical either way (see [`crate::shards`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails when `n` shards cannot partition this topology: more than
-    /// one shard requires a mesh whose row count `n` divides evenly.
-    pub fn set_shards(&mut self, n: usize) -> Result<(), ShardError> {
-        let pool = (n > 1).then(|| Arc::new(ShardPool::new(n)));
-        self.set_shards_pooled(n, pool)
-    }
-
-    /// [`Self::set_shards`] with a caller-supplied pool, so sibling
-    /// physical networks (the baseline's request + reply pair) share
-    /// one set of worker threads. `pool` must be built for exactly `n`
-    /// shards and be `None` iff `n == 1`.
-    pub fn set_shards_pooled(
-        &mut self,
-        n: usize,
-        pool: Option<Arc<ShardPool>>,
-    ) -> Result<(), ShardError> {
-        let plan = ShardPlan::new(
-            self.params.topology,
-            self.params.width,
-            self.params.height,
-            self.topo.routers(),
-            n,
-        )?;
-        assert_eq!(
-            pool.as_ref().map_or(1, |p| p.shards()),
-            plan.shards(),
-            "pool sized for a different shard count"
-        );
-        self.scratch = (0..plan.shards())
-            .map(|_| ShardScratch::default())
-            .collect();
-        self.plan = plan;
-        self.pool = pool;
-        Ok(())
-    }
-
-    /// Current shard count (1 = sequential engine).
-    pub fn shards(&self) -> usize {
-        self.plan.shards()
     }
 
     /// Current cycle.
@@ -473,10 +451,13 @@ impl Network {
 
     /// Serialize the network's full mutable state: routers, NIs, the
     /// packet slab (including its free list, which decides future slot
-    /// assignment), reassembly counters, clock and statistics. Engine
-    /// configuration (idle-skip, shard plan, worker pool) is deliberately
-    /// excluded: snapshots are byte-identical across engine modes and a
-    /// restored network may run under a different one.
+    /// assignment), reassembly counters, clock and statistics. The
+    /// idle-skip mode is deliberately excluded: snapshots are
+    /// byte-identical across engine modes and a restored network may run
+    /// under a different one. So are the refused-injection sets, which
+    /// are empty at a snapshot boundary: the tick's stall accounting
+    /// clears them, and fabric ingress tests [`Self::can_inject`] before
+    /// it injects.
     ///
     /// # Panics
     ///
@@ -486,6 +467,10 @@ impl Network {
         assert!(
             self.transfers.is_empty() && self.credit_returns.is_empty(),
             "snapshot mid-tick"
+        );
+        debug_assert!(
+            self.want.iter().all(NodeSet::is_empty),
+            "snapshot with refused injections not yet counted"
         );
         w.u64(self.now);
         w.usize(self.packets.v.len());
@@ -520,8 +505,6 @@ impl Network {
                 w.bool(p);
             }
             w.usize(ni.inj_rr);
-            w.bool(self.want[0].contains(n));
-            w.bool(self.want[1].contains(n));
             w.usize(ni.eject_used);
             w.usize(ni.ejected.len());
             for p in &ni.ejected {
@@ -534,9 +517,9 @@ impl Network {
     }
 
     /// Overlay state captured by [`Network::save_state`] onto a network
-    /// built with the same [`NetParams`]. The current engine mode
-    /// (idle-skip, shard plan) is preserved; the bitsets and cached flit
-    /// metadata are rebuilt from the restored buffers and packets.
+    /// built with the same [`NetParams`]. The current idle-skip mode is
+    /// preserved; the bitsets and cached flit metadata are rebuilt from
+    /// the restored buffers and packets.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.now = r.u64()?;
         let n = r.usize()?;
@@ -596,9 +579,6 @@ impl Network {
                 *p = r.bool()?;
             }
             ni.inj_rr = r.usize()?;
-            for want in &mut self.want {
-                want.set(n, r.bool()?);
-            }
             ni.eject_used = r.usize()?;
             ni.ejected.clear();
             for _ in 0..r.usize()? {
@@ -881,33 +861,42 @@ impl Network {
     ///
     /// Steady-state ticks perform zero heap allocations: all per-cycle
     /// working sets (SA requests/grants/matches, link transfers, credit
-    /// returns) live in per-shard scratch buffers that are drained in
-    /// place. The phases follow the per-router and per-NI bitsets, so a
-    /// tick pays only for what holds flits and could move: VA visits
-    /// occupied, unallocated VCs not asleep on a `VaWait`, SA occupied,
-    /// allocated ones not parked on a credit, a router with nothing to
-    /// visit costs one word test, and injection visits NIs with a live
-    /// slot that are not parked on a full input VC.
+    /// returns) live in scratch buffers that are drained in place. The
+    /// phases follow the per-router and per-NI bitsets, so a tick pays
+    /// only for what holds flits and could move: VA visits occupied,
+    /// unallocated VCs not asleep on a `VaWait`, SA occupied, allocated
+    /// ones not parked on a credit, a router with nothing to visit costs
+    /// one word test, and injection visits NIs with a live slot that are
+    /// not parked on a full input VC.
     ///
-    /// Each router runs VA and then SA/ST in one pass (see
-    /// [`Self::router_shard`]), over the shard plan — inline for the
-    /// sequential engine, fanned out over the worker pool when sharded
-    /// — and the per-shard results merge in shard (= router) order, so
-    /// both engines execute the identical state transition.
+    /// Each router runs VC allocation and then switch allocation +
+    /// traversal before the next router starts. That equals running VA
+    /// over every router and then SA/ST over every router: VA at a
+    /// router reads and writes only that router's state, SA/ST mutates
+    /// only its router and the router's locally attached NIs and defers
+    /// link transfers and credit returns to the apply loops below, and
+    /// the packets it finishes ejecting are ones no router still holds.
     pub fn tick(&mut self) {
         self.ni_progress.fill(false);
         self.update_adaptive_state();
         // Pre-size the reassembly counters: slots are bounded by the
-        // slab length, so the SA/ST phase (possibly parallel) indexes
-        // without growing the array.
+        // slab length, and the router pass allocates none.
         if self.eject_counts.len() < self.packets.v.len() {
             self.eject_counts.resize(self.packets.v.len(), 0);
         }
-        match self.pool.clone() {
-            Some(pool) => pool.run(self),
-            None => self.router_shard(0),
+        let mut sa = std::mem::take(&mut self.sa);
+        for r in 0..self.topo.routers() {
+            if self.idle_skip && !self.routers.has_work(r) {
+                continue;
+            }
+            self.for_each_vc(r, false, |net, bit| net.va_vc(r, bit));
+            sa.requests.clear();
+            self.for_each_vc(r, true, |net, bit| net.sa_request(r, bit, &mut sa.requests));
+            if !sa.requests.is_empty() {
+                self.sa_st_router(r, &mut sa);
+            }
         }
-        self.merge_shards();
+        self.sa = sa;
         // Apply link transfers (arrivals become visible next tick).
         // Drained in place: capacity is retained across cycles and
         // nothing pushes to `transfers` during the apply loop.
@@ -968,33 +957,6 @@ impl Network {
         routers && nis
     }
 
-    /// One pass over shard `s`'s router range: each router runs VC
-    /// allocation and then switch allocation + traversal before the next
-    /// router starts. That equals running VA over every router and then
-    /// SA/ST over every router: VA at a router reads and writes only
-    /// that router's state, and SA/ST mutates in place only its router
-    /// and the router's locally attached NIs, deferring everything that
-    /// crosses to another router into the shard's scratch for the
-    /// in-order merge. The same property lets shards run concurrently.
-    ///
-    /// A router with nothing to visit (no flit, or every occupied VC
-    /// parked) costs one test of its bitset word.
-    pub(crate) fn router_shard(&mut self, s: usize) {
-        let mut sc = std::mem::take(&mut self.scratch[s]);
-        for r in self.plan.router_range(s) {
-            if self.idle_skip && !self.routers.has_work(r) {
-                continue;
-            }
-            self.for_each_vc(r, false, |net, bit| net.va_vc(r, bit));
-            sc.sa_requests.clear();
-            self.for_each_vc(r, true, |net, bit| net.sa_request(r, bit, &mut sc));
-            if !sc.sa_requests.is_empty() {
-                self.sa_st_router(r, &mut sc);
-            }
-        }
-        self.scratch[s] = sc;
-    }
-
     /// Visit router `r`'s occupied input VCs that hold an allocation
     /// (`allocated`) or still need one, in ascending bit order: the set
     /// bits of its bitsets minus the parked ones, or in the reference
@@ -1022,43 +984,6 @@ impl Network {
                     visit(self, bit);
                 }
             }
-        }
-    }
-
-    /// Fold the per-shard scratches back into global state, in shard
-    /// order. Shard order equals router order, so the transfer, credit,
-    /// and ejection streams — and with them the packet-slab free list
-    /// that decides future slot assignment — are exactly what one
-    /// sequential pass over all routers produces.
-    fn merge_shards(&mut self) {
-        for s in 0..self.scratch.len() {
-            let mut sc = std::mem::take(&mut self.scratch[s]);
-            for &(slot, node) in &sc.ejections {
-                let pkt = self.packets.remove(slot);
-                let latency = self.now - pkt.created;
-                self.stats
-                    .record_ejection(pkt.class(), pkt.prio, latency, node, pkt.flits);
-                self.nis[node].ejected.push_back(pkt);
-                self.ejected_any.insert(node);
-            }
-            sc.ejections.clear();
-            for n in sc.ni_wakes.drain(..) {
-                self.ni_parked.remove(n);
-            }
-            // The global apply buffers are empty here (drained last
-            // tick); swapping donates the scratch's capacity instead of
-            // copying, keeping the single-shard path free of extra work.
-            if self.transfers.is_empty() {
-                std::mem::swap(&mut self.transfers, &mut sc.transfers);
-            } else {
-                self.transfers.append(&mut sc.transfers);
-            }
-            if self.credit_returns.is_empty() {
-                std::mem::swap(&mut self.credit_returns, &mut sc.credit_returns);
-            } else {
-                self.credit_returns.append(&mut sc.credit_returns);
-            }
-            self.scratch[s] = sc;
         }
     }
 
@@ -1254,7 +1179,7 @@ impl Network {
     /// and allocated): request the allocated output if the head flit is
     /// eligible and has somewhere to go. A VC whose output VC has no
     /// credit parks until [`RouterState::return_credit`] unparks it.
-    fn sa_request(&mut self, r: usize, bit: usize, sc: &mut ShardScratch) {
+    fn sa_request(&mut self, r: usize, bit: usize, requests: &mut Vec<SaRequest>) {
         let ix = self.routers.vc_ix(r, bit);
         let alloc = self.routers.alloc(ix).expect("allocated VC");
         if !alloc.eject
@@ -1285,7 +1210,7 @@ impl Network {
                     <= self.params.eject_buf_flits
         };
         if ok {
-            sc.sa_requests.push(SaRequest {
+            requests.push(SaRequest {
                 out: alloc.port as usize,
                 bit,
                 prio: f.prio,
@@ -1303,69 +1228,69 @@ impl Network {
     /// is unique within a bucket, so the winners do not depend on the
     /// visiting order; accepts are recorded in ascending input order, the
     /// order traversal — and with it the ejection stream — follows.
-    fn sa_st_router(&mut self, r: usize, sc: &mut ShardScratch) {
+    fn sa_st_router(&mut self, r: usize, sa: &mut SaScratch) {
         let v_count = self.total_vcs;
         let n_ports = self.routers.ports(r);
         let id_space = n_ports * v_count;
         let pb = self.routers.port_ix(r, 0);
-        sc.sa_accepted.clear();
-        if sc.sa_requests.len() == 1 {
+        sa.accepted.clear();
+        if sa.requests.len() == 1 {
             // A lone request wins its output's grant and its input's
             // accept outright.
-            let q = sc.sa_requests[0];
+            let q = sa.requests[0];
             let (i, v) = (q.bit / v_count, q.bit % v_count);
             self.routers.grant_ptr[pb + q.out] = (q.bit + 1) % id_space;
             self.routers.accept_ptr[pb + i] = (v + 1) % v_count;
-            sc.sa_accepted.push((q.bit, q.out));
+            sa.accepted.push((q.bit, q.out));
         } else {
-            if sc.sa_out_taken.len() < n_ports {
-                sc.sa_out_taken.resize(n_ports, false);
-                sc.sa_in_taken.resize(n_ports, false);
-                sc.sa_out_best.resize(n_ports, None);
-                sc.sa_in_best.resize(n_ports, None);
+            if sa.out_taken.len() < n_ports {
+                sa.out_taken.resize(n_ports, false);
+                sa.in_taken.resize(n_ports, false);
+                sa.out_best.resize(n_ports, None);
+                sa.in_best.resize(n_ports, None);
             }
-            sc.sa_out_taken[..n_ports].fill(false);
-            sc.sa_in_taken[..n_ports].fill(false);
+            sa.out_taken[..n_ports].fill(false);
+            sa.in_taken[..n_ports].fill(false);
             for round in 0..self.params.sa_iterations.max(1) {
                 // Grant: one request per free output port (CPU first,
                 // then rotating from the output's grant pointer).
-                sc.sa_out_best[..n_ports].fill(None);
-                for (k, q) in sc.sa_requests.iter().enumerate() {
-                    if sc.sa_out_taken[q.out] || sc.sa_in_taken[q.bit / v_count] {
+                sa.out_best[..n_ports].fill(None);
+                for (k, q) in sa.requests.iter().enumerate() {
+                    if sa.out_taken[q.out] || sa.in_taken[q.bit / v_count] {
                         continue;
                     }
                     let ptr = self.routers.grant_ptr[pb + q.out];
                     let key = (q.prio, (q.bit + id_space - ptr) % id_space);
-                    let best = &mut sc.sa_out_best[q.out];
+                    let best = &mut sa.out_best[q.out];
                     if best.is_none_or(|(_, b)| key < b) {
                         *best = Some((k, key));
                     }
                 }
                 // Accept: one grant per free input port (CPU first, then
                 // rotating from the input's accept pointer).
-                sc.sa_in_best[..n_ports].fill(None);
+                sa.in_best[..n_ports].fill(None);
                 for op in 0..n_ports {
-                    let Some((k, _)) = sc.sa_out_best[op] else {
+                    let Some((k, _)) = sa.out_best[op] else {
                         continue;
                     };
-                    let q = sc.sa_requests[k];
+                    let q = sa.requests[k];
                     let (i, v) = (q.bit / v_count, q.bit % v_count);
                     let ptr = self.routers.accept_ptr[pb + i];
                     let key = (q.prio, (v + v_count - ptr) % v_count);
-                    let best = &mut sc.sa_in_best[i];
+                    let best = &mut sa.in_best[i];
                     if best.is_none_or(|(_, b)| key < b) {
                         *best = Some((k, key));
                     }
                 }
                 let mut progress = false;
                 for i in 0..n_ports {
-                    let Some((k, _)) = sc.sa_in_best[i] else {
+                    let Some((k, _)) = sa.in_best[i] else {
                         continue;
                     };
-                    let q = sc.sa_requests[k];
-                    sc.sa_accepted.push((q.bit, q.out));
-                    sc.sa_in_taken[i] = true;
-                    sc.sa_out_taken[q.out] = true;
+                    let q = sa.requests[k];
+                    sa.accepted.push((q.bit, q.out));
+                    sa.in_taken[i] = true;
+                    sa.out_taken[q.out] = true;
                     progress = true;
                     // iSLIP pointer updates only on first-iteration
                     // accepts (the classic desynchronization rule).
@@ -1380,16 +1305,15 @@ impl Network {
             }
         }
         // ST for the winners (indexed: traverse needs `&mut self`).
-        for k in 0..sc.sa_accepted.len() {
-            let (bit, op) = sc.sa_accepted[k];
-            self.traverse(r, bit, op, sc);
+        for &(bit, op) in &sa.accepted {
+            self.traverse(r, bit, op);
         }
     }
 
     /// Move the head-of-VC flit of router `r`'s input VC `bit` out of
-    /// output port `op`. Cross-shard effects (credit returns, link
-    /// transfers, ejection finalization) are deferred into `sc`.
-    fn traverse(&mut self, r: usize, bit: usize, op: usize, sc: &mut ShardScratch) {
+    /// output port `op`. The credit return and the link transfer wait in
+    /// the apply lists; a packet whose last flit ejects is finished here.
+    fn traverse(&mut self, r: usize, bit: usize, op: usize) {
         let (i, v) = (bit / self.total_vcs, bit % self.total_vcs);
         let alloc = self
             .routers
@@ -1399,15 +1323,13 @@ impl Network {
         let f = self.routers.pop(r, bit);
         self.stats.link_flits[r][op] += 1;
         match self.routers.link(r, i) {
-            // Credit return towards whoever feeds this input VC (possibly
-            // a router in another shard — deferred).
-            PortLink::Router { router: s, port: q } => sc.credit_returns.push((s, q, v)),
-            // The pop made room for an NI parked on this VC. The parked
-            // bitset spans shards, so the wake is deferred too.
+            // Credit return towards whoever feeds this input VC.
+            PortLink::Router { router: s, port: q } => self.credit_returns.push((s, q, v)),
+            // The pop made room for an NI parked on this VC.
             PortLink::Node(n) => {
                 let n = n.index();
-                if self.ni_parked.contains(n) && self.nis[n].live & 1 << v != 0 {
-                    sc.ni_wakes.push(n);
+                if self.nis[n].live & 1 << v != 0 {
+                    self.ni_parked.remove(n);
                 }
             }
             PortLink::Unused => {}
@@ -1416,19 +1338,22 @@ impl Network {
         match self.routers.link(r, op) {
             PortLink::Node(node) => {
                 // Ejection into the NI reassembly buffer. Space for the
-                // whole packet was reserved when the head ejected; the
-                // NI is locally attached, hence shard-local.
+                // whole packet was reserved when the head ejected.
+                let n = node.index();
                 if f.is_head() {
-                    self.nis[node.index()].eject_used += f.total as usize;
+                    self.nis[n].eject_used += f.total as usize;
                 }
                 let s = f.slot as usize;
                 debug_assert!(s < self.eject_counts.len(), "counters pre-sized in tick");
                 self.eject_counts[s] += 1;
                 if self.eject_counts[s] == f.total {
                     self.eject_counts[s] = 0;
-                    // Completion touches shared state (packet slab,
-                    // global stats); finalized during the in-order merge.
-                    sc.ejections.push((f.slot, node.index()));
+                    let pkt = self.packets.remove(f.slot);
+                    let latency = self.now - pkt.created;
+                    self.stats
+                        .record_ejection(pkt.class(), pkt.prio, latency, n, pkt.flits);
+                    self.nis[n].ejected.push_back(pkt);
+                    self.ejected_any.insert(n);
                 }
             }
             PortLink::Router { router: s, port: q } => {
@@ -1442,7 +1367,8 @@ impl Network {
                     eligible: self.now + 1 + self.proc_delay[class_ix(f.class)],
                     ..f
                 };
-                sc.transfers.push((s, q * self.total_vcs + out_vc, arrival));
+                self.transfers
+                    .push((s, q * self.total_vcs + out_vc, arrival));
                 if tail {
                     self.routers.release_out(r, op, out_vc);
                 }
@@ -1962,13 +1888,6 @@ mod tests {
         assert_eq!(net.stats().ejected_pkts[1], sent);
     }
 
-    fn reply_net() -> Network {
-        Network::new(NetParams {
-            classes: ClassAssignment::Single(TrafficClass::Reply, 2),
-            ..params(Topology::Mesh)
-        })
-    }
-
     fn parked(net: &Network, n: usize) -> bool {
         net.ni_parked.contains(n)
     }
@@ -2055,155 +1974,5 @@ mod tests {
             net.tick();
         }
         assert_eq!(net.take_ejected(NodeId(8), usize::MAX).len(), 1);
-    }
-
-    #[test]
-    fn sharded_tick_is_byte_identical_to_sequential() {
-        // Column traffic from the top row to the bottom row crosses
-        // every shard boundary; the sharded twin must match the
-        // sequential one cycle for cycle and in final statistics.
-        for shards in [2, 4, 8] {
-            let mut seq = reply_net();
-            let mut shd = reply_net();
-            shd.set_shards(shards).unwrap();
-            assert_eq!(shd.shards(), shards);
-            let mut id = 0;
-            for t in 0..600u64 {
-                if t % 3 == 0 {
-                    for s in 0..8u16 {
-                        id += 1;
-                        let d = 63 - s;
-                        let a = seq.try_inject(mk_pkt(id, s, d, MsgKind::ReadReply, seq.now()));
-                        let b = shd.try_inject(mk_pkt(id, s, d, MsgKind::ReadReply, shd.now()));
-                        assert_eq!(a.is_ok(), b.is_ok(), "{shards} shards cycle {t}");
-                    }
-                }
-                seq.tick();
-                shd.tick();
-                assert_eq!(
-                    seq.in_flight(),
-                    shd.in_flight(),
-                    "{shards} shards cycle {t}"
-                );
-                assert_eq!(
-                    seq.buffered_flits(),
-                    shd.buffered_flits(),
-                    "{shards} shards cycle {t}"
-                );
-                for d in 0..64u16 {
-                    let pa = seq.take_ejected(NodeId(d), usize::MAX);
-                    let pb = shd.take_ejected(NodeId(d), usize::MAX);
-                    assert_eq!(
-                        pa.iter().map(|p| p.id).collect::<Vec<_>>(),
-                        pb.iter().map(|p| p.id).collect::<Vec<_>>(),
-                        "{shards} shards cycle {t} node {d}"
-                    );
-                }
-            }
-            for _ in 0..2000 {
-                seq.tick();
-                shd.tick();
-            }
-            assert_eq!(seq.in_flight(), shd.in_flight(), "{shards} shards leftover");
-            assert_eq!(
-                format!("{:?}", seq.stats()),
-                format!("{:?}", shd.stats()),
-                "{shards} shards: stats diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn boundary_credits_cross_partition_edge_same_cycle() {
-        // Two shards split the 8x8 mesh between rows 3 and 4. Streaming
-        // multi-flit replies in both directions across the seam makes
-        // flits and the matching credit returns cross the partition
-        // edge on the same cycle; the boundary routers' credit vectors
-        // must match the sequential twin exactly, every cycle.
-        let mut seq = reply_net();
-        let mut shd = reply_net();
-        shd.set_shards(2).unwrap();
-        let mut id = 0;
-        let mut crossings = 0u64;
-        for t in 0..400u64 {
-            for (s, d) in [(28u16, 36u16), (36, 28), (27, 35), (35, 27)] {
-                id += 1;
-                let a = seq.try_inject(mk_pkt(id, s, d, MsgKind::ReadReply, seq.now()));
-                let b = shd.try_inject(mk_pkt(id, s, d, MsgKind::ReadReply, shd.now()));
-                assert_eq!(a.is_ok(), b.is_ok(), "cycle {t} {s}->{d}");
-            }
-            seq.tick();
-            shd.tick();
-            // Boundary rows: the south edge of shard 0 (24..32) and the
-            // north edge of shard 1 (32..40).
-            for r in 24..40 {
-                assert_eq!(
-                    seq.routers.router_credits(r),
-                    shd.routers.router_credits(r),
-                    "cycle {t} router {r} credits"
-                );
-                crossings += seq.stats().link_flits[r][if r < 32 {
-                    mesh_port_south()
-                } else {
-                    mesh_port_north()
-                }];
-            }
-            for d in [36u16, 28, 35, 27] {
-                let pa = seq.take_ejected(NodeId(d), usize::MAX);
-                let pb = shd.take_ejected(NodeId(d), usize::MAX);
-                assert_eq!(pa.len(), pb.len(), "cycle {t} node {d}");
-            }
-        }
-        assert!(crossings > 0, "no flit ever crossed the partition edge");
-        for _ in 0..1000 {
-            seq.tick();
-            shd.tick();
-        }
-        assert_eq!(seq.in_flight(), shd.in_flight());
-        assert_eq!(format!("{:?}", seq.stats()), format!("{:?}", shd.stats()));
-    }
-
-    fn mesh_port_south() -> usize {
-        crate::topology::mesh_port::SOUTH
-    }
-
-    fn mesh_port_north() -> usize {
-        crate::topology::mesh_port::NORTH
-    }
-
-    #[test]
-    fn set_shards_rejects_bad_partitions() {
-        let mut net = Network::new(params(Topology::Mesh));
-        let err = net.set_shards(3).unwrap_err();
-        assert!(err.0.contains("8 mesh rows"), "{err}");
-        assert_eq!(
-            net.shards(),
-            1,
-            "failed set_shards must not change the engine"
-        );
-        let mut xbar = Network::new(params(Topology::Crossbar));
-        assert!(xbar.set_shards(2).is_err());
-        assert!(xbar.set_shards(1).is_ok());
-    }
-
-    #[test]
-    fn sharding_composes_with_idle_skip_off() {
-        // Reference mode (every router runs VA/SA each cycle) under a
-        // sharded engine must still match the plain sequential loop.
-        let mut seq = reply_net();
-        let mut shd = reply_net();
-        shd.set_shards(4).unwrap();
-        shd.set_idle_skip(false);
-        for (id, (s, d)) in [(0u16, 63u16), (63, 0), (9, 54)].into_iter().enumerate() {
-            seq.try_inject(mk_pkt(id as u64, s, d, MsgKind::ReadReply, 0))
-                .unwrap();
-            shd.try_inject(mk_pkt(id as u64, s, d, MsgKind::ReadReply, 0))
-                .unwrap();
-        }
-        for _ in 0..500 {
-            seq.tick();
-            shd.tick();
-        }
-        assert_eq!(format!("{:?}", seq.stats()), format!("{:?}", shd.stats()));
     }
 }

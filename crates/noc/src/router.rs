@@ -18,8 +18,7 @@
 //! [`RouterState::release_out`] of a VC in that range wakes it). Bit
 //! `p·V + v` of a router lives in its word `word_base[r] + bit / 64`, so
 //! a router with more than 64 input VCs (the 64-port crossbar) spans
-//! several words. The bitsets, like all other state here, are per
-//! router: the sharded engine's shards write disjoint words.
+//! several words.
 //!
 //! The switch- and VC-allocation *algorithms* live in
 //! [`crate::network`], which has access to the packet slab and the
@@ -452,13 +451,6 @@ impl RouterState {
                 self.bits[w].credit_wait &= !m;
             }
         }
-    }
-
-    /// Router `r`'s output-VC credits, port-major (for equivalence
-    /// tests).
-    #[cfg(test)]
-    pub fn router_credits(&self, r: usize) -> &[u8] {
-        &self.credits[self.vc_base[r]..self.vc_base[r + 1]]
     }
 
     /// Total free credits over the VC index range `[lo, hi)` of router

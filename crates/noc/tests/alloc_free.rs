@@ -8,6 +8,9 @@
 //! This file holds exactly one test so no concurrently running test can
 //! touch the counter mid-measurement.
 
+// A `GlobalAlloc` implementation is `unsafe` by definition.
+#![allow(unsafe_code)]
+
 use clognet_noc::{ClassAssignment, NetParams, Network};
 use clognet_proto::*;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -188,16 +188,12 @@ pub struct GpuConfig {
     /// Warp instructions issued per cycle (2 GTO schedulers per core in
     /// Table I).
     pub issue_width: usize,
-    /// Threads per warp (32).
-    pub threads_per_warp: usize,
     /// Private L1 geometry (48 KB, 4-way, 128 B lines).
     pub l1: CacheGeometry,
     /// L1 MSHR entries.
     pub mshrs: usize,
     /// Forwarded Request Queue entries (Section IV: 8).
     pub frq_entries: usize,
-    /// L1 hit latency in cycles.
-    pub l1_hit_latency: u32,
     /// Maximum L1 lookups per cycle (one bank).
     pub l1_ports: usize,
     /// DC-L1/DynEB cluster size (8 cores share 4 slices).
@@ -216,7 +212,6 @@ impl Default for GpuConfig {
         GpuConfig {
             warps_per_core: 48,
             issue_width: 2,
-            threads_per_warp: 32,
             l1: CacheGeometry {
                 capacity_bytes: 48 * 1024,
                 ways: 4,
@@ -224,7 +219,6 @@ impl Default for GpuConfig {
             },
             mshrs: 64,
             frq_entries: 8,
-            l1_hit_latency: 4,
             l1_ports: 2,
             cluster_cores: 8,
             cluster_slices: 4,
@@ -241,8 +235,6 @@ pub struct CpuConfig {
     pub l1: CacheGeometry,
     /// In-flight memory request window of the replayer (models MLP).
     pub window: usize,
-    /// L1 hit latency in cycles.
-    pub l1_hit_latency: u32,
 }
 
 impl Default for CpuConfig {
@@ -254,7 +246,6 @@ impl Default for CpuConfig {
                 line_bytes: 64,
             },
             window: 8,
-            l1_hit_latency: 2,
         }
     }
 }
@@ -372,8 +363,6 @@ pub struct NocConfig {
     /// Memory-node injection buffer capacity in packets; when full, the
     /// node blocks (stops accepting requests) — the clogging mechanism.
     pub mem_inj_buf_pkts: usize,
-    /// Core-side network-interface injection queue in packets.
-    pub core_inj_buf_pkts: usize,
     /// iSLIP switch-allocation iterations per cycle (1 in Table I's
     /// class of routers; more iterations densify the crossbar matching).
     pub sa_iterations: usize,
@@ -392,7 +381,6 @@ impl Default for NocConfig {
             pipeline: 4,
             virtual_nets: None,
             mem_inj_buf_pkts: 16,
-            core_inj_buf_pkts: 16,
             sa_iterations: 1,
         }
     }

@@ -26,7 +26,9 @@ use std::hash::Hasher;
 /// v4: [`SystemConfig`] gained the optional fabric and controller, every
 /// field of each an identity knob. v5: the preimage is the snapshot
 /// codec's config bytes instead of a second, hand-kept list of fields.
-pub const FINGERPRINT_VERSION: u32 = 5;
+/// v6: those bytes lost the config fields nothing simulated (snapshot
+/// v4).
+pub const FINGERPRINT_VERSION: u32 = 6;
 
 /// The bytes a key hashes: the version tag, `cfg`'s snapshot bytes, and
 /// whatever `tail` appends.
@@ -67,8 +69,8 @@ pub fn fingerprint_hex(fp: u64) -> String {
 /// and the cycle the snapshot was taken at — but *not* the measurement
 /// cycle budget, so jobs that differ only in how long they run after
 /// warmup share the same snapshot. Execution-mode knobs (`--threads`,
-/// `--shards`, `--no-ff`) are not [`SystemConfig`] fields and so cannot
-/// move the key.
+/// `--no-ff`) are not [`SystemConfig`] fields and so cannot move the
+/// key.
 pub fn snapshot_key(cfg: &SystemConfig, gpu: &str, cpu: &str, cycle: u64) -> u64 {
     hash_config(cfg, |w| {
         w.str(gpu);

@@ -643,7 +643,7 @@ mod tests {
         }
         let got = fnv1a(&w.into_bytes());
         assert_eq!(
-            got, 0x6778_4167_b003_0e64,
+            got, 0x30f1_762f_bd4d_7fc6,
             "config bytes moved: {got:#018x}"
         );
     }

@@ -67,7 +67,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"CLOGSNAP";
 ///   system bodies carry the controller state + decision log, and the
 ///   telemetry episode detector carries its configurable thresholds
 ///   plus merge bookkeeping.
-pub const SNAP_VERSION: u32 = 3;
+/// * v4 — [`SystemConfig`] lost four fields nothing simulated (the GPU
+///   and CPU L1 hit latencies, the core-side injection queue depth and
+///   threads per warp); network bodies no longer carry the per-NI
+///   refused-injection flags, which are always clear at a snapshot
+///   boundary.
+pub const SNAP_VERSION: u32 = 4;
 
 /// Why a snapshot byte stream could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -459,7 +464,7 @@ fn load_geometry(r: &mut SnapReader<'_>) -> Result<CacheGeometry, SnapError> {
 
 /// Encode the full [`SystemConfig`] (every field, declaration order;
 /// enums as their [`Knob`] tags). Execution-mode knobs (`--threads`,
-/// `--shards`, `--no-ff`) are not part of `SystemConfig` and therefore
+/// `--no-ff`) are not part of `SystemConfig` and therefore
 /// never enter a snapshot — nor the job fingerprint, which hashes these
 /// bytes.
 pub fn save_config(w: &mut SnapWriter, c: &SystemConfig) {
@@ -472,11 +477,9 @@ pub fn save_config(w: &mut SnapWriter, c: &SystemConfig) {
     // gpu
     w.usize(c.gpu.warps_per_core);
     w.usize(c.gpu.issue_width);
-    w.usize(c.gpu.threads_per_warp);
     save_geometry(w, &c.gpu.l1);
     w.usize(c.gpu.mshrs);
     w.usize(c.gpu.frq_entries);
-    w.u32(c.gpu.l1_hit_latency);
     w.usize(c.gpu.l1_ports);
     w.usize(c.gpu.cluster_cores);
     w.usize(c.gpu.cluster_slices);
@@ -485,7 +488,6 @@ pub fn save_config(w: &mut SnapWriter, c: &SystemConfig) {
     // cpu
     save_geometry(w, &c.cpu.l1);
     w.usize(c.cpu.window);
-    w.u32(c.cpu.l1_hit_latency);
     // llc
     save_geometry(w, &c.llc.slice);
     w.u32(c.llc.latency);
@@ -521,7 +523,6 @@ pub fn save_config(w: &mut SnapWriter, c: &SystemConfig) {
         None => w.bool(false),
     }
     w.usize(c.noc.mem_inj_buf_pkts);
-    w.usize(c.noc.core_inj_buf_pkts);
     w.usize(c.noc.sa_iterations);
     c.scheme.save(w);
     // dr knobs
@@ -574,11 +575,9 @@ pub fn load_config(r: &mut SnapReader<'_>) -> Result<SystemConfig, SnapError> {
     let gpu = GpuConfig {
         warps_per_core: r.usize()?,
         issue_width: r.usize()?,
-        threads_per_warp: r.usize()?,
         l1: load_geometry(r)?,
         mshrs: r.usize()?,
         frq_entries: r.usize()?,
-        l1_hit_latency: r.u32()?,
         l1_ports: r.usize()?,
         cluster_cores: r.usize()?,
         cluster_slices: r.usize()?,
@@ -588,7 +587,6 @@ pub fn load_config(r: &mut SnapReader<'_>) -> Result<SystemConfig, SnapError> {
     let cpu = CpuConfig {
         l1: load_geometry(r)?,
         window: r.usize()?,
-        l1_hit_latency: r.u32()?,
     };
     let llc = LlcConfig {
         slice: load_geometry(r)?,
@@ -635,7 +633,6 @@ pub fn load_config(r: &mut SnapReader<'_>) -> Result<SystemConfig, SnapError> {
         pipeline,
         virtual_nets,
         mem_inj_buf_pkts: r.usize()?,
-        core_inj_buf_pkts: r.usize()?,
         sa_iterations: r.usize()?,
     };
     let scheme = Scheme::load(r)?;
@@ -781,11 +778,9 @@ mod tests {
             gpu: GpuConfig {
                 warps_per_core: 32,
                 issue_width: 1,
-                threads_per_warp: 16,
                 l1: geometry(64 * 1024, 8, 64),
                 mshrs: 32,
                 frq_entries: 4,
-                l1_hit_latency: 3,
                 l1_ports: 1,
                 cluster_cores: 4,
                 cluster_slices: 2,
@@ -795,7 +790,6 @@ mod tests {
             cpu: CpuConfig {
                 l1: geometry(16 * 1024, 2, 128),
                 window: 4,
-                l1_hit_latency: 3,
             },
             llc: LlcConfig {
                 slice: geometry(2 * 1024 * 1024, 8, 64),
@@ -830,7 +824,6 @@ mod tests {
                     reply_vcs: 3,
                 }),
                 mem_inj_buf_pkts: 4,
-                core_inj_buf_pkts: 8,
                 sa_iterations: 2,
             },
             scheme: Scheme::RealisticProbing { fanout: 3 },

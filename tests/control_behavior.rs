@@ -4,7 +4,7 @@
 //! the snapshot engine (decision log included), and the hysteresis
 //! policy must actually fire on the paper's clog-heavy workload.
 
-use clognet_core::{System, TickEngine};
+use clognet_core::System;
 use clognet_proto::{ControlConfig, ControlPolicyKind, Scheme, SystemConfig};
 
 /// A hysteresis config whose thresholds sit past the physically
@@ -21,12 +21,9 @@ fn never_firing() -> ControlConfig {
     }
 }
 
-fn report_of(cfg: SystemConfig, ff: bool, shards: usize, warm: u64, cycles: u64) -> (System, u64) {
+fn report_of(cfg: SystemConfig, ff: bool, warm: u64, cycles: u64) -> (System, u64) {
     let mut sys = System::new(cfg, "NN", "canneal");
     sys.set_fast_forward(ff);
-    if shards > 1 {
-        sys.set_tick_engine(TickEngine::Sharded(shards)).unwrap();
-    }
     sys.run(warm);
     sys.reset_stats();
     sys.run(cycles);
@@ -35,7 +32,7 @@ fn report_of(cfg: SystemConfig, ff: bool, shards: usize, warm: u64, cycles: u64)
 
 /// A controller that never switches schemes must leave the simulation
 /// byte-identical to an uncontrolled run — under every scheme, with
-/// fast-forward on and off, sequential and sharded. This is the
+/// fast-forward on and off. This is the
 /// license to leave `--control noop` on in production telemetry runs.
 #[test]
 fn inert_controllers_are_byte_invisible() {
@@ -44,17 +41,17 @@ fn inert_controllers_are_byte_invisible() {
         Scheme::rp_default(),
         Scheme::DelegatedReplies,
     ] {
-        for (ff, shards) in [(true, 1), (false, 1), (true, 2)] {
+        for ff in [true, false] {
             let cfg = SystemConfig::default().with_scheme(scheme);
-            let (plain, _) = report_of(cfg.clone(), ff, shards, 300, 900);
+            let (plain, _) = report_of(cfg.clone(), ff, 300, 900);
 
             let mut noop = cfg.clone();
             noop.control = Some(ControlConfig::noop());
-            let (controlled, _) = report_of(noop, ff, shards, 300, 900);
+            let (controlled, _) = report_of(noop, ff, 300, 900);
             assert_eq!(
                 plain.report(),
                 controlled.report(),
-                "noop policy diverged: {scheme:?} ff={ff} shards={shards}"
+                "noop policy diverged: {scheme:?} ff={ff}"
             );
             // The controller still ran: every boundary is on the log.
             let log = controlled.decision_log().expect("controller attached");
@@ -63,11 +60,11 @@ fn inert_controllers_are_byte_invisible() {
 
             let mut held = cfg;
             held.control = Some(never_firing());
-            let (controlled, _) = report_of(held, ff, shards, 300, 900);
+            let (controlled, _) = report_of(held, ff, 300, 900);
             assert_eq!(
                 plain.report(),
                 controlled.report(),
-                "never-firing hysteresis diverged: {scheme:?} ff={ff} shards={shards}"
+                "never-firing hysteresis diverged: {scheme:?} ff={ff}"
             );
             let log = controlled.decision_log().expect("controller attached");
             assert_eq!(log.escalations() + log.de_escalations(), 0);
@@ -84,7 +81,7 @@ fn hysteresis_escalates_on_a_clogged_workload() {
     let mut cfg = SystemConfig::default();
     cfg.noc.mem_inj_buf_pkts = 4;
     cfg.control = Some(ControlConfig::default());
-    let (sys, _) = report_of(cfg, true, 1, 4_000, 10_000);
+    let (sys, _) = report_of(cfg, true, 4_000, 10_000);
     let log = sys.decision_log().expect("controller attached");
     assert!(
         log.escalations() >= 1,
