@@ -9,13 +9,13 @@
 //! grows into a cluster by adding one flag.
 
 use crate::args::{Args, ParseArgsError};
+use crate::bench_doc::{BenchDoc, Leg};
 use crate::serve_cmd::{serve_config_from, SimHandler, SERVE_KEYS};
 use clognet_bench::runner::{run_jobs_with_state, timed};
 use clognet_cluster::{ClusterConfig, ClusterHandle, ClusterNode};
 use clognet_serve::client::{Client, RetryPolicy};
 use clognet_serve::server::{JobHandler, ServeConfig};
 use clognet_serve::wire::JobSpec;
-use clognet_telemetry::export::json_f64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -129,13 +129,14 @@ fn boot_bench_mesh(
     Ok((addrs, handles))
 }
 
-/// Submit every job through round-robin gateways; panics propagate from
-/// the runner if a submit fails outright.
+/// Submit every job through round-robin gateways and collect the
+/// report documents in job order; panics propagate from the runner if a
+/// submit fails outright.
 ///
 /// Each driver thread keeps one persistent connection per gateway and
 /// reuses it for every job it claims, so the measured span times job
 /// throughput rather than per-job TCP setup (and its allocations).
-fn drive(addrs: &[String], specs: &[JobSpec], clients: usize) -> usize {
+fn drive(addrs: &[String], specs: &[JobSpec], clients: usize) -> Vec<Result<String, String>> {
     let jobs: Vec<(String, JobSpec)> = specs
         .iter()
         .enumerate()
@@ -147,7 +148,7 @@ fn drive(addrs: &[String], specs: &[JobSpec], clients: usize) -> usize {
         cap_ms: 200,
         seed: 0xC1A5,
     };
-    let results = run_jobs_with_state(
+    run_jobs_with_state(
         jobs,
         clients,
         Vec::<(String, Client)>::new,
@@ -162,23 +163,18 @@ fn drive(addrs: &[String], specs: &[JobSpec], clients: usize) -> usize {
                     conns.len() - 1
                 }
             };
-            conns[pos].1.submit(&spec).map_err(|e| {
-                // Drop a connection that failed mid-conversation so the
-                // next job on this gateway dials fresh instead of
-                // inheriting a broken stream.
-                conns.swap_remove(pos);
-                e.to_string()
-            })
+            match conns[pos].1.submit(&spec) {
+                Ok(r) => Ok(r.report),
+                Err(e) => {
+                    // Drop a connection that failed mid-conversation so
+                    // the next job on this gateway dials fresh instead
+                    // of inheriting a broken stream.
+                    conns.swap_remove(pos);
+                    Err(e.to_string())
+                }
+            }
         },
-    );
-    let mut ok = 0usize;
-    for r in &results {
-        match r {
-            Ok(_) => ok += 1,
-            Err(e) => eprintln!("cluster-bench job failed: {e}"),
-        }
-    }
-    ok
+    )
 }
 
 fn shutdown_mesh(addrs: &[String], handles: Vec<ClusterHandle>) {
@@ -198,13 +194,30 @@ fn shutdown_mesh(addrs: &[String], handles: Vec<ClusterHandle>) {
     }
 }
 
+/// The `clognet cluster-bench` document over its two legs (1 node and
+/// `nodes` nodes), which ran the same jobs and so must report the same
+/// bytes.
+pub(crate) fn cluster_doc(
+    single: Leg,
+    cluster: Leg,
+    nodes: usize,
+    warm: u64,
+    cycles: u64,
+) -> BenchDoc {
+    let speedup = cluster.speedup_over(&single);
+    let title = format!("cluster throughput: the same jobs on 1 node and on {nodes} nodes");
+    let mut doc = BenchDoc::new("clognet cluster-bench", title, warm, cycles);
+    doc.push_pair(single, cluster.metric("speedup", format!("{speedup:.3}")));
+    doc
+}
+
 /// `clognet cluster-bench`: time the same job matrix against a 1-node
-/// and an N-node in-process cluster and emit a JSON report (the
+/// and an N-node in-process cluster and emit the bench document (the
 /// committed `BENCH_cluster.json`).
 ///
 /// # Errors
 ///
-/// Bad options or bind failures.
+/// Bad options, bind failures, or a job neither cluster answered.
 pub fn cmd_cluster_bench(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&[
         "nodes", "jobs", "warm", "cycles", "workers", "clients", "out", "quick", "json",
@@ -223,55 +236,37 @@ pub fn cmd_cluster_bench(args: &Args) -> Result<(), ParseArgsError> {
     let specs: Vec<JobSpec> = (0..jobs as u64)
         .map(|j| bench_spec(warm, cycles, j))
         .collect();
+    let sim_cycles = specs.iter().map(|s| s.warm + s.cycles).sum();
 
     eprintln!("cluster-bench: {jobs} jobs x ~{cycles} cycles, {clients} clients");
-    eprintln!("  leg 1/2: single node ({workers} workers)");
-    let (single_addrs, single_handles) = boot_bench_mesh(1, workers)?;
-    let (single_ok, single_wall) = timed(|| drive(&single_addrs, &specs, clients));
-    shutdown_mesh(&single_addrs, single_handles);
-
-    eprintln!("  leg 2/2: {nodes} nodes ({workers} workers each)");
-    let (multi_addrs, multi_handles) = boot_bench_mesh(nodes, workers)?;
-    let (multi_ok, multi_wall) = timed(|| drive(&multi_addrs, &specs, clients));
-    shutdown_mesh(&multi_addrs, multi_handles);
-
-    if single_ok != jobs || multi_ok != jobs {
-        return Err(ParseArgsError(format!(
-            "cluster-bench lost jobs: single {single_ok}/{jobs}, cluster {multi_ok}/{jobs}"
-        )));
-    }
-    let speedup = if multi_wall > 0.0 {
-        single_wall / multi_wall
-    } else {
-        0.0
+    let leg = |label: &str, n: usize| {
+        let (addrs, handles) = boot_bench_mesh(n, workers)?;
+        let (results, wall) = timed(|| drive(&addrs, &specs, clients));
+        shutdown_mesh(&addrs, handles);
+        let mut reports = Vec::with_capacity(jobs);
+        for r in results {
+            match r {
+                Ok(report) => reports.push(report),
+                Err(e) => eprintln!("cluster-bench job failed: {e}"),
+            }
+        }
+        if reports.len() != jobs {
+            return Err(ParseArgsError(format!(
+                "cluster-bench lost jobs: {label} {}/{jobs}",
+                reports.len()
+            )));
+        }
+        let jobs_per_s = jobs as f64 / wall.max(1e-9);
+        Ok(Leg::new(label, clients, vec![wall], sim_cycles, &reports)
+            .metric("nodes", n)
+            .metric("workers_per_node", workers)
+            .metric("jobs_per_s", format!("{jobs_per_s:.3}")))
     };
-    let doc = format!(
-        "{{\"bench\":\"cluster\",\"jobs\":{jobs},\"warm\":{warm},\"cycles\":{cycles},\
-         \"clients\":{clients},\"workers_per_node\":{workers},\
-         \"single\":{{\"nodes\":1,\"wall_s\":{},\"jobs_per_s\":{}}},\
-         \"cluster\":{{\"nodes\":{nodes},\"wall_s\":{},\"jobs_per_s\":{}}},\
-         \"speedup\":{}}}",
-        json_f64(single_wall),
-        json_f64(jobs as f64 / single_wall.max(1e-9)),
-        json_f64(multi_wall),
-        json_f64(jobs as f64 / multi_wall.max(1e-9)),
-        json_f64(speedup),
-    );
-    if args.flag("json") || args.get("out").is_none() {
-        println!("{doc}");
-    }
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, format!("{doc}\n"))
-            .map_err(|e| ParseArgsError(format!("writing {path}: {e}")))?;
-        eprintln!("wrote cluster benchmark report to {path}");
-    }
-    eprintln!(
-        "1 node: {single_wall:.2}s ({:.2} jobs/s); {nodes} nodes: {multi_wall:.2}s \
-         ({:.2} jobs/s); speedup {speedup:.2}x",
-        jobs as f64 / single_wall.max(1e-9),
-        jobs as f64 / multi_wall.max(1e-9),
-    );
-    Ok(())
+    eprintln!("  leg 1/2: single node ({workers} workers)");
+    let single = leg("single", 1)?;
+    eprintln!("  leg 2/2: {nodes} nodes ({workers} workers each)");
+    let cluster = leg("cluster", nodes)?;
+    cluster_doc(single, cluster, nodes, warm, cycles).emit(args)
 }
 
 #[cfg(test)]

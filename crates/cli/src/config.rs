@@ -5,7 +5,7 @@ use crate::args::{Args, ParseArgsError};
 use clognet_proto::knobs::{self, Group, Knob};
 #[cfg(test)]
 use clognet_proto::{ControlConfig, ControlPolicyKind, CtaSched, L1Org, LayoutKind, RoutingPolicy};
-use clognet_proto::{FabricTopology, Scheme, SystemConfig};
+use clognet_proto::{FabricTopology, Scheme, SystemConfig, VirtualNetConfig};
 
 /// The job fields every simulating command takes beside its config.
 pub const JOB_KEYS: [&str; 4] = ["gpu", "cpu", "warm", "cycles"];
@@ -83,6 +83,14 @@ pub fn config_from(args: &Args) -> Result<SystemConfig, ParseArgsError> {
     }
     if cfg.noc.mem_inj_buf_pkts == 0 {
         return Err(ParseArgsError("--injbuf must be at least 1".into()));
+    }
+    if let Some(v) = cfg.noc.virtual_nets.filter(|v| !v.fits(cfg.noc.topology)) {
+        let need = VirtualNetConfig::vcs_needed(cfg.noc.topology);
+        let topology = cfg.noc.topology.name();
+        return Err(ParseArgsError(format!(
+            "--vnets {}+{}: every traffic class needs at least {need} VC(s) on --topology {topology}",
+            v.request_vcs, v.reply_vcs
+        )));
     }
     let given = |keys: &[&str]| keys.iter().any(|k| args.get(k).is_some());
     if let Some(fab) = &mut cfg.fabric {
@@ -179,6 +187,10 @@ mod tests {
         assert!(config_from(&parse("run --mesh big")).is_err());
         assert!(config_from(&parse("run --routing diagonal")).is_err());
         assert!(config_from(&parse("run --injbuf 0")).is_err());
+        // Every traffic class needs a VC it may use: one, or two under
+        // dragonfly, which moves in-group hops up to VC 1.
+        assert!(config_from(&parse("run --vnets 0+4")).is_err());
+        assert!(config_from(&parse("run --topology dragonfly --vnets 1+3")).is_err());
     }
 
     #[test]
@@ -245,6 +257,7 @@ mod tests {
             "run --layout b --routing yx-xy",
             "run --layout c --topology fbfly",
             "run --scheme rp:8 --vnets 2+2 --mesh 10x10 --injbuf 4 --seed 7 --cta dist",
+            "run --topology dragonfly --vnets 2+2",
             "run --chips 3",
             "run --chips 2 --fabric-interleave mod --fabric-reply-latency 40",
             "run --control noop --control-dwell 1",

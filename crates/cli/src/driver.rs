@@ -10,6 +10,7 @@
 //! change what gets printed.
 
 use crate::args::ParseArgsError;
+use crate::bench_doc::{ratio, BenchDoc, Leg};
 use crate::report;
 use clognet_bench::runner::{run_jobs, run_jobs_with_state, timed};
 use clognet_core::{MultiChipSystem, Report, Snapshot, System};
@@ -206,6 +207,41 @@ fn load_warm_snapshot(
     Ok(snap)
 }
 
+/// Hand each job a system warmed `warm` cycles under `base` and collect
+/// `f`'s results in job order on `threads` workers. `mode` says where the
+/// warmup comes from: re-simulated per job (`Each`), simulated once and
+/// its snapshot restored per job (`Fork`), or a snapshot file restored
+/// per job (`File`, identity-checked up front).
+#[allow(clippy::too_many_arguments)] // the warm-start surface of both commands
+fn run_warm_jobs<J: Send, T: Send>(
+    base: &SystemConfig,
+    gpu: &str,
+    cpu: &str,
+    warm: u64,
+    jobs: Vec<J>,
+    threads: usize,
+    mode: &WarmStart,
+    f: impl Fn(&mut MultiChipSystem, J) -> T + Sync,
+) -> Result<Vec<T>, ParseArgsError> {
+    let warmed = || {
+        let mut sys = MultiChipSystem::new(base.clone(), gpu, cpu);
+        sys.run(warm);
+        sys
+    };
+    let snap = match mode {
+        WarmStart::Each => None,
+        WarmStart::Fork => Some(warmed().snapshot()),
+        WarmStart::File(path) => Some(load_warm_snapshot(path, base, gpu, cpu)?),
+    };
+    Ok(run_jobs(jobs, threads, |job| {
+        let mut sys = match &snap {
+            Some(snap) => MultiChipSystem::restore(snap).expect("snapshot taken or validated"),
+            None => warmed(),
+        };
+        f(&mut sys, job)
+    }))
+}
+
 /// Run a warm-started parameter sweep: one shared warmup (simulated
 /// once and forked, re-simulated per variant, or loaded from a file per
 /// `mode`), then each (scheme, value) variant applied *after* warmup,
@@ -248,38 +284,23 @@ pub fn run_sweep_warm(
                 .map(move |s| (s, v))
         })
         .collect();
-    let measure_fork = |sys: &mut MultiChipSystem, scheme: Scheme, v: u64| {
-        sys.set_scheme(scheme);
-        sys.apply_warm_param(param, v)
-            .expect("warm param validated up front");
-        sys.reset_stats();
-        sys.run(cycles);
-        sys.report()
-    };
-    let reports = match mode {
-        WarmStart::Each => run_jobs(jobs, threads, |(scheme, v)| {
-            let mut sys = MultiChipSystem::new(base.clone(), gpu, cpu);
-            sys.run(warm);
-            measure_fork(&mut sys, scheme, v)
-        }),
-        WarmStart::Fork => {
-            let mut sys = MultiChipSystem::new(base.clone(), gpu, cpu);
-            sys.run(warm);
-            let snap = sys.snapshot();
-            run_jobs(jobs, threads, |(scheme, v)| {
-                let mut sys =
-                    MultiChipSystem::restore(&snap).expect("just-taken snapshot restores");
-                measure_fork(&mut sys, scheme, v)
-            })
-        }
-        WarmStart::File(path) => {
-            let snap = load_warm_snapshot(path, base, gpu, cpu)?;
-            run_jobs(jobs, threads, |(scheme, v)| {
-                let mut sys = MultiChipSystem::restore(&snap).expect("snapshot validated up front");
-                measure_fork(&mut sys, scheme, v)
-            })
-        }
-    };
+    let reports = run_warm_jobs(
+        base,
+        gpu,
+        cpu,
+        warm,
+        jobs,
+        threads,
+        mode,
+        |sys, (scheme, v)| {
+            sys.set_scheme(scheme);
+            sys.apply_warm_param(param, v)
+                .expect("warm param validated up front");
+            sys.reset_stats();
+            sys.run(cycles);
+            sys.report()
+        },
+    )?;
     let mut it = reports.into_iter();
     Ok(values
         .iter()
@@ -313,38 +334,13 @@ pub fn run_compare_warm(
     threads: usize,
     mode: &WarmStart,
 ) -> Result<Vec<(Scheme, Report)>, ParseArgsError> {
-    let jobs: Vec<Scheme> = compare_schemes().to_vec();
-    let measure_fork = |sys: &mut MultiChipSystem, scheme: Scheme| {
+    let jobs = compare_schemes().to_vec();
+    run_warm_jobs(base, gpu, cpu, warm, jobs, threads, mode, |sys, scheme| {
         sys.set_scheme(scheme);
         sys.reset_stats();
         sys.run(cycles);
-        sys.report()
-    };
-    let reports = match mode {
-        WarmStart::Each => run_jobs(jobs.clone(), threads, |scheme| {
-            let mut sys = MultiChipSystem::new(base.clone(), gpu, cpu);
-            sys.run(warm);
-            measure_fork(&mut sys, scheme)
-        }),
-        WarmStart::Fork => {
-            let mut sys = MultiChipSystem::new(base.clone(), gpu, cpu);
-            sys.run(warm);
-            let snap = sys.snapshot();
-            run_jobs(jobs.clone(), threads, |scheme| {
-                let mut sys =
-                    MultiChipSystem::restore(&snap).expect("just-taken snapshot restores");
-                measure_fork(&mut sys, scheme)
-            })
-        }
-        WarmStart::File(path) => {
-            let snap = load_warm_snapshot(path, base, gpu, cpu)?;
-            run_jobs(jobs.clone(), threads, |scheme| {
-                let mut sys = MultiChipSystem::restore(&snap).expect("snapshot validated up front");
-                measure_fork(&mut sys, scheme)
-            })
-        }
-    };
-    Ok(jobs.into_iter().zip(reports).collect())
+        (scheme, sys.report())
+    })
 }
 
 /// Run a parameter sweep (each point under baseline and DR) across
@@ -397,159 +393,34 @@ pub fn run_sweep(
         .collect())
 }
 
+impl SweepPoint {
+    /// Both reports as `report_json` documents, baseline first.
+    pub fn report_docs(&self) -> [String; 2] {
+        [
+            report::report_json(Scheme::Baseline, &self.baseline),
+            report::report_json(Scheme::DelegatedReplies, &self.dr),
+        ]
+    }
+}
+
 /// Render one sweep point as its NDJSON line (without trailing newline).
 pub fn sweep_point_json(param: &str, p: &SweepPoint) -> String {
-    format!(
-        "{{\"param\":\"{param}\",\"value\":{},\"baseline\":{},\"dr\":{}}}",
-        p.value,
-        report::report_json(Scheme::Baseline, &p.baseline),
-        report::report_json(Scheme::DelegatedReplies, &p.dr)
-    )
+    let [baseline, dr] = p.report_docs();
+    let value = p.value;
+    format!("{{\"param\":\"{param}\",\"value\":{value},\"baseline\":{baseline},\"dr\":{dr}}}")
 }
 
-/// Repetitions per timed leg. The minimum is the headline number (the
-/// standard microbenchmark defense against scheduler noise); the mean
-/// and standard deviation across reps are reported alongside so a
-/// noisy host is visible in the data rather than silently folded away.
+/// Repetitions per timed leg of the throughput benchmark: the minimum
+/// is the headline (the standard defense against scheduler noise), and
+/// the mean and standard deviation show how noisy the host was.
 pub const LEG_REPS: usize = 3;
 
-/// Min / mean / population standard deviation of a rep sample.
-fn rep_stats(samples: &[f64]) -> (f64, f64, f64) {
-    let n = samples.len() as f64;
-    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    let mean = samples.iter().sum::<f64>() / n;
-    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n;
-    (min, mean, var.sqrt())
-}
-
-/// One timed leg of the throughput benchmark.
-pub struct BenchLeg {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock seconds for the whole batch (minimum over reps).
-    pub wall_s: f64,
-    /// Mean wall-clock seconds across reps.
-    pub wall_s_mean: f64,
-    /// Standard deviation of wall-clock seconds across reps.
-    pub wall_s_stddev: f64,
-    /// Aggregate simulated cycles per wall-clock second (best rep).
-    pub sim_cycles_per_s: f64,
-}
-
-/// One timed leg of the fast-forward benchmark: the low-intensity
-/// matrix run single-threaded with fast-forward on or off.
-pub struct FfLeg {
-    /// Wall-clock seconds for the measured span (minimum over reps,
-    /// warmup excluded).
-    pub wall_s: f64,
-    /// Mean wall-clock seconds across reps.
-    pub wall_s_mean: f64,
-    /// Standard deviation of wall-clock seconds across reps.
-    pub wall_s_stddev: f64,
-    /// Total cycles the measured span skipped (0 with fast-forward off).
-    pub skipped: u64,
-}
-
-/// Result of `clognet bench`: the job matrix and both timed legs, plus
-/// the low-intensity fast-forward legs.
-pub struct BenchResult {
-    /// Number of (config, workload, scheme) jobs in the matrix.
-    pub jobs: usize,
-    /// Simulated cycles per job (warm + measured).
-    pub cycles_per_job: u64,
-    /// Single-threaded leg.
-    pub single: BenchLeg,
-    /// Multi-threaded leg.
-    pub multi: BenchLeg,
-    /// Jobs in the low-intensity fast-forward matrix.
-    pub low_jobs: usize,
-    /// Measured (timed) cycles per low-intensity job.
-    pub low_cycles_per_job: u64,
-    /// Low-intensity leg with fast-forward engaged.
-    pub ff_on: FfLeg,
-    /// Low-intensity leg on the per-cycle reference loop.
-    pub ff_off: FfLeg,
-}
-
-impl BenchResult {
-    /// Multi-threaded speedup over single-threaded (wall-clock).
-    pub fn speedup(&self) -> f64 {
-        if self.multi.wall_s > 0.0 {
-            self.single.wall_s / self.multi.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Fast-forward speedup over the per-cycle loop (wall-clock, on the
-    /// low-intensity matrix).
-    pub fn ff_speedup(&self) -> f64 {
-        if self.ff_on.wall_s > 0.0 {
-            self.ff_off.wall_s / self.ff_on.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of the low-intensity measured cycles fast-forward
-    /// skipped instead of ticking.
-    pub fn skipped_ratio(&self) -> f64 {
-        let total = self.low_jobs as u64 * self.low_cycles_per_job;
-        if total > 0 {
-            self.ff_on.skipped as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// The `BENCH_*.json` document: a flat object matching the schema
-    /// EXPERIMENTS.md records perf data points in.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"harness\":\"clognet bench\",\"jobs\":{},\"cycles_per_job\":{},\"reps\":{},\
-             \"threads_single\":{},\"wall_s_single\":{:.6},\
-             \"wall_s_single_mean\":{:.6},\"wall_s_single_stddev\":{:.6},\
-             \"sim_cycles_per_s_single\":{:.1},\
-             \"threads_multi\":{},\"wall_s_multi\":{:.6},\
-             \"wall_s_multi_mean\":{:.6},\"wall_s_multi_stddev\":{:.6},\
-             \"sim_cycles_per_s_multi\":{:.1},\
-             \"speedup\":{:.3},\
-             \"low_jobs\":{},\"low_cycles_per_job\":{},\
-             \"wall_s_ff_on\":{:.6},\"wall_s_ff_on_mean\":{:.6},\"wall_s_ff_on_stddev\":{:.6},\
-             \"wall_s_ff_off\":{:.6},\"wall_s_ff_off_mean\":{:.6},\"wall_s_ff_off_stddev\":{:.6},\
-             \"skipped_cycles\":{},\"skipped_ratio\":{:.3},\"ff_speedup\":{:.3}}}",
-            self.jobs,
-            self.cycles_per_job,
-            LEG_REPS,
-            self.single.threads,
-            self.single.wall_s,
-            self.single.wall_s_mean,
-            self.single.wall_s_stddev,
-            self.single.sim_cycles_per_s,
-            self.multi.threads,
-            self.multi.wall_s,
-            self.multi.wall_s_mean,
-            self.multi.wall_s_stddev,
-            self.multi.sim_cycles_per_s,
-            self.speedup(),
-            self.low_jobs,
-            self.low_cycles_per_job,
-            self.ff_on.wall_s,
-            self.ff_on.wall_s_mean,
-            self.ff_on.wall_s_stddev,
-            self.ff_off.wall_s,
-            self.ff_off.wall_s_mean,
-            self.ff_off.wall_s_stddev,
-            self.ff_on.skipped,
-            self.skipped_ratio(),
-            self.ff_speedup()
-        )
-    }
-}
+/// One job of a timed leg: its config and workload pair.
+type Job = (SystemConfig, &'static str, &'static str);
 
 /// The fixed `compare`-shaped workload matrix the benchmark times:
 /// every scheme over a small, diverse set of Table-II pairings.
-pub fn bench_matrix() -> Vec<(SystemConfig, &'static str, &'static str)> {
+pub fn bench_matrix() -> Vec<Job> {
     let pairs = [("HS", "bodytrack"), ("MM", "canneal"), ("BP", "ferret")];
     let mut jobs = Vec::new();
     for (gpu, cpu) in pairs {
@@ -565,7 +436,7 @@ pub fn bench_matrix() -> Vec<(SystemConfig, &'static str, &'static str)> {
 /// (large L1, periodic flush off) and an L1-resident CPU workload
 /// leaves the NoC drained most cycles, so the quiescence engine is the
 /// dominant factor in wall-clock time.
-pub fn low_intensity_matrix() -> Vec<(SystemConfig, &'static str, &'static str)> {
+pub fn low_intensity_matrix() -> Vec<Job> {
     let pairs = [("NN", "blackscholes"), ("NN", "swaptions")];
     let mut jobs = Vec::new();
     for (gpu, cpu) in pairs {
@@ -586,93 +457,54 @@ pub fn low_intensity_matrix() -> Vec<(SystemConfig, &'static str, &'static str)>
     jobs
 }
 
-/// Time the low-intensity matrix with fast-forward on or off. Systems
-/// are built and warmed *outside* the timer — the cold-miss-dominated
-/// warmup is identical in both modes (both warm fast-forwarded), so
-/// the timed span compares steady-state throughput only. The leg runs
-/// [`LEG_REPS`] times on freshly built systems (the simulation is
-/// deterministic, so every rep does identical work) and reports the
-/// minimum wall time alongside the mean and standard deviation.
-fn time_ff_leg(
-    jobs: &[(SystemConfig, &'static str, &'static str)],
-    ff: bool,
-    warm: u64,
-    cycles: u64,
-) -> FfLeg {
-    let mut samples = Vec::with_capacity(LEG_REPS);
-    let mut skipped = 0;
-    for _ in 0..LEG_REPS {
-        let mut systems: Vec<System> = jobs
-            .iter()
-            .map(|(cfg, gpu, cpu)| {
-                let mut sys = System::new(cfg.clone(), gpu, cpu);
-                sys.run(warm);
-                sys.reset_stats();
-                sys.set_fast_forward(ff);
-                sys
-            })
-            .collect();
-        let start = std::time::Instant::now();
-        for sys in &mut systems {
-            sys.run(cycles);
-        }
-        samples.push(start.elapsed().as_secs_f64());
-        skipped = systems.iter().map(System::skipped_cycles).sum();
-    }
-    let (wall_s, wall_s_mean, wall_s_stddev) = rep_stats(&samples);
-    FfLeg {
-        wall_s,
-        wall_s_mean,
-        wall_s_stddev,
-        skipped,
-    }
-}
-
+/// Time `jobs` [`LEG_REPS`] times on `threads` workers, each rep on
+/// freshly built systems (the simulation is deterministic, so every rep
+/// does identical work). `ff: None` times whole jobs, warmup included;
+/// `Some(on)` times only the measured span, run with fast-forward on or
+/// off after an untimed warmup that is the same in both modes, so the
+/// two legs compare steady-state throughput.
 fn time_leg(
-    jobs: Vec<(SystemConfig, &str, &str)>,
+    label: &str,
+    jobs: &[Job],
     threads: usize,
     warm: u64,
     cycles: u64,
-) -> BenchLeg {
-    let n = jobs.len() as f64;
-    let mut samples = Vec::with_capacity(LEG_REPS);
+    ff: Option<bool>,
+) -> Leg {
+    let mut walls = Vec::with_capacity(LEG_REPS);
+    let mut runs = Vec::new();
     for _ in 0..LEG_REPS {
-        let rep_jobs = jobs.clone();
-        let start = std::time::Instant::now();
-        // Every job in the matrix shares the default chip shape, so
-        // each worker derives the node layout and address map once and
-        // reuses them for every job it claims instead of re-deriving
-        // per job (the PR 2 alloc-free idiom, per worker).
-        let reports = run_jobs_with_state(
-            rep_jobs,
-            threads,
-            || None::<(Layout, AddressMap)>,
-            |prebuilt, (cfg, gpu, cpu)| {
-                let (layout, map) = prebuilt
-                    .get_or_insert_with(|| (cfg.layout(), AddressMap::new(cfg.n_mem, cfg.seed)));
-                let mut sys = System::new_prebuilt(cfg, gpu, cpu, layout.clone(), *map);
-                sys.run(warm);
-                sys.reset_stats();
-                sys.run(cycles);
-                sys.report()
-            },
-        );
-        samples.push(start.elapsed().as_secs_f64());
-        assert_eq!(reports.len() as f64, n, "runner dropped a job");
+        // Every job in a matrix shares one chip shape, so each worker
+        // derives the node layout and address map once and reuses them
+        // for every job it claims.
+        let (done, wall) = timed(|| {
+            run_jobs_with_state(
+                jobs.to_vec(),
+                threads,
+                || None::<(Layout, AddressMap)>,
+                |prebuilt, (cfg, gpu, cpu)| {
+                    let (layout, map) = prebuilt.get_or_insert_with(|| {
+                        (cfg.layout(), AddressMap::new(cfg.n_mem, cfg.seed))
+                    });
+                    let scheme = cfg.scheme;
+                    let mut sys = System::new_prebuilt(cfg, gpu, cpu, layout.clone(), *map);
+                    sys.run(warm);
+                    sys.reset_stats();
+                    sys.set_fast_forward(ff.unwrap_or(true));
+                    let ((), span) = timed(|| sys.run(cycles));
+                    let doc = report::report_json(scheme, &sys.report());
+                    (doc, sys.skipped_cycles(), span)
+                },
+            )
+        });
+        walls.push(ff.map_or(wall, |_| done.iter().map(|r| r.2).sum()));
+        runs = done;
     }
-    let (wall_s, wall_s_mean, wall_s_stddev) = rep_stats(&samples);
-    let sim_cycles = n * (warm + cycles) as f64;
-    BenchLeg {
-        threads,
-        wall_s,
-        wall_s_mean,
-        wall_s_stddev,
-        sim_cycles_per_s: if wall_s > 0.0 {
-            sim_cycles / wall_s
-        } else {
-            0.0
-        },
-    }
+    let timed_cycles = jobs.len() as u64 * ff.map_or(warm + cycles, |_| cycles);
+    let docs: Vec<&String> = runs.iter().map(|r| &r.0).collect();
+    let mut leg = Leg::new(label, threads, walls, timed_cycles, &docs);
+    leg.skipped_cycles = Some(runs.iter().map(|r| r.1).sum());
+    leg
 }
 
 /// Warmup for the fast-forward legs: small chips tick fast but need a
@@ -680,151 +512,102 @@ fn time_leg(
 /// only then do dead cycles dominate.
 const LOW_WARM: u64 = 20_000;
 
-/// Time the fixed matrix single- and multi-threaded, then the
-/// low-intensity matrix with fast-forward on vs off.
-pub fn run_bench(threads: usize, warm: u64, cycles: u64) -> BenchResult {
+/// `clognet bench`: time the fixed matrix single- and multi-threaded,
+/// then the low-intensity matrix with fast-forward off vs on.
+pub fn run_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
     let matrix = bench_matrix();
-    let jobs = matrix.len();
-    let single = time_leg(matrix.clone(), 1, warm, cycles);
-    let multi = time_leg(matrix, threads.max(2), warm, cycles);
-    let low = low_intensity_matrix();
-    let low_cycles = 12 * cycles;
-    let ff_off = time_ff_leg(&low, false, LOW_WARM, low_cycles);
-    let ff_on = time_ff_leg(&low, true, LOW_WARM, low_cycles);
-    BenchResult {
-        jobs,
-        cycles_per_job: warm + cycles,
-        single,
-        multi,
-        low_jobs: low.len(),
-        low_cycles_per_job: low_cycles,
-        ff_on,
-        ff_off,
-    }
+    let single = time_leg("single", &matrix, 1, warm, cycles, None);
+    let multi = time_leg("multi", &matrix, threads.max(2), warm, cycles, None);
+    let (low, low_cycles) = (low_intensity_matrix(), 12 * cycles);
+    let ff_off = time_leg("ff_off", &low, 1, LOW_WARM, low_cycles, Some(false));
+    let ff_on = time_leg("ff_on", &low, 1, LOW_WARM, low_cycles, Some(true));
+    let (speedup, ff_speedup) = (multi.speedup_over(&single), ff_on.speedup_over(&ff_off));
+    let skipped = ff_on.skipped_cycles.unwrap_or(0) as f64;
+    let skipped_ratio = ratio(skipped, (low.len() as u64 * low_cycles) as f64);
+    let title = format!(
+        "throughput: {} jobs at 1 and {} threads, then {} low-intensity jobs with \
+         fast-forward off and on",
+        matrix.len(),
+        multi.threads,
+        low.len()
+    );
+    let mut doc = BenchDoc::new("clognet bench", title, warm, cycles);
+    let low_budget = |leg: Leg| leg.metric("warm", LOW_WARM).metric("cycles", low_cycles);
+    doc.push_pair(single, multi.metric("speedup", format!("{speedup:.3}")));
+    let ff_on = low_budget(ff_on).metric("speedup", format!("{ff_speedup:.3}"));
+    let ff_on = ff_on.metric("skipped_ratio", format!("{skipped_ratio:.3}"));
+    doc.push_pair(low_budget(ff_off), ff_on);
+    doc
 }
 
 /// The injbuf values the warm-start benchmark sweeps: 8 variants, each
 /// measured under both schemes (16 forked systems per leg).
 pub const WARMSTART_VALUES: [u64; 8] = [2, 3, 4, 6, 8, 12, 16, 24];
 
-/// Result of `clognet bench --warm-start`: the same warm-started
-/// injbuf sweep timed cold (`--warm-from each`: warmup re-simulated
-/// per variant) and forked (`--warm-from fork`: warmup simulated once,
-/// snapshot forked per variant), on the same thread count.
-pub struct WarmStartBenchResult {
-    /// Swept values (each under baseline + DR).
-    pub values: Vec<u64>,
-    /// Warmup cycles (shared prefix the fork amortizes).
-    pub warm: u64,
-    /// Measured cycles per variant.
-    pub cycles: u64,
-    /// Worker threads for both legs.
-    pub threads: usize,
-    /// Wall-clock seconds for the cold (`each`) leg.
-    pub cold_wall_s: f64,
-    /// Wall-clock seconds for the forked leg (warmup included).
-    pub forked_wall_s: f64,
-    /// Whether every forked sweep point matched its cold twin
-    /// byte-for-byte — the run self-certifies the snapshot contract.
-    pub identical_reports: bool,
-}
-
-impl WarmStartBenchResult {
-    /// Wall-clock speedup of the forked leg over the cold leg.
-    pub fn speedup(&self) -> f64 {
-        if self.forked_wall_s > 0.0 {
-            self.cold_wall_s / self.forked_wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of each cold variant's simulated cycles spent in the
-    /// shared warmup — the budget forking can reclaim.
-    pub fn warm_fraction(&self) -> f64 {
-        let total = self.warm + self.cycles;
-        if total > 0 {
-            self.warm as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// The `BENCH_warmstart.json` document.
-    pub fn to_json(&self) -> String {
-        let values: Vec<String> = self.values.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"harness\":\"clognet bench --warm-start\",\"param\":\"injbuf\",\
-             \"values\":[{}],\"schemes\":2,\"jobs\":{},\
-             \"warm\":{},\"cycles\":{},\"warm_fraction\":{:.3},\"threads\":{},\
-             \"wall_s_cold\":{:.6},\"wall_s_forked\":{:.6},\
-             \"speedup\":{:.3},\"identical_reports\":{}}}",
-            values.join(","),
-            self.values.len() * 2,
-            self.warm,
-            self.cycles,
-            self.warm_fraction(),
-            self.threads,
-            self.cold_wall_s,
-            self.forked_wall_s,
-            self.speedup(),
-            self.identical_reports
-        )
-    }
-}
-
-/// Time the warm-started injbuf sweep cold vs forked and check the
-/// per-variant outputs match byte-for-byte. Cold runs first so the
-/// forked leg cannot ride its cache warmth.
-pub fn run_warmstart_bench(threads: usize, warm: u64, cycles: u64) -> WarmStartBenchResult {
-    let base = SystemConfig::default();
-    let values = WARMSTART_VALUES.to_vec();
-    let (gpu, cpu) = ("HS", "bodytrack");
-    let (cold, cold_wall_s) = timed(|| {
-        run_sweep_warm(
-            &base,
-            "injbuf",
-            &values,
-            gpu,
-            cpu,
-            warm,
-            cycles,
-            threads,
-            &WarmStart::Each,
-        )
-        .expect("injbuf is warm-applicable")
-    });
-    let (forked, forked_wall_s) = timed(|| {
-        run_sweep_warm(
-            &base,
-            "injbuf",
-            &values,
-            gpu,
-            cpu,
-            warm,
-            cycles,
-            threads,
-            &WarmStart::Fork,
-        )
-        .expect("injbuf is warm-applicable")
-    });
-    let render = |points: &[SweepPoint]| {
-        points
-            .iter()
-            .map(|p| sweep_point_json("injbuf", p))
-            .collect::<Vec<_>>()
-            .join("\n")
+/// `clognet bench --warm-start`: time the warm-started injbuf sweep cold
+/// (`--warm-from each`: warmup re-simulated per variant) and forked
+/// (`--warm-from fork`: warmup simulated once, snapshot forked per
+/// variant) on the same thread count. Cold runs first so the forked leg
+/// cannot ride its cache warmth.
+pub fn run_warmstart_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
+    let (values, base) = (WARMSTART_VALUES, SystemConfig::default());
+    let jobs = 2 * values.len() as u64;
+    let leg = |label: &str, mode: WarmStart, sim_cycles: u64| {
+        let (points, wall) = timed(|| {
+            run_sweep_warm(
+                &base,
+                "injbuf",
+                &values,
+                "HS",
+                "bodytrack",
+                warm,
+                cycles,
+                threads,
+                &mode,
+            )
+            .expect("injbuf is warm-applicable")
+        });
+        let docs: Vec<String> = points.iter().flat_map(SweepPoint::report_docs).collect();
+        let leg = Leg::new(label, threads, vec![wall], sim_cycles, &docs);
+        leg.metric("param", "\"injbuf\"")
+            .metric("values", format!("{values:?}"))
     };
-    let identical_reports = render(&cold) == render(&forked);
-    WarmStartBenchResult {
-        values,
-        warm,
-        cycles,
-        threads,
-        cold_wall_s,
-        forked_wall_s,
-        identical_reports,
-    }
+    let cold = leg("cold", WarmStart::Each, jobs * (warm + cycles));
+    let forked = leg("forked", WarmStart::Fork, warm + jobs * cycles);
+    let speedup = forked.speedup_over(&cold);
+    let title = format!("warm-start: {jobs} injbuf variants, warmup re-simulated vs forked");
+    let mut doc = BenchDoc::new("clognet bench --warm-start", title, warm, cycles);
+    doc.push_pair(cold, forked.metric("speedup", format!("{speedup:.3}")));
+    doc
+}
+
+/// Time [`run_compare`] on `base` as one leg and `twin` — the same three
+/// jobs run another way — as its pair, both tagged with `tags`. Hands
+/// back the first leg, for more metrics, and its rows.
+fn compare_pair<'d>(
+    doc: &'d mut BenchDoc,
+    (label, base, gpu, cpu): (&str, &SystemConfig, &str, &str),
+    (suffix, twin, ff): (&str, &SystemConfig, bool),
+    threads: usize,
+    tags: &[(&'static str, String)],
+) -> (&'d mut Leg, Vec<(Scheme, Report)>) {
+    let (warm, cycles) = (doc.warm, doc.cycles);
+    let leg = |label: String, cfg: &SystemConfig, ff: bool| {
+        let (rows, wall) = timed(|| run_compare(cfg, gpu, cpu, warm, cycles, threads, ff));
+        let docs: Vec<String> = rows
+            .iter()
+            .map(|(s, r)| report::report_json(*s, r))
+            .collect();
+        let sim_cycles = rows.len() as u64 * (warm + cycles);
+        let leg = Leg::new(label, threads, vec![wall], sim_cycles, &docs);
+        let leg = tags.iter().fold(leg, |leg, (k, v)| leg.metric(k, v));
+        (leg, rows)
+    };
+    let (first, rows) = leg(label.to_string(), base, true);
+    let (second, _) = leg(format!("{label}{suffix}"), twin, ff);
+    doc.push_pair(first, second);
+    let n = doc.legs.len();
+    (&mut doc.legs[n - 2], rows)
 }
 
 /// The fabric reply-path degradation points `bench --fabric` sweeps:
@@ -832,75 +615,6 @@ pub fn run_warmstart_bench(threads: usize, warm: u64, cycles: u64) -> WarmStartB
 /// from the healthy interconnect to a clogged one (10x slower, 1/4 the
 /// width) — the inter-chip analogue of the paper's reply-net clog.
 pub const FABRIC_POINTS: [(u32, u32); 4] = [(1, 4), (2, 4), (4, 2), (10, 1)];
-
-/// One degradation point of the fabric benchmark: all three schemes on
-/// the same degraded package.
-pub struct FabricPoint {
-    /// Reply per-hop latency as a multiple of the request path's.
-    pub lat_mult: u32,
-    /// Reply link width in flits/cycle.
-    pub reply_width: u32,
-    /// Report under [`Scheme::Baseline`].
-    pub baseline: Report,
-    /// Report under the default Realistic Probing fanout.
-    pub rp: Report,
-    /// Report under [`Scheme::DelegatedReplies`].
-    pub dr: Report,
-}
-
-/// Result of `clognet bench --fabric`: the scheme matrix across the
-/// reply-link degradation points on a 2-chip package, plus the
-/// engine-equivalence self-check (the `BENCH_fabric.json` artifact).
-pub struct FabricBenchResult {
-    /// Chips in the benchmarked package.
-    pub chips: usize,
-    /// Warmup cycles per cell (excluded from the measured span).
-    pub warm: u64,
-    /// Measured cycles per cell.
-    pub cycles: u64,
-    /// One entry per degradation point, in [`FABRIC_POINTS`] order.
-    pub points: Vec<FabricPoint>,
-    /// Whether every DR cell reproduced byte-for-byte on the per-cycle
-    /// reference loop (`--no-ff`) — the determinism contract, re-checked
-    /// on the benchmark's own runs.
-    pub identical_reports: bool,
-}
-
-impl FabricBenchResult {
-    /// The `BENCH_fabric.json` document.
-    pub fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"lat_mult\":{},\"reply_width\":{},\"baseline\":{},\"rp\":{},\"dr\":{},\
-                     \"dr_over_baseline\":{:.3}}}",
-                    p.lat_mult,
-                    p.reply_width,
-                    report::report_json(Scheme::Baseline, &p.baseline),
-                    report::report_json(Scheme::rp_default(), &p.rp),
-                    report::report_json(Scheme::DelegatedReplies, &p.dr),
-                    if p.baseline.gpu_ipc > 0.0 {
-                        p.dr.gpu_ipc / p.baseline.gpu_ipc
-                    } else {
-                        0.0
-                    }
-                )
-            })
-            .collect();
-        format!(
-            "{{\"harness\":\"clognet bench --fabric\",\"chips\":{},\
-             \"warm\":{},\"cycles\":{},\
-             \"points\":[{}],\"identical_reports\":{}}}",
-            self.chips,
-            self.warm,
-            self.cycles,
-            points.join(","),
-            self.identical_reports
-        )
-    }
-}
 
 /// The package the fabric benchmark degrades: two default-mesh chips
 /// on a pair fabric whose reply links run at `lat_mult` x the request
@@ -917,56 +631,35 @@ pub fn fabric_bench_config(lat_mult: u32, reply_width: u32) -> SystemConfig {
     }
 }
 
-/// Run the scheme matrix across [`FABRIC_POINTS`] and self-check the
-/// DR cells (the scheme whose engine path exercises delegation plus the
-/// fabric) against the reference loop.
-pub fn run_fabric_bench(warm: u64, cycles: u64) -> FabricBenchResult {
-    let (gpu, cpu) = ("HS", "bodytrack");
-    let mut points = Vec::with_capacity(FABRIC_POINTS.len());
-    let mut identical_reports = true;
+/// `clognet bench --fabric`: the three schemes on a 2-chip package at
+/// each of [`FABRIC_POINTS`], each point run again on the per-cycle
+/// reference loop (`--no-ff`).
+pub fn run_fabric_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
+    let title = format!(
+        "fabric degradation on a {}-chip package: HS+bodytrack under baseline, rp and dr, \
+         each point again with --no-ff",
+        fabric_bench_config(1, 4).chips()
+    );
+    let mut doc = BenchDoc::new("clognet bench --fabric", title, warm, cycles);
     for (lat_mult, reply_width) in FABRIC_POINTS {
         let base = fabric_bench_config(lat_mult, reply_width);
-        let run = |scheme: Scheme, ff: bool| {
-            let mut cfg = base.clone();
-            cfg.scheme = scheme;
-            measure(cfg, gpu, cpu, warm, cycles, ff)
-        };
-        let baseline = run(Scheme::Baseline, true);
-        let rp = run(Scheme::rp_default(), true);
-        let dr = run(Scheme::DelegatedReplies, true);
-        identical_reports &= run(Scheme::DelegatedReplies, false) == dr;
-        points.push(FabricPoint {
-            lat_mult,
-            reply_width,
-            baseline,
-            rp,
-            dr,
-        });
+        let tags = [
+            ("chips", base.chips().to_string()),
+            ("lat_mult", lat_mult.to_string()),
+            ("reply_width", reply_width.to_string()),
+        ];
+        let label = format!("lat{lat_mult}x_w{reply_width}");
+        let first = (label.as_str(), &base, "HS", "bodytrack");
+        let twin = ("_no_ff", &base, false);
+        let (ff, rows) = compare_pair(&mut doc, first, twin, threads, &tags);
+        let reports = rows.iter().map(|(s, r)| report::report_json(*s, r));
+        ff.metrics
+            .extend(["baseline", "rp", "dr"].into_iter().zip(reports));
+        let dr_over_baseline = ratio(rows[2].1.gpu_ipc, rows[0].1.gpu_ipc);
+        ff.metrics
+            .push(("dr_over_baseline", format!("{dr_over_baseline:.3}")));
     }
-    FabricBenchResult {
-        chips: fabric_bench_config(1, 4).chips(),
-        warm,
-        cycles,
-        points,
-        identical_reports,
-    }
-}
-
-/// Like [`measure`], but also report how many times the adaptive
-/// controller actuated a scheme switch (0 for static configs).
-pub fn control_measure(
-    cfg: SystemConfig,
-    gpu: &str,
-    cpu: &str,
-    warm: u64,
-    cycles: u64,
-) -> (Report, usize) {
-    let mut sys = MultiChipSystem::new(cfg, gpu, cpu);
-    sys.run(warm);
-    sys.reset_stats();
-    sys.run(cycles);
-    let actuations = sys.control_actuations();
-    (sys.report(), actuations)
+    doc
 }
 
 /// The workload-intensity matrix `bench --adaptive` sweeps: workload
@@ -980,174 +673,67 @@ pub const CONTROL_POINTS: [(&str, &str, usize); 4] = [
     ("NN", "swaptions", 16),
 ];
 
-/// One point of the adaptive-control benchmark: the three static
-/// schemes and the hysteresis controller on the same workload.
-pub struct ControlPoint {
-    /// GPU benchmark.
-    pub gpu: &'static str,
-    /// CPU benchmark.
-    pub cpu: &'static str,
-    /// Memory-node injection buffer depth (packets).
-    pub injbuf: usize,
-    /// Report under static [`Scheme::Baseline`].
-    pub baseline: Report,
-    /// Report under the static default Realistic Probing fanout.
-    pub rp: Report,
-    /// Report under static [`Scheme::DelegatedReplies`].
-    pub dr: Report,
-    /// Report under the hysteresis controller (base scheme Baseline).
-    pub adaptive: Report,
-    /// Scheme switches the controller actuated across warm + measured.
-    pub actuations: usize,
-}
-
-impl ControlPoint {
-    /// GPU IPC of the best static scheme at this point.
-    pub fn best_static_ipc(&self) -> f64 {
-        self.baseline
-            .gpu_ipc
-            .max(self.rp.gpu_ipc)
-            .max(self.dr.gpu_ipc)
-    }
-
-    /// GPU IPC of the worst static scheme at this point.
-    pub fn worst_static_ipc(&self) -> f64 {
-        self.baseline
-            .gpu_ipc
-            .min(self.rp.gpu_ipc)
-            .min(self.dr.gpu_ipc)
-    }
-}
-
-/// Result of `clognet bench --adaptive`: the adaptive-vs-static matrix
-/// plus the no-op-policy byte-identity self-check (the
-/// `BENCH_control.json` artifact).
-pub struct ControlBenchResult {
-    /// Warmup cycles per cell (controller active, stats excluded).
-    pub warm: u64,
-    /// Measured cycles per cell.
-    pub cycles: u64,
-    /// One entry per matrix point, in [`CONTROL_POINTS`] order.
-    pub points: Vec<ControlPoint>,
-    /// Whether every no-op-policy cell reproduced its uncontrolled
-    /// twin byte-for-byte — the controller's observe-only contract,
-    /// re-checked on the benchmark's own runs.
-    pub identical_reports: bool,
-}
-
-impl ControlBenchResult {
-    /// Whether the adaptive controller landed within 5% of the best
-    /// static scheme's GPU IPC on *every* matrix point.
-    pub fn within_5pct_everywhere(&self) -> bool {
-        self.points
-            .iter()
-            .all(|p| p.adaptive.gpu_ipc >= 0.95 * p.best_static_ipc())
-    }
-
-    /// Whether the adaptive controller beat the worst static scheme on
-    /// at least one matrix point — the payoff for not having to pick.
-    pub fn beats_worst_somewhere(&self) -> bool {
-        self.points
-            .iter()
-            .any(|p| p.adaptive.gpu_ipc > p.worst_static_ipc())
-    }
-
-    /// Controller actuations summed across the matrix.
-    pub fn total_actuations(&self) -> usize {
-        self.points.iter().map(|p| p.actuations).sum()
-    }
-
-    /// The `BENCH_control.json` document.
-    pub fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"gpu\":\"{}\",\"cpu\":\"{}\",\"injbuf\":{},\
-                     \"baseline_ipc\":{:.4},\"rp_ipc\":{:.4},\"dr_ipc\":{:.4},\
-                     \"adaptive_ipc\":{:.4},\"actuations\":{},\
-                     \"adaptive_over_best\":{:.3},\"adaptive_over_worst\":{:.3}}}",
-                    p.gpu,
-                    p.cpu,
-                    p.injbuf,
-                    p.baseline.gpu_ipc,
-                    p.rp.gpu_ipc,
-                    p.dr.gpu_ipc,
-                    p.adaptive.gpu_ipc,
-                    p.actuations,
-                    if p.best_static_ipc() > 0.0 {
-                        p.adaptive.gpu_ipc / p.best_static_ipc()
-                    } else {
-                        0.0
-                    },
-                    if p.worst_static_ipc() > 0.0 {
-                        p.adaptive.gpu_ipc / p.worst_static_ipc()
-                    } else {
-                        0.0
-                    }
-                )
-            })
-            .collect();
-        format!(
-            "{{\"harness\":\"clognet bench --adaptive\",\"warm\":{},\"cycles\":{},\
-             \"points\":[{}],\"total_actuations\":{},\
-             \"within_5pct_of_best_everywhere\":{},\"beats_worst_somewhere\":{},\
-             \"identical_reports\":{}}}",
-            self.warm,
-            self.cycles,
-            points.join(","),
-            self.total_actuations(),
-            self.within_5pct_everywhere(),
-            self.beats_worst_somewhere(),
-            self.identical_reports
-        )
-    }
-}
-
-/// Run the adaptive-vs-static matrix. Each point measures the three
-/// static schemes, the hysteresis controller rooted at Baseline, and a
-/// no-op-policy leg whose report must match the uncontrolled Baseline
-/// cell byte-for-byte.
-pub fn run_control_bench(warm: u64, cycles: u64) -> ControlBenchResult {
-    let mut points = Vec::with_capacity(CONTROL_POINTS.len());
-    let mut identical_reports = true;
+/// `clognet bench --adaptive`: at each of [`CONTROL_POINTS`], the three
+/// static schemes, the same three under the no-op controller, and the
+/// hysteresis controller rooted at Baseline.
+pub fn run_control_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
+    let title = "adaptive control vs static schemes: static, under the no-op controller, \
+                 and under hysteresis"
+        .into();
+    let mut doc = BenchDoc::new("clognet bench --adaptive", title, warm, cycles);
+    let (mut within_5pct, mut beats_worst) = (true, false);
     for (gpu, cpu, injbuf) in CONTROL_POINTS {
         let mut base = SystemConfig::default();
         base.noc.mem_inj_buf_pkts = injbuf;
-        let run_static = |scheme: Scheme| {
-            let mut cfg = base.clone();
-            cfg.scheme = scheme;
-            measure(cfg, gpu, cpu, warm, cycles, true)
+        let noop = SystemConfig {
+            control: Some(ControlConfig::noop()),
+            ..base.clone()
         };
-        let baseline = run_static(Scheme::Baseline);
-        let rp = run_static(Scheme::rp_default());
-        let dr = run_static(Scheme::DelegatedReplies);
-        let mut adaptive_cfg = base.clone();
-        adaptive_cfg.scheme = Scheme::Baseline;
-        adaptive_cfg.control = Some(ControlConfig::default());
-        let (adaptive, actuations) = control_measure(adaptive_cfg, gpu, cpu, warm, cycles);
-        let mut noop_cfg = base.clone();
-        noop_cfg.scheme = Scheme::Baseline;
-        noop_cfg.control = Some(ControlConfig::noop());
-        identical_reports &= measure(noop_cfg, gpu, cpu, warm, cycles, true) == baseline;
-        points.push(ControlPoint {
-            gpu,
-            cpu,
-            injbuf,
-            baseline,
-            rp,
-            dr,
-            adaptive,
-            actuations,
+        let tags = [
+            ("gpu", format!("\"{gpu}\"")),
+            ("cpu", format!("\"{cpu}\"")),
+            ("injbuf", injbuf.to_string()),
+        ];
+        let label = format!("{gpu}+{cpu}_injbuf{injbuf}");
+        let first = (label.as_str(), &base, gpu, cpu);
+        let (fixed, rows) = compare_pair(&mut doc, first, ("_noop", &noop, true), threads, &tags);
+        let ipcs = rows.iter().map(|(_, r)| format!("{:.4}", r.gpu_ipc));
+        fixed
+            .metrics
+            .extend(["baseline_ipc", "rp_ipc", "dr_ipc"].into_iter().zip(ipcs));
+        // The controller's actuations live on the system, not in the
+        // report, so this one job runs outside `measure`.
+        let adaptive = SystemConfig {
+            scheme: Scheme::Baseline,
+            control: Some(ControlConfig::default()),
+            ..base
+        };
+        let (sys, wall) = timed(|| {
+            let mut sys = MultiChipSystem::new(adaptive, gpu, cpu);
+            sys.run(warm);
+            sys.reset_stats();
+            sys.run(cycles);
+            sys
         });
+        let ipc = sys.report().gpu_ipc;
+        let best = rows.iter().map(|(_, r)| r.gpu_ipc).fold(f64::MIN, f64::max);
+        let worst = rows.iter().map(|(_, r)| r.gpu_ipc).fold(f64::MAX, f64::min);
+        within_5pct &= ipc >= 0.95 * best;
+        beats_worst |= ipc > worst;
+        let docs = [report::report_json(Scheme::Baseline, &sys.report())];
+        let leg = Leg::new(label + "_adaptive", 1, vec![wall], warm + cycles, &docs);
+        let leg = tags.iter().fold(leg, |leg, (k, v)| leg.metric(k, v));
+        let leg = leg.metric("adaptive_ipc", format!("{ipc:.4}"));
+        let leg = leg.metric("actuations", sys.control_actuations());
+        let leg = leg.metric("adaptive_over_best", format!("{:.3}", ratio(ipc, best)));
+        let leg = leg.metric("adaptive_over_worst", format!("{:.3}", ratio(ipc, worst)));
+        doc.legs.push(leg);
     }
-    ControlBenchResult {
-        warm,
-        cycles,
-        points,
-        identical_reports,
-    }
+    doc.checks = vec![
+        ("within_5pct_of_best_everywhere", within_5pct),
+        ("beats_worst_somewhere", beats_worst),
+    ];
+    doc
 }
 
 #[cfg(test)]
@@ -1246,128 +832,66 @@ mod tests {
         assert!(err.0.contains("MM+canneal"), "{err}");
     }
 
+    /// Every harness writes one shape: the five top-level keys, the
+    /// same keys on every leg, and `identical_reports` decided by the
+    /// pair rule alone.
     #[test]
-    fn warmstart_json_is_flat_and_balanced() {
-        let r = WarmStartBenchResult {
-            values: vec![2, 4, 8],
-            warm: 2000,
-            cycles: 1000,
-            threads: 4,
-            cold_wall_s: 3.0,
-            forked_wall_s: 1.5,
-            identical_reports: true,
+    fn bench_documents_share_one_shape() {
+        use clognet_serve::Json;
+        let leg = |label: &str, reps: usize, digest: &str| {
+            Leg::new(label, 1, vec![0.5; reps], 1_000, &[digest])
         };
-        let j = r.to_json();
-        assert!(j.contains("\"harness\":\"clognet bench --warm-start\""));
-        assert!(j.contains("\"values\":[2,4,8]"));
-        assert!(j.contains("\"jobs\":6"));
-        assert!(j.contains("\"warm_fraction\":0.667"));
-        assert!(j.contains("\"speedup\":2.000"));
-        assert!(j.contains("\"identical_reports\":true"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn bench_json_is_flat_and_balanced() {
-        let r = BenchResult {
-            jobs: 9,
-            cycles_per_job: 100,
-            single: BenchLeg {
-                threads: 1,
-                wall_s: 2.0,
-                wall_s_mean: 2.125,
-                wall_s_stddev: 0.25,
-                sim_cycles_per_s: 450.0,
-            },
-            multi: BenchLeg {
-                threads: 4,
-                wall_s: 0.5,
-                wall_s_mean: 0.5,
-                wall_s_stddev: 0.0,
-                sim_cycles_per_s: 1800.0,
-            },
-            low_jobs: 6,
-            low_cycles_per_job: 1000,
-            ff_on: FfLeg {
-                wall_s: 0.25,
-                wall_s_mean: 0.3,
-                wall_s_stddev: 0.05,
-                skipped: 3000,
-            },
-            ff_off: FfLeg {
-                wall_s: 1.0,
-                wall_s_mean: 1.0,
-                wall_s_stddev: 0.0,
-                skipped: 0,
-            },
+        // The throughput and cluster harnesses time whole matrices or
+        // boot servers, so their documents are assembled from legs as
+        // their drivers assemble them.
+        let mut throughput = BenchDoc::new("clognet bench", "throughput".into(), 10, 20);
+        throughput.push_pair(leg("single", LEG_REPS, "a"), leg("multi", LEG_REPS, "a"));
+        throughput.push_pair(leg("ff_off", LEG_REPS, "b"), leg("ff_on", LEG_REPS, "b"));
+        let (single, nodes) = (leg("single", 1, "c"), leg("cluster", 1, "c"));
+        let cluster = crate::cluster_cmd::cluster_doc(single, nodes, 3, 10, 20);
+        let docs = [
+            (throughput, 4),
+            (cluster, 2),
+            (run_warmstart_bench(2, 20, 40), 2),
+            (run_fabric_bench(2, 20, 40), 2 * FABRIC_POINTS.len()),
+            (run_control_bench(2, 20, 40), 3 * CONTROL_POINTS.len()),
+        ];
+        // Object keys come back sorted.
+        let keys = |j: &Json| {
+            j.as_obj()
+                .unwrap()
+                .keys()
+                .cloned()
+                .collect::<Vec<_>>()
+                .join(" ")
         };
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"speedup\":4.000"));
-        assert!(j.contains("\"ff_speedup\":4.000"));
-        assert!(j.contains("\"skipped_ratio\":0.500"));
-        assert!(j.contains("\"skipped_cycles\":3000"));
-        // Per-leg rep statistics (min is the headline wall_s).
-        assert!(j.contains("\"reps\":3"));
-        assert!(j.contains("\"wall_s_single\":2.000000"));
-        assert!(j.contains("\"wall_s_single_mean\":2.125000"));
-        assert!(j.contains("\"wall_s_single_stddev\":0.250000"));
-        assert!(j.contains("\"wall_s_multi_mean\":0.500000"));
-        assert!(j.contains("\"wall_s_multi_stddev\":0.000000"));
-        assert!(j.contains("\"wall_s_ff_on_mean\":0.300000"));
-        assert!(j.contains("\"wall_s_ff_on_stddev\":0.050000"));
-        assert!(j.contains("\"wall_s_ff_off_mean\":1.000000"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn rep_stats_min_mean_stddev() {
-        let (min, mean, stddev) = rep_stats(&[2.0, 4.0, 6.0]);
-        assert_eq!(min, 2.0);
-        assert_eq!(mean, 4.0);
-        assert!((stddev - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        let (min, mean, stddev) = rep_stats(&[1.5]);
-        assert_eq!((min, mean, stddev), (1.5, 1.5, 0.0));
-    }
-
-    #[test]
-    fn control_bench_json_is_flat_and_balanced() {
-        let mut sys = System::new(SystemConfig::default(), "HS", "bodytrack");
-        sys.run(1_000);
-        let r = sys.report();
-        let mut dr = r.clone();
-        dr.gpu_ipc = r.gpu_ipc * 2.0;
-        let mut adaptive = r.clone();
-        adaptive.gpu_ipc = r.gpu_ipc * 1.95;
-        let result = ControlBenchResult {
-            warm: 100,
-            cycles: 400,
-            points: vec![ControlPoint {
-                gpu: "HS",
-                cpu: "bodytrack",
-                injbuf: 4,
-                baseline: r.clone(),
-                rp: r.clone(),
-                dr,
-                adaptive,
-                actuations: 2,
-            }],
-            identical_reports: true,
-        };
-        // Adaptive is within 5% of the doubled-IPC DR leg and beats
-        // the baseline/rp legs.
-        assert!(result.within_5pct_everywhere());
-        assert!(result.beats_worst_somewhere());
-        assert_eq!(result.total_actuations(), 2);
-        let j = result.to_json();
-        assert!(j.contains("\"harness\":\"clognet bench --adaptive\""));
-        assert!(j.contains("\"within_5pct_of_best_everywhere\":true"));
-        assert!(j.contains("\"beats_worst_somewhere\":true"));
-        assert!(j.contains("\"identical_reports\":true"));
-        assert!(j.contains("\"actuations\":2"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        for (doc, legs) in docs {
+            let text = doc.to_json();
+            let json = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            assert_eq!(keys(&json), "budget checks harness host legs", "{text}");
+            assert_eq!(json.get("harness").unwrap().as_str(), Some(doc.harness));
+            assert!(json.get("host").unwrap().get("nproc").unwrap().as_u64() >= Some(1));
+            let budget = json.get("budget").unwrap();
+            assert_eq!(budget.get("warm").unwrap().as_u64(), Some(doc.warm));
+            let identical = json.get("checks").unwrap().get("identical_reports");
+            assert_eq!(identical.unwrap().as_bool(), Some(true), "{text}");
+            let got = json.get("legs").unwrap().as_arr().unwrap();
+            assert_eq!(got.len(), legs, "{text}");
+            for l in got {
+                let want = "jobs label metrics report_digest sim_cycles_per_s \
+                            skipped_cycles threads wall";
+                assert_eq!(keys(l), want, "{text}");
+                let wall = l.get("wall").unwrap();
+                assert!(wall.get("min").unwrap().as_f64() > Some(0.0), "{text}");
+                assert!(l.get("jobs").unwrap().as_u64() >= Some(1), "{text}");
+                assert_eq!(l.get("report_digest").unwrap().as_str().unwrap().len(), 16);
+            }
+            // One mismatched pair is enough to fail the whole document.
+            let mut broken = doc.clone();
+            broken.legs[broken.pairs[0].1].report_digest ^= 1;
+            assert!(!broken.identical_reports());
+            assert!(broken.to_json().contains("\"identical_reports\":false"));
+        }
     }
 
     #[test]

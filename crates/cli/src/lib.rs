@@ -5,6 +5,7 @@
 //! `main.rs` wires these to stdin/stdout so every piece is unit-testable.
 
 pub mod args;
+pub mod bench_doc;
 pub mod cluster_cmd;
 pub mod config;
 pub mod driver;

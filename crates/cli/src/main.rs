@@ -406,6 +406,9 @@ fn cmd_sweep(args: &Args) -> Result<(), ParseArgsError> {
     Ok(())
 }
 
+/// `clognet bench`: the throughput matrix, or the harness a mode flag
+/// picks, at its (`--quick`, full) default budget, emitted as one bench
+/// document.
 fn cmd_bench(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&[
         "threads",
@@ -418,191 +421,25 @@ fn cmd_bench(args: &Args) -> Result<(), ParseArgsError> {
         "fabric",
         "adaptive",
     ])?;
-    // `--warm-start` switches to the snapshot-fork harness: the same
-    // warm-started sweep timed cold vs forked. Its defaults make the
-    // warmup dominate (the budget forking reclaims), so they differ
-    // from the throughput matrix's.
-    if args.flag("warm-start") {
-        let (dwarm, dcycles) = if args.flag("quick") {
-            (2_000u64, 600u64)
-        } else {
-            (20_000, 4_000)
-        };
-        let warm = args.get_num("warm", dwarm)?;
-        let cycles = args.get_num("cycles", dcycles)?;
-        return cmd_warmstart_bench(args, warm, cycles);
-    }
-    // `--adaptive` switches to the adaptive-vs-static control matrix:
-    // the hysteresis controller against each static scheme. Its
-    // default warmup is long enough for the controller to finish
-    // climbing the ladder AND for the baseline-warmup transient to
-    // wash out before measurement starts.
-    if args.flag("adaptive") {
-        let (dwarm, dcycles) = if args.flag("quick") {
-            (1_000u64, 2_000u64)
-        } else {
-            (12_000, 15_000)
-        };
-        let warm = args.get_num("warm", dwarm)?;
-        let cycles = args.get_num("cycles", dcycles)?;
-        return cmd_control_bench(args, warm, cycles);
-    }
-    // Quick mode: just enough cycles to prove the harness works (CI
-    // smoke); default mode is long enough for meaningful rates.
-    let (dwarm, dcycles) = if args.flag("quick") {
-        (200u64, 800u64)
+    type Harness = fn(usize, u64, u64) -> clognet_cli::bench_doc::BenchDoc;
+    let (quick, full, harness): ((u64, u64), (u64, u64), Harness) = if args.flag("warm-start") {
+        // The warmup dominates: it is the budget forking reclaims.
+        ((2_000, 600), (20_000, 4_000), driver::run_warmstart_bench)
+    } else if args.flag("adaptive") {
+        // Long enough for the controller to finish climbing the ladder
+        // AND for the baseline-warmup transient to wash out.
+        ((1_000, 2_000), (12_000, 15_000), driver::run_control_bench)
+    } else if args.flag("fabric") {
+        ((200, 800), (4_000, 10_000), driver::run_fabric_bench)
     } else {
-        (4_000, 10_000)
+        // Quick mode: just enough cycles to prove the harness works (CI
+        // smoke); the full budget is long enough for meaningful rates.
+        ((200, 800), (4_000, 10_000), driver::run_bench)
     };
-    let warm = args.get_num("warm", dwarm)?;
-    let cycles = args.get_num("cycles", dcycles)?;
-    // `--fabric` switches to the inter-chip degradation matrix: a
-    // 2-chip package whose reply links get slower and narrower.
-    if args.flag("fabric") {
-        return cmd_fabric_bench(args, warm, cycles);
-    }
-    let threads = thread_count(args)?;
-    let r = driver::run_bench(threads, warm, cycles);
-    let doc = r.to_json();
-    if args.flag("json") || args.get("out").is_none() {
-        println!("{doc}");
-    }
-    if let Some(path) = args.get("out") {
-        write_file(path, &format!("{doc}\n"))?;
-        eprintln!("wrote benchmark report to {path}");
-    }
-    if !args.flag("json") {
-        eprintln!(
-            "{} jobs x {} cycles: {:.2}s at --threads 1, {:.2}s at --threads {} ({:.2}x)",
-            r.jobs,
-            r.cycles_per_job,
-            r.single.wall_s,
-            r.multi.wall_s,
-            r.multi.threads,
-            r.speedup()
-        );
-        eprintln!(
-            "fast-forward: {} low-intensity jobs x {} cycles: {:.2}s per-cycle, {:.2}s \
-             fast-forwarded ({:.2}x, {:.0}% of cycles skipped)",
-            r.low_jobs,
-            r.low_cycles_per_job,
-            r.ff_off.wall_s,
-            r.ff_on.wall_s,
-            r.ff_speedup(),
-            r.skipped_ratio() * 100.0
-        );
-    }
-    Ok(())
-}
-
-/// `clognet bench --fabric`: run the three schemes across the 2-chip
-/// reply-link degradation matrix and emit the `BENCH_fabric.json`
-/// artifact (the inter-chip analogue of the paper's headline figure).
-fn cmd_fabric_bench(args: &Args, warm: u64, cycles: u64) -> Result<(), ParseArgsError> {
-    let r = driver::run_fabric_bench(warm, cycles);
-    let doc = r.to_json();
-    if args.flag("json") || args.get("out").is_none() {
-        println!("{doc}");
-    }
-    if let Some(path) = args.get("out") {
-        write_file(path, &format!("{doc}\n"))?;
-        eprintln!("wrote fabric-degradation report to {path}");
-    }
-    if !args.flag("json") {
-        eprintln!(
-            "fabric degradation on a {}-chip package ({} warm + {} measured cycles, \
-             reports identical across engines: {}):",
-            r.chips, r.warm, r.cycles, r.identical_reports
-        );
-        for p in &r.points {
-            eprintln!(
-                "  reply {:>2}x latency, {} flits/cy: base {:.2} | rp {:.2} | dr {:.2} IPC \
-                 (dr/base {:.3})",
-                p.lat_mult,
-                p.reply_width,
-                p.baseline.gpu_ipc,
-                p.rp.gpu_ipc,
-                p.dr.gpu_ipc,
-                p.dr.gpu_ipc / p.baseline.gpu_ipc
-            );
-        }
-    }
-    Ok(())
-}
-
-/// `clognet bench --adaptive`: run the hysteresis controller against
-/// each static scheme across the workload-intensity matrix and emit
-/// the `BENCH_control.json` artifact (adaptive must track the best
-/// static everywhere and beat the worst somewhere).
-fn cmd_control_bench(args: &Args, warm: u64, cycles: u64) -> Result<(), ParseArgsError> {
-    let r = driver::run_control_bench(warm, cycles);
-    let doc = r.to_json();
-    if args.flag("json") || args.get("out").is_none() {
-        println!("{doc}");
-    }
-    if let Some(path) = args.get("out") {
-        write_file(path, &format!("{doc}\n"))?;
-        eprintln!("wrote adaptive-control report to {path}");
-    }
-    if !args.flag("json") {
-        eprintln!(
-            "adaptive control vs static schemes ({} warm + {} measured cycles, \
-             no-op controller byte-identical to uncontrolled: {}):",
-            r.warm, r.cycles, r.identical_reports
-        );
-        for p in &r.points {
-            eprintln!(
-                "  {:>2}+{:<10} injbuf {:>2}: base {:.2} | rp {:.2} | dr {:.2} | \
-                 adaptive {:.2} IPC ({} actuations, adaptive/best {:.3})",
-                p.gpu,
-                p.cpu,
-                p.injbuf,
-                p.baseline.gpu_ipc,
-                p.rp.gpu_ipc,
-                p.dr.gpu_ipc,
-                p.adaptive.gpu_ipc,
-                p.actuations,
-                p.adaptive.gpu_ipc / p.best_static_ipc()
-            );
-        }
-        eprintln!(
-            "  within 5% of best static everywhere: {}; beats worst static somewhere: {}",
-            r.within_5pct_everywhere(),
-            r.beats_worst_somewhere()
-        );
-    }
-    Ok(())
-}
-
-/// `clognet bench --warm-start`: time the warm-started injbuf sweep
-/// cold (warmup per variant) vs forked (warmup once, snapshot forked
-/// per variant) and emit the `BENCH_warmstart.json` artifact.
-fn cmd_warmstart_bench(args: &Args, warm: u64, cycles: u64) -> Result<(), ParseArgsError> {
-    let threads = thread_count(args)?;
-    let r = driver::run_warmstart_bench(threads, warm, cycles);
-    let doc = r.to_json();
-    if args.flag("json") || args.get("out").is_none() {
-        println!("{doc}");
-    }
-    if let Some(path) = args.get("out") {
-        write_file(path, &format!("{doc}\n"))?;
-        eprintln!("wrote warm-start report to {path}");
-    }
-    if !args.flag("json") {
-        eprintln!(
-            "warm-start: {} variants x ({} warm + {} measured) at --threads {}: \
-             {:.2}s cold, {:.2}s forked ({:.2}x, reports identical: {})",
-            r.values.len() * 2,
-            r.warm,
-            r.cycles,
-            r.threads,
-            r.cold_wall_s,
-            r.forked_wall_s,
-            r.speedup(),
-            r.identical_reports
-        );
-    }
-    Ok(())
+    let (warm, cycles) = if args.flag("quick") { quick } else { full };
+    let warm = args.get_num("warm", warm)?;
+    let cycles = args.get_num("cycles", cycles)?;
+    harness(thread_count(args)?, warm, cycles).emit(args)
 }
 
 /// `clognet snapshot`: build a system, simulate the warmup, and write

@@ -563,6 +563,26 @@ mod tests {
     }
 
     #[test]
+    fn jobs_leaving_a_class_without_a_usable_vc_are_bad_requests() {
+        let h = SimHandler;
+        for (topology, vnets) in [("dragonfly", "1+3"), ("dragonfly", "3+1"), ("mesh", "0+4")] {
+            let mut spec = JobSpec::new("BT", "ferret");
+            spec.opts.insert("topology".into(), topology.into());
+            spec.opts.insert("vnets".into(), vnets.into());
+            let err = h.fingerprint(&spec).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest);
+            assert!(
+                err.message.contains("every traffic class needs"),
+                "{}",
+                err.message
+            );
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let err = h.run(&spec, deadline).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest);
+        }
+    }
+
+    #[test]
     fn control_knobs_are_identity_knobs_for_both_cache_tiers() {
         // A controlled job simulates something different from an
         // uncontrolled one (the controller can rewrite the scheme

@@ -11,6 +11,8 @@
 //! * multi-chip packages stay at 2 chips on the pair fabric with
 //!   valid gateway counts, and never combine with `--vnets` (the
 //!   gateway adapter needs physically separate networks);
+//! * a `--vnets` split leaves every traffic class a VC it can use, so
+//!   dragonfly only takes `2+2`;
 //! * control thresholds are drawn from both the always-firing and the
 //!   never-firing ends, so adaptive actuation is exercised in lockstep
 //!   across engines.
@@ -104,19 +106,14 @@ impl<'a> ScenarioGen<'a> {
             _ => Scheme::RealisticProbing { fanout: 2 },
         };
         if rng.gen_bool(0.25) {
-            cfg.noc.virtual_nets = Some(match rng.gen_range(0..3u32) {
-                0 => VirtualNetConfig {
-                    request_vcs: 1,
-                    reply_vcs: 3,
-                },
-                1 => VirtualNetConfig {
-                    request_vcs: 2,
-                    reply_vcs: 2,
-                },
-                _ => VirtualNetConfig {
-                    request_vcs: 3,
-                    reply_vcs: 1,
-                },
+            let split = [(1, 3), (2, 2), (3, 1)][rng.gen_range(0..3u32) as usize];
+            // Dragonfly needs two VCs per class (`VirtualNetConfig::fits`),
+            // so it only takes the even split.
+            let dragonfly = cfg.noc.topology == Topology::Dragonfly;
+            let (request_vcs, reply_vcs) = if dragonfly { (2, 2) } else { split };
+            cfg.noc.virtual_nets = Some(VirtualNetConfig {
+                request_vcs,
+                reply_vcs,
             });
         }
         // Small injection buffers make clogging (and therefore
@@ -199,6 +196,9 @@ mod tests {
                 assert_eq!(f.chips, 2);
                 assert!(f.gateways <= c.cfg.n_mem);
                 assert!(c.cfg.noc.virtual_nets.is_none(), "fabric excludes --vnets");
+            }
+            if let Some(v) = c.cfg.noc.virtual_nets {
+                assert!(v.fits(c.cfg.noc.topology), "{}", c.repro_line());
             }
             assert!(c.warm >= 200 && c.cycles >= 400);
         }

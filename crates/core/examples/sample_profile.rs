@@ -20,10 +20,13 @@
 //! otherwise take the blame for the loops that call them. A closure
 //! counts as the function that defines it. A function's
 //! *self* samples are those whose innermost kept frame it is; its
-//! *inclusive* samples are those with it anywhere in the inline chain.
-//! Only inlining is seen, not calls: a sample in a function that was not
+//! *inline* samples are those with it anywhere in the inline chain.
+//! Calls are not followed (there is no stack walk), so the inline column
+//! is not an inclusive time: a sample in a function that was not
 //! inlined counts for that function and the functions inlined into it,
-//! not for its caller. The last table gives self samples by source line
+//! not for its caller. `Network::ni_injection`, for one, reads about one
+//! inline sample per round while its out-of-line callee `ni_inject`
+//! takes 5 to 15. The last table gives self samples by source line
 //! of the innermost kept frame, for code that is not a function of its
 //! own. Rows under 0.1% of the samples are left out.
 //!
@@ -298,7 +301,7 @@ fn main() {
     let wall = t0.elapsed();
 
     let chains = symbols::resolve(&pcs);
-    let (mut self_n, mut incl_n, mut line_n) = (
+    let (mut self_n, mut inline_n, mut line_n) = (
         HashMap::<&str, u64>::new(),
         HashMap::<&str, u64>::new(),
         HashMap::<String, u64>::new(),
@@ -314,7 +317,7 @@ fn main() {
         let mut seen = HashSet::new();
         for (f, _) in &chain {
             if seen.insert(f.as_str()) {
-                *incl_n.entry(f).or_default() += 1;
+                *inline_n.entry(f).or_default() += 1;
             }
         }
     }
@@ -324,7 +327,8 @@ fn main() {
     let floor = (pcs.len() as u64 / 1000).max(1);
     println!(
         "sample_profile: chip-8x8 jobs, seed {seed}, {rounds} rounds, {} CPU-time samples \
-         ({:.1} per round, {lost} lost), {:.1} s wall, checksum {checksum:.4}",
+         ({:.1} per round, {lost} lost), {:.1} s wall, checksum {checksum:.4}; \
+         each sample is its inline chain, calls are not followed",
         pcs.len(),
         per_round(pcs.len() as u64),
         wall.as_secs_f64()
@@ -333,13 +337,13 @@ fn main() {
         let mut rows: Vec<(&str, u64)> = key.iter().map(|(&f, &n)| (f, n)).collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         println!(
-            "\n{title}\n{:>7} {:>7} {:>9} {:>9}  function",
-            "self%", "incl%", "self/rnd", "incl/rnd"
+            "\n{title}\n{:>7} {:>7} {:>10} {:>10}  function",
+            "self%", "inline%", "self/rnd", "inline/rnd"
         );
         for (f, _) in rows.into_iter().take_while(|&(_, n)| n >= floor) {
-            let (s, i) = (self_n.get(f).copied().unwrap_or(0), incl_n[f]);
+            let (s, i) = (self_n.get(f).copied().unwrap_or(0), inline_n[f]);
             println!(
-                "{:>6.2}% {:>6.2}% {:>9.1} {:>9.1}  {f}",
+                "{:>6.2}% {:>6.2}% {:>10.1} {:>10.1}  {f}",
                 100.0 * s as f64 / total,
                 100.0 * i as f64 / total,
                 per_round(s),
@@ -348,7 +352,11 @@ fn main() {
         }
     };
     table("by self samples", &self_n);
-    table("by inclusive samples", &incl_n);
+    table(
+        "by inline samples (each sample's inline chain; calls are not followed, \
+         so this is not inclusive time)",
+        &inline_n,
+    );
     let mut lines: Vec<(String, u64)> = line_n.into_iter().collect();
     lines.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     println!(

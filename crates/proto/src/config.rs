@@ -340,6 +340,20 @@ pub struct VirtualNetConfig {
     pub reply_vcs: usize,
 }
 
+impl VirtualNetConfig {
+    /// VCs each traffic class needs on `topology`: dragonfly moves hops
+    /// inside the destination group up to VC 1 (deadlock avoidance), so
+    /// there a class with one VC has none it may use.
+    pub fn vcs_needed(topology: Topology) -> usize {
+        1 + usize::from(topology == Topology::Dragonfly)
+    }
+
+    /// Whether both classes own the VCs they need on `topology`.
+    pub fn fits(&self, topology: Topology) -> bool {
+        self.request_vcs.min(self.reply_vcs) >= Self::vcs_needed(topology)
+    }
+}
+
 /// NoC parameters (Table I) plus the study knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NocConfig {
