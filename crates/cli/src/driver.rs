@@ -521,15 +521,21 @@ pub fn run_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
     let (low, low_cycles) = (low_intensity_matrix(), 12 * cycles);
     let ff_off = time_leg("ff_off", &low, 1, LOW_WARM, low_cycles, Some(false));
     let ff_on = time_leg("ff_on", &low, 1, LOW_WARM, low_cycles, Some(true));
+    throughput_doc([single, multi, ff_off, ff_on], low_cycles, warm, cycles)
+}
+
+/// The throughput document from its four legs in run order: the matrix
+/// at 1 and N threads, then the low-intensity matrix at `low_cycles`
+/// measured cycles per job with fast-forward off and on.
+fn throughput_doc(legs: [Leg; 4], low_cycles: u64, warm: u64, cycles: u64) -> BenchDoc {
+    let [single, multi, ff_off, ff_on] = legs;
     let (speedup, ff_speedup) = (multi.speedup_over(&single), ff_on.speedup_over(&ff_off));
     let skipped = ff_on.skipped_cycles.unwrap_or(0) as f64;
-    let skipped_ratio = ratio(skipped, (low.len() as u64 * low_cycles) as f64);
+    let skipped_ratio = ratio(skipped, (ff_on.jobs as u64 * low_cycles) as f64);
     let title = format!(
         "throughput: {} jobs at 1 and {} threads, then {} low-intensity jobs with \
          fast-forward off and on",
-        matrix.len(),
-        multi.threads,
-        low.len()
+        single.jobs, multi.threads, ff_off.jobs
     );
     let mut doc = BenchDoc::new("clognet bench", title, warm, cycles);
     let low_budget = |leg: Leg| leg.metric("warm", LOW_WARM).metric("cycles", low_cycles);
@@ -739,6 +745,7 @@ pub fn run_control_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clognet_serve::Json;
 
     #[test]
     fn sweep_values_parse_and_reject() {
@@ -832,65 +839,161 @@ mod tests {
         assert!(err.0.contains("MM+canneal"), "{err}");
     }
 
+    /// Object keys, space-separated: the reader keeps them sorted.
+    fn keys(j: &Json) -> String {
+        let keys: Vec<&str> = j.as_obj().unwrap().keys().map(String::as_str).collect();
+        keys.join(" ")
+    }
+
+    /// The checks every bench document passes: it parses, has the five
+    /// top-level keys and `legs` legs with one key set, positive times
+    /// and 16-digit digests, and `identical_reports` holds until one
+    /// pair's digests differ. Hands back the parsed document.
+    fn assert_one_shape(doc: &BenchDoc, legs: usize) -> Json {
+        let text = doc.to_json();
+        let json = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        assert_eq!(keys(&json), "budget checks harness host legs", "{text}");
+        assert_eq!(json.get("harness").unwrap().as_str(), Some(doc.harness));
+        assert!(json.get("host").unwrap().get("nproc").unwrap().as_u64() >= Some(1));
+        let budget = json.get("budget").unwrap();
+        assert_eq!(budget.get("warm").unwrap().as_u64(), Some(doc.warm));
+        assert_eq!(budget.get("cycles").unwrap().as_u64(), Some(doc.cycles));
+        let identical = json.get("checks").unwrap().get("identical_reports");
+        assert_eq!(identical.unwrap().as_bool(), Some(true), "{text}");
+        let got = json.get("legs").unwrap().as_arr().unwrap();
+        assert_eq!(got.len(), legs, "{text}");
+        for l in got {
+            let want = "jobs label metrics report_digest sim_cycles_per_s \
+                        skipped_cycles threads wall";
+            assert_eq!(keys(l), want, "{text}");
+            let wall = l.get("wall").unwrap();
+            assert!(wall.get("min").unwrap().as_f64() > Some(0.0), "{text}");
+            assert!(l.get("jobs").unwrap().as_u64() >= Some(1), "{text}");
+            assert_eq!(l.get("report_digest").unwrap().as_str().unwrap().len(), 16);
+        }
+        // One mismatched pair is enough to fail the whole document.
+        let mut broken = doc.clone();
+        broken.legs[broken.pairs[0].1].report_digest ^= 1;
+        assert!(!broken.identical_reports());
+        assert!(broken.to_json().contains("\"identical_reports\":false"));
+        json
+    }
+
+    /// A parsed document's legs.
+    fn legs(json: &Json) -> &[Json] {
+        json.get("legs").unwrap().as_arr().unwrap()
+    }
+
+    /// The labels of a parsed document's legs, in order.
+    fn labels(json: &Json) -> Vec<&str> {
+        let label = |l| Json::get(l, "label").unwrap().as_str().unwrap();
+        legs(json).iter().map(label).collect()
+    }
+
+    /// The throughput legs of the matrix and low-intensity runs, built
+    /// by hand: timing the real matrices takes minutes.
+    fn throughput_legs() -> [Leg; 4] {
+        let mut ff_on = Leg::new("ff_on", 1, vec![0.25, 0.3, 0.35], 6_000, &["b"; 6]);
+        ff_on.skipped_cycles = Some(3_000);
+        [
+            Leg::new("single", 1, vec![2.0, 2.25, 2.125], 900, &["a"; 9]),
+            Leg::new("multi", 4, vec![0.5; 3], 900, &["a"; 9]),
+            Leg::new("ff_off", 1, vec![1.0; 3], 6_000, &["b"; 6]),
+            ff_on,
+        ]
+    }
+
     /// Every harness writes one shape: the five top-level keys, the
     /// same keys on every leg, and `identical_reports` decided by the
     /// pair rule alone.
     #[test]
     fn bench_documents_share_one_shape() {
-        use clognet_serve::Json;
-        let leg = |label: &str, reps: usize, digest: &str| {
-            Leg::new(label, 1, vec![0.5; reps], 1_000, &[digest])
-        };
-        // The throughput and cluster harnesses time whole matrices or
-        // boot servers, so their documents are assembled from legs as
-        // their drivers assemble them.
-        let mut throughput = BenchDoc::new("clognet bench", "throughput".into(), 10, 20);
-        throughput.push_pair(leg("single", LEG_REPS, "a"), leg("multi", LEG_REPS, "a"));
-        throughput.push_pair(leg("ff_off", LEG_REPS, "b"), leg("ff_on", LEG_REPS, "b"));
-        let (single, nodes) = (leg("single", 1, "c"), leg("cluster", 1, "c"));
-        let cluster = crate::cluster_cmd::cluster_doc(single, nodes, 3, 10, 20);
+        // The cluster harness boots servers, so its document is
+        // assembled from legs as its driver assembles them.
+        let leg = |label: &str| Leg::new(label, 1, vec![0.5], 1_000, &["c"]);
+        let cluster = crate::cluster_cmd::cluster_doc(leg("single"), leg("cluster"), 3, 10, 20);
         let docs = [
-            (throughput, 4),
+            (throughput_doc(throughput_legs(), 1_000, 10, 100), 4),
             (cluster, 2),
             (run_warmstart_bench(2, 20, 40), 2),
             (run_fabric_bench(2, 20, 40), 2 * FABRIC_POINTS.len()),
             (run_control_bench(2, 20, 40), 3 * CONTROL_POINTS.len()),
         ];
-        // Object keys come back sorted.
-        let keys = |j: &Json| {
-            j.as_obj()
-                .unwrap()
-                .keys()
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
         for (doc, legs) in docs {
-            let text = doc.to_json();
-            let json = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
-            assert_eq!(keys(&json), "budget checks harness host legs", "{text}");
-            assert_eq!(json.get("harness").unwrap().as_str(), Some(doc.harness));
-            assert!(json.get("host").unwrap().get("nproc").unwrap().as_u64() >= Some(1));
-            let budget = json.get("budget").unwrap();
-            assert_eq!(budget.get("warm").unwrap().as_u64(), Some(doc.warm));
-            let identical = json.get("checks").unwrap().get("identical_reports");
-            assert_eq!(identical.unwrap().as_bool(), Some(true), "{text}");
-            let got = json.get("legs").unwrap().as_arr().unwrap();
-            assert_eq!(got.len(), legs, "{text}");
-            for l in got {
-                let want = "jobs label metrics report_digest sim_cycles_per_s \
-                            skipped_cycles threads wall";
-                assert_eq!(keys(l), want, "{text}");
-                let wall = l.get("wall").unwrap();
-                assert!(wall.get("min").unwrap().as_f64() > Some(0.0), "{text}");
-                assert!(l.get("jobs").unwrap().as_u64() >= Some(1), "{text}");
-                assert_eq!(l.get("report_digest").unwrap().as_str().unwrap().len(), 16);
-            }
-            // One mismatched pair is enough to fail the whole document.
-            let mut broken = doc.clone();
-            broken.legs[broken.pairs[0].1].report_digest ^= 1;
-            assert!(!broken.identical_reports());
-            assert!(broken.to_json().contains("\"identical_reports\":false"));
+            assert_one_shape(&doc, legs);
+        }
+    }
+
+    #[test]
+    fn bench_json_is_flat_and_balanced() {
+        let json = assert_one_shape(&throughput_doc(throughput_legs(), 1_000, 10, 100), 4);
+        assert_eq!(labels(&json), ["single", "multi", "ff_off", "ff_on"]);
+        let legs = legs(&json);
+        let metric = |i: usize, key: &str| {
+            let metrics = legs[i].get("metrics").unwrap();
+            metrics.get(key).unwrap().as_f64().unwrap()
+        };
+        assert_eq!(metric(1, "speedup"), 4.0);
+        assert_eq!(metric(3, "speedup"), 4.0);
+        assert_eq!(metric(3, "skipped_ratio"), 0.5);
+        assert_eq!(metric(2, "warm"), 20_000.0);
+        assert_eq!(metric(2, "cycles"), 1_000.0);
+        assert_eq!(legs[3].get("skipped_cycles").unwrap().as_u64(), Some(3_000));
+        assert_eq!(legs[0].get("skipped_cycles").unwrap().as_u64(), None);
+        assert_eq!(legs[1].get("threads").unwrap().as_u64(), Some(4));
+        // Per-leg rep statistics; the minimum rep sets the rate.
+        let wall = legs[0].get("wall").unwrap();
+        let stat = |key: &str| wall.get(key).unwrap().as_f64().unwrap();
+        assert_eq!((stat("min"), stat("mean"), stat("reps")), (2.0, 2.125, 3.0));
+        assert!(stat("stddev") > 0.0);
+        let rate = legs[0].get("sim_cycles_per_s").unwrap().as_f64();
+        assert_eq!(rate, Some(450.0));
+    }
+
+    #[test]
+    fn warmstart_json_is_flat_and_balanced() {
+        let json = assert_one_shape(&run_warmstart_bench(2, 20, 40), 2);
+        assert_eq!(labels(&json), ["cold", "forked"]);
+        let jobs = 2 * WARMSTART_VALUES.len() as u64;
+        for leg in legs(&json) {
+            assert_eq!(leg.get("jobs").unwrap().as_u64(), Some(jobs));
+            assert_eq!(leg.get("threads").unwrap().as_u64(), Some(2));
+            let metrics = leg.get("metrics").unwrap();
+            assert_eq!(metrics.get("param").unwrap().as_str(), Some("injbuf"));
+            let values = metrics.get("values").unwrap().as_arr().unwrap();
+            let values: Vec<u64> = values.iter().map(|v| v.as_u64().unwrap()).collect();
+            assert_eq!(values, WARMSTART_VALUES);
+        }
+        let forked = legs(&json)[1].get("metrics").unwrap();
+        assert!(forked.get("speedup").unwrap().as_f64() > Some(0.0));
+    }
+
+    #[test]
+    fn control_bench_json_is_flat_and_balanced() {
+        let json = assert_one_shape(&run_control_bench(2, 20, 40), 3 * CONTROL_POINTS.len());
+        let checks = json.get("checks").unwrap();
+        let want = "beats_worst_somewhere identical_reports within_5pct_of_best_everywhere";
+        assert_eq!(keys(checks), want);
+        for check in ["beats_worst_somewhere", "within_5pct_of_best_everywhere"] {
+            assert!(checks.get(check).unwrap().as_bool().is_some(), "{check}");
+        }
+        let all = labels(&json);
+        let points = legs(&json).chunks(3).zip(all.chunks(3)).zip(CONTROL_POINTS);
+        for ((point, got), (gpu, cpu, injbuf)) in points {
+            let label = format!("{gpu}+{cpu}_injbuf{injbuf}");
+            let want = [format!("{label}_noop"), format!("{label}_adaptive")];
+            assert_eq!(got, [label.as_str(), &want[0], &want[1]]);
+            let metrics: Vec<&Json> = point.iter().map(|l| l.get("metrics").unwrap()).collect();
+            let fixed = "baseline_ipc cpu dr_ipc gpu injbuf rp_ipc";
+            assert_eq!(keys(metrics[0]), fixed);
+            assert_eq!(keys(metrics[1]), "cpu gpu injbuf");
+            let adaptive = "actuations adaptive_ipc adaptive_over_best adaptive_over_worst \
+                            cpu gpu injbuf";
+            assert_eq!(keys(metrics[2]), adaptive);
+            assert_eq!(metrics[2].get("gpu").unwrap().as_str(), Some(gpu));
+            let got = metrics[2].get("injbuf").unwrap().as_u64();
+            assert_eq!(got, Some(injbuf as u64));
+            assert!(metrics[2].get("actuations").unwrap().as_u64().is_some());
         }
     }
 
