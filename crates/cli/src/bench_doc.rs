@@ -94,6 +94,12 @@ impl Leg {
         self
     }
 
+    /// Add each of `metrics`, already rendered as JSON values.
+    pub(crate) fn tagged(mut self, metrics: &[(&'static str, String)]) -> Leg {
+        self.metrics.extend_from_slice(metrics);
+        self
+    }
+
     /// Wall-clock seconds of the fastest repetition.
     pub(crate) fn wall_min(&self) -> f64 {
         rep_stats(&self.walls).0

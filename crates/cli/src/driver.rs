@@ -11,7 +11,7 @@
 
 use crate::args::ParseArgsError;
 use crate::bench_doc::{ratio, BenchDoc, Leg};
-use crate::report;
+use crate::report::report_json;
 use clognet_bench::runner::{run_jobs, run_jobs_with_state, timed};
 use clognet_core::{MultiChipSystem, Report, Snapshot, System};
 use clognet_proto::{AddressMap, ControlConfig, FabricConfig, Layout, Scheme, SystemConfig};
@@ -397,8 +397,8 @@ impl SweepPoint {
     /// Both reports as `report_json` documents, baseline first.
     pub fn report_docs(&self) -> [String; 2] {
         [
-            report::report_json(Scheme::Baseline, &self.baseline),
-            report::report_json(Scheme::DelegatedReplies, &self.dr),
+            report_json(Scheme::Baseline, &self.baseline),
+            report_json(Scheme::DelegatedReplies, &self.dr),
         ]
     }
 }
@@ -418,17 +418,20 @@ pub const LEG_REPS: usize = 3;
 /// One job of a timed leg: its config and workload pair.
 type Job = (SystemConfig, &'static str, &'static str);
 
+/// `cfg` under every compared scheme, for each workload pair in turn.
+fn scheme_matrix(cfg: &SystemConfig, pairs: &[(&'static str, &'static str)]) -> Vec<Job> {
+    let jobs = pairs.iter().flat_map(|&(gpu, cpu)| {
+        let with = move |scheme| (cfg.clone().with_scheme(scheme), gpu, cpu);
+        compare_schemes().into_iter().map(with)
+    });
+    jobs.collect()
+}
+
 /// The fixed `compare`-shaped workload matrix the benchmark times:
 /// every scheme over a small, diverse set of Table-II pairings.
 pub fn bench_matrix() -> Vec<Job> {
     let pairs = [("HS", "bodytrack"), ("MM", "canneal"), ("BP", "ferret")];
-    let mut jobs = Vec::new();
-    for (gpu, cpu) in pairs {
-        for scheme in compare_schemes() {
-            jobs.push((SystemConfig::default().with_scheme(scheme), gpu, cpu));
-        }
-    }
-    jobs
+    scheme_matrix(&SystemConfig::default(), &pairs)
 }
 
 /// Dead-cycle-dominated matrix for the fast-forward legs: a 2x2 mesh
@@ -437,72 +440,83 @@ pub fn bench_matrix() -> Vec<Job> {
 /// leaves the NoC drained most cycles, so the quiescence engine is the
 /// dominant factor in wall-clock time.
 pub fn low_intensity_matrix() -> Vec<Job> {
-    let pairs = [("NN", "blackscholes"), ("NN", "swaptions")];
-    let mut jobs = Vec::new();
-    for (gpu, cpu) in pairs {
-        for scheme in compare_schemes() {
-            let mut cfg = SystemConfig::default().with_scheme(scheme);
-            cfg.mesh_width = 2;
-            cfg.mesh_height = 2;
-            cfg.n_gpu = 1;
-            cfg.n_cpu = 1;
-            cfg.n_mem = 2;
-            cfg.gpu.warps_per_core = 1;
-            cfg.gpu.issue_width = 1;
-            cfg.gpu.l1.capacity_bytes = 1024 * 1024;
-            cfg.gpu.flush_interval = None;
-            jobs.push((cfg, gpu, cpu));
-        }
-    }
-    jobs
+    let mut cfg = SystemConfig {
+        mesh_width: 2,
+        mesh_height: 2,
+        n_gpu: 1,
+        n_cpu: 1,
+        n_mem: 2,
+        ..SystemConfig::default()
+    };
+    cfg.gpu.warps_per_core = 1;
+    cfg.gpu.issue_width = 1;
+    cfg.gpu.l1.capacity_bytes = 1024 * 1024;
+    cfg.gpu.flush_interval = None;
+    scheme_matrix(&cfg, &[("NN", "blackscholes"), ("NN", "swaptions")])
 }
 
-/// Time `jobs` [`LEG_REPS`] times on `threads` workers, each rep on
-/// freshly built systems (the simulation is deterministic, so every rep
-/// does identical work). `ff: None` times whole jobs, warmup included;
-/// `Some(on)` times only the measured span, run with fast-forward on or
-/// off after an untimed warmup that is the same in both modes, so the
-/// two legs compare steady-state throughput.
+/// What the clock of a timed leg covers.
+#[derive(Debug, Clone, Copy)]
+enum Clock {
+    /// The whole batch on the default engine, build and warmup included.
+    Batch,
+    /// Only each job's measured span, summed, run with fast-forward on
+    /// or off after an untimed warmup that is the same either way, so
+    /// two such legs compare steady-state throughput.
+    Span { ff: bool },
+}
+
+/// Time `jobs` [`LEG_REPS`] times on `threads` workers over what `clock`
+/// covers, each rep on freshly built systems (the simulation is
+/// deterministic, so every rep does identical work).
 fn time_leg(
     label: &str,
     jobs: &[Job],
     threads: usize,
     warm: u64,
     cycles: u64,
-    ff: Option<bool>,
+    clock: Clock,
 ) -> Leg {
+    let ff = !matches!(clock, Clock::Span { ff: false });
     let mut walls = Vec::with_capacity(LEG_REPS);
     let mut runs = Vec::new();
     for _ in 0..LEG_REPS {
+        let rep_jobs = jobs.to_vec();
         // Every job in a matrix shares one chip shape, so each worker
         // derives the node layout and address map once and reuses them
         // for every job it claims.
         let (done, wall) = timed(|| {
             run_jobs_with_state(
-                jobs.to_vec(),
+                rep_jobs,
                 threads,
                 || None::<(Layout, AddressMap)>,
                 |prebuilt, (cfg, gpu, cpu)| {
                     let (layout, map) = prebuilt.get_or_insert_with(|| {
                         (cfg.layout(), AddressMap::new(cfg.n_mem, cfg.seed))
                     });
-                    let scheme = cfg.scheme;
                     let mut sys = System::new_prebuilt(cfg, gpu, cpu, layout.clone(), *map);
                     sys.run(warm);
                     sys.reset_stats();
-                    sys.set_fast_forward(ff.unwrap_or(true));
+                    sys.set_fast_forward(ff);
                     let ((), span) = timed(|| sys.run(cycles));
-                    let doc = report::report_json(scheme, &sys.report());
-                    (doc, sys.skipped_cycles(), span)
+                    (sys.report(), sys.skipped_cycles(), span)
                 },
             )
         });
-        walls.push(ff.map_or(wall, |_| done.iter().map(|r| r.2).sum()));
+        walls.push(match clock {
+            Clock::Batch => wall,
+            Clock::Span { .. } => done.iter().map(|r| r.2).sum(),
+        });
         runs = done;
     }
-    let timed_cycles = jobs.len() as u64 * ff.map_or(warm + cycles, |_| cycles);
-    let docs: Vec<&String> = runs.iter().map(|r| &r.0).collect();
-    let mut leg = Leg::new(label, threads, walls, timed_cycles, &docs);
+    let per_job = match clock {
+        Clock::Batch => warm + cycles,
+        Clock::Span { .. } => cycles,
+    };
+    let docs: Vec<String> = (runs.iter().zip(jobs))
+        .map(|((r, ..), (cfg, ..))| report_json(cfg.scheme, r))
+        .collect();
+    let mut leg = Leg::new(label, threads, walls, jobs.len() as u64 * per_job, &docs);
     leg.skipped_cycles = Some(runs.iter().map(|r| r.1).sum());
     leg
 }
@@ -516,11 +530,12 @@ const LOW_WARM: u64 = 20_000;
 /// then the low-intensity matrix with fast-forward off vs on.
 pub fn run_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
     let matrix = bench_matrix();
-    let single = time_leg("single", &matrix, 1, warm, cycles, None);
-    let multi = time_leg("multi", &matrix, threads.max(2), warm, cycles, None);
+    let single = time_leg("single", &matrix, 1, warm, cycles, Clock::Batch);
+    let multi = time_leg("multi", &matrix, threads.max(2), warm, cycles, Clock::Batch);
     let (low, low_cycles) = (low_intensity_matrix(), 12 * cycles);
-    let ff_off = time_leg("ff_off", &low, 1, LOW_WARM, low_cycles, Some(false));
-    let ff_on = time_leg("ff_on", &low, 1, LOW_WARM, low_cycles, Some(true));
+    let (off, on) = (Clock::Span { ff: false }, Clock::Span { ff: true });
+    let ff_off = time_leg("ff_off", &low, 1, LOW_WARM, low_cycles, off);
+    let ff_on = time_leg("ff_on", &low, 1, LOW_WARM, low_cycles, on);
     throughput_doc([single, multi, ff_off, ff_on], low_cycles, warm, cycles)
 }
 
@@ -558,8 +573,12 @@ pub const WARMSTART_VALUES: [u64; 8] = [2, 3, 4, 6, 8, 12, 16, 24];
 pub fn run_warmstart_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
     let (values, base) = (WARMSTART_VALUES, SystemConfig::default());
     let jobs = 2 * values.len() as u64;
+    let tags = [
+        ("param", "\"injbuf\"".into()),
+        ("values", format!("{values:?}")),
+    ];
     let leg = |label: &str, mode: WarmStart, sim_cycles: u64| {
-        let (points, wall) = timed(|| {
+        let sweep = || {
             run_sweep_warm(
                 &base,
                 "injbuf",
@@ -571,12 +590,10 @@ pub fn run_warmstart_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
                 threads,
                 &mode,
             )
-            .expect("injbuf is warm-applicable")
-        });
+        };
+        let (points, wall) = timed(|| sweep().expect("injbuf is warm-applicable"));
         let docs: Vec<String> = points.iter().flat_map(SweepPoint::report_docs).collect();
-        let leg = Leg::new(label, threads, vec![wall], sim_cycles, &docs);
-        leg.metric("param", "\"injbuf\"")
-            .metric("values", format!("{values:?}"))
+        Leg::new(label, threads, vec![wall], sim_cycles, &docs).tagged(&tags)
     };
     let cold = leg("cold", WarmStart::Each, jobs * (warm + cycles));
     let forked = leg("forked", WarmStart::Fork, warm + jobs * cycles);
@@ -587,33 +604,30 @@ pub fn run_warmstart_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
     doc
 }
 
-/// Time [`run_compare`] on `base` as one leg and `twin` — the same three
-/// jobs run another way — as its pair, both tagged with `tags`. Hands
-/// back the first leg, for more metrics, and its rows.
-fn compare_pair<'d>(
-    doc: &'d mut BenchDoc,
-    (label, base, gpu, cpu): (&str, &SystemConfig, &str, &str),
-    (suffix, twin, ff): (&str, &SystemConfig, bool),
+/// Time one [`run_compare`] of `gpu`+`cpu` on `cfg` at `doc`'s budget
+/// as the leg `label`, and hand back the leg and the compare rows.
+fn compare_leg(
+    doc: &BenchDoc,
+    label: String,
+    cfg: &SystemConfig,
+    gpu: &str,
+    cpu: &str,
+    ff: bool,
     threads: usize,
-    tags: &[(&'static str, String)],
-) -> (&'d mut Leg, Vec<(Scheme, Report)>) {
+) -> (Leg, Vec<(Scheme, Report)>) {
     let (warm, cycles) = (doc.warm, doc.cycles);
-    let leg = |label: String, cfg: &SystemConfig, ff: bool| {
-        let (rows, wall) = timed(|| run_compare(cfg, gpu, cpu, warm, cycles, threads, ff));
-        let docs: Vec<String> = rows
-            .iter()
-            .map(|(s, r)| report::report_json(*s, r))
-            .collect();
-        let sim_cycles = rows.len() as u64 * (warm + cycles);
-        let leg = Leg::new(label, threads, vec![wall], sim_cycles, &docs);
-        let leg = tags.iter().fold(leg, |leg, (k, v)| leg.metric(k, v));
-        (leg, rows)
-    };
-    let (first, rows) = leg(label.to_string(), base, true);
-    let (second, _) = leg(format!("{label}{suffix}"), twin, ff);
-    doc.push_pair(first, second);
-    let n = doc.legs.len();
-    (&mut doc.legs[n - 2], rows)
+    let (rows, wall) = timed(|| run_compare(cfg, gpu, cpu, warm, cycles, threads, ff));
+    let docs: Vec<String> = rows.iter().map(|(s, r)| report_json(*s, r)).collect();
+    let sim_cycles = docs.len() as u64 * (warm + cycles);
+    let leg = Leg::new(label, threads, vec![wall], sim_cycles, &docs);
+    (leg, rows)
+}
+
+/// Each compared scheme's GPU IPC from `compare` rows, as leg metrics.
+fn ipc_metrics(rows: &[(Scheme, Report)]) -> Vec<(&'static str, String)> {
+    let names = ["baseline_ipc", "rp_ipc", "dr_ipc"];
+    let ipcs = rows.iter().map(|(_, r)| format!("{:.4}", r.gpu_ipc));
+    names.into_iter().zip(ipcs).collect()
 }
 
 /// The fabric reply-path degradation points `bench --fabric` sweeps:
@@ -648,22 +662,24 @@ pub fn run_fabric_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
     );
     let mut doc = BenchDoc::new("clognet bench --fabric", title, warm, cycles);
     for (lat_mult, reply_width) in FABRIC_POINTS {
-        let base = fabric_bench_config(lat_mult, reply_width);
+        let cfg = fabric_bench_config(lat_mult, reply_width);
         let tags = [
-            ("chips", base.chips().to_string()),
+            ("chips", cfg.chips().to_string()),
             ("lat_mult", lat_mult.to_string()),
             ("reply_width", reply_width.to_string()),
         ];
         let label = format!("lat{lat_mult}x_w{reply_width}");
-        let first = (label.as_str(), &base, "HS", "bodytrack");
-        let twin = ("_no_ff", &base, false);
-        let (ff, rows) = compare_pair(&mut doc, first, twin, threads, &tags);
-        let reports = rows.iter().map(|(s, r)| report::report_json(*s, r));
-        ff.metrics
-            .extend(["baseline", "rp", "dr"].into_iter().zip(reports));
-        let dr_over_baseline = ratio(rows[2].1.gpu_ipc, rows[0].1.gpu_ipc);
-        ff.metrics
-            .push(("dr_over_baseline", format!("{dr_over_baseline:.3}")));
+        let leg = |label, ff| compare_leg(&doc, label, &cfg, "HS", "bodytrack", ff, threads);
+        let (ff, rows) = leg(label.clone(), true);
+        let (no_ff, _) = leg(label + "_no_ff", false);
+        let reports = rows.iter().map(|(s, r)| report_json(*s, r));
+        let reports: Vec<_> = ["baseline", "rp", "dr"].into_iter().zip(reports).collect();
+        let dr_over_baseline = format!("{:.3}", ratio(rows[2].1.gpu_ipc, rows[0].1.gpu_ipc));
+        let ff = ff.tagged(&tags).tagged(&ipc_metrics(&rows));
+        let ff = ff
+            .tagged(&reports)
+            .metric("dr_over_baseline", dr_over_baseline);
+        doc.push_pair(ff, no_ff.tagged(&tags));
     }
     doc
 }
@@ -679,6 +695,24 @@ pub const CONTROL_POINTS: [(&str, &str, usize); 4] = [
     ("NN", "swaptions", 16),
 ];
 
+/// The best and the worst of the static schemes' GPU IPCs.
+fn best_and_worst(ipcs: [f64; 3]) -> (f64, f64) {
+    let best = ipcs.into_iter().fold(f64::MIN, f64::max);
+    (best, ipcs.into_iter().fold(f64::MAX, f64::min))
+}
+
+/// The adaptive harness's verdicts over its points, each the adaptive
+/// controller's GPU IPC beside the three static schemes': whether it
+/// came within 5% of the best static scheme at every point, and whether
+/// it beat the worst one at some point.
+fn control_checks(points: &[(f64, [f64; 3])]) -> (bool, bool) {
+    let within_5pct = points
+        .iter()
+        .all(|&(ipc, s)| ipc >= 0.95 * best_and_worst(s).0);
+    let beats_worst = points.iter().any(|&(ipc, s)| ipc > best_and_worst(s).1);
+    (within_5pct, beats_worst)
+}
+
 /// `clognet bench --adaptive`: at each of [`CONTROL_POINTS`], the three
 /// static schemes, the same three under the no-op controller, and the
 /// hysteresis controller rooted at Baseline.
@@ -687,7 +721,7 @@ pub fn run_control_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
                  and under hysteresis"
         .into();
     let mut doc = BenchDoc::new("clognet bench --adaptive", title, warm, cycles);
-    let (mut within_5pct, mut beats_worst) = (true, false);
+    let mut points = Vec::new();
     for (gpu, cpu, injbuf) in CONTROL_POINTS {
         let mut base = SystemConfig::default();
         base.noc.mem_inj_buf_pkts = injbuf;
@@ -701,14 +735,13 @@ pub fn run_control_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
             ("injbuf", injbuf.to_string()),
         ];
         let label = format!("{gpu}+{cpu}_injbuf{injbuf}");
-        let first = (label.as_str(), &base, gpu, cpu);
-        let (fixed, rows) = compare_pair(&mut doc, first, ("_noop", &noop, true), threads, &tags);
-        let ipcs = rows.iter().map(|(_, r)| format!("{:.4}", r.gpu_ipc));
-        fixed
-            .metrics
-            .extend(["baseline_ipc", "rp_ipc", "dr_ipc"].into_iter().zip(ipcs));
+        let leg = |label, cfg| compare_leg(&doc, label, cfg, gpu, cpu, true, threads);
+        let (fixed, rows) = leg(label.clone(), &base);
+        let (noop, _) = leg(format!("{label}_noop"), &noop);
+        let fixed = fixed.tagged(&tags).tagged(&ipc_metrics(&rows));
+        doc.push_pair(fixed, noop.tagged(&tags));
         // The controller's actuations live on the system, not in the
-        // report, so this one job runs outside `measure`.
+        // report, so this one job runs outside `run_compare`.
         let adaptive = SystemConfig {
             scheme: Scheme::Baseline,
             control: Some(ControlConfig::default()),
@@ -721,20 +754,20 @@ pub fn run_control_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
             sys.run(cycles);
             sys
         });
-        let ipc = sys.report().gpu_ipc;
-        let best = rows.iter().map(|(_, r)| r.gpu_ipc).fold(f64::MIN, f64::max);
-        let worst = rows.iter().map(|(_, r)| r.gpu_ipc).fold(f64::MAX, f64::min);
-        within_5pct &= ipc >= 0.95 * best;
-        beats_worst |= ipc > worst;
-        let docs = [report::report_json(Scheme::Baseline, &sys.report())];
+        let (r, statics) = (sys.report(), [0, 1, 2].map(|i| rows[i].1.gpu_ipc));
+        let ((best, worst), ipc) = (best_and_worst(statics), r.gpu_ipc);
+        points.push((ipc, statics));
+        let metrics = [
+            ("adaptive_ipc", format!("{ipc:.4}")),
+            ("actuations", sys.control_actuations().to_string()),
+            ("adaptive_over_best", format!("{:.3}", ratio(ipc, best))),
+            ("adaptive_over_worst", format!("{:.3}", ratio(ipc, worst))),
+        ];
+        let docs = [report_json(Scheme::Baseline, &r)];
         let leg = Leg::new(label + "_adaptive", 1, vec![wall], warm + cycles, &docs);
-        let leg = tags.iter().fold(leg, |leg, (k, v)| leg.metric(k, v));
-        let leg = leg.metric("adaptive_ipc", format!("{ipc:.4}"));
-        let leg = leg.metric("actuations", sys.control_actuations());
-        let leg = leg.metric("adaptive_over_best", format!("{:.3}", ratio(ipc, best)));
-        let leg = leg.metric("adaptive_over_worst", format!("{:.3}", ratio(ipc, worst)));
-        doc.legs.push(leg);
+        doc.legs.push(leg.tagged(&tags).tagged(&metrics));
     }
+    let (within_5pct, beats_worst) = control_checks(&points);
     doc.checks = vec![
         ("within_5pct_of_best_everywhere", within_5pct),
         ("beats_worst_somewhere", beats_worst),
@@ -777,52 +810,26 @@ mod tests {
         assert!(!is_warm_param("width") && !is_warm_param("l1kb"));
     }
 
+    /// A warm-started 100+100-cycle HS+bodytrack sweep on one thread.
+    fn warm_sweep(
+        param: &str,
+        values: &[u64],
+        mode: WarmStart,
+    ) -> Result<Vec<SweepPoint>, ParseArgsError> {
+        let cfg = SystemConfig::default();
+        run_sweep_warm(&cfg, param, values, "HS", "bodytrack", 100, 100, 1, &mode)
+    }
+
     #[test]
     fn warm_sweep_rejects_structural_params_and_zero_injbuf() {
-        let cfg = SystemConfig::default();
-        let err = run_sweep_warm(
-            &cfg,
-            "width",
-            &[8, 16],
-            "HS",
-            "bodytrack",
-            100,
-            100,
-            1,
-            &WarmStart::Fork,
-        )
-        .unwrap_err();
+        let err = warm_sweep("width", &[8, 16], WarmStart::Fork).unwrap_err();
         assert!(err.0.contains("structural"), "{err}");
-        assert!(run_sweep_warm(
-            &cfg,
-            "injbuf",
-            &[4, 0],
-            "HS",
-            "bodytrack",
-            100,
-            100,
-            1,
-            &WarmStart::Fork,
-        )
-        .is_err());
+        assert!(warm_sweep("injbuf", &[4, 0], WarmStart::Fork).is_err());
     }
 
     #[test]
     fn warm_sweep_rejects_missing_or_foreign_snapshot_files() {
-        let cfg = SystemConfig::default();
-        let run = |path: &str| {
-            run_sweep_warm(
-                &cfg,
-                "injbuf",
-                &[4],
-                "HS",
-                "bodytrack",
-                100,
-                100,
-                1,
-                &WarmStart::File(path.to_string()),
-            )
-        };
+        let run = |path: &str| warm_sweep("injbuf", &[4], WarmStart::File(path.into()));
         assert!(run("/nonexistent/snap.bin").is_err());
         let dir = std::env::temp_dir().join("clognet-warm-from-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -831,7 +838,7 @@ mod tests {
         let err = run(junk.to_str().unwrap()).unwrap_err();
         assert!(err.0.contains("not a usable snapshot"), "{err}");
         // A real snapshot of the wrong workload is caught by identity.
-        let mut sys = System::new(cfg.clone(), "MM", "canneal");
+        let mut sys = System::new(SystemConfig::default(), "MM", "canneal");
         sys.run(50);
         let other = dir.join("other.bin");
         std::fs::write(&other, sys.snapshot().as_bytes()).unwrap();
@@ -903,24 +910,26 @@ mod tests {
         ]
     }
 
-    /// Every harness writes one shape: the five top-level keys, the
-    /// same keys on every leg, and `identical_reports` decided by the
-    /// pair rule alone.
+    /// The cluster and fabric documents have the shape every harness
+    /// writes (the other three harnesses' tests check theirs), and the
+    /// fabric legs carry each point and, on the fast-forwarded leg, the
+    /// three schemes' reports and IPCs.
     #[test]
     fn bench_documents_share_one_shape() {
         // The cluster harness boots servers, so its document is
         // assembled from legs as its driver assembles them.
         let leg = |label: &str| Leg::new(label, 1, vec![0.5], 1_000, &["c"]);
         let cluster = crate::cluster_cmd::cluster_doc(leg("single"), leg("cluster"), 3, 10, 20);
-        let docs = [
-            (throughput_doc(throughput_legs(), 1_000, 10, 100), 4),
-            (cluster, 2),
-            (run_warmstart_bench(2, 20, 40), 2),
-            (run_fabric_bench(2, 20, 40), 2 * FABRIC_POINTS.len()),
-            (run_control_bench(2, 20, 40), 3 * CONTROL_POINTS.len()),
-        ];
-        for (doc, legs) in docs {
-            assert_one_shape(&doc, legs);
+        assert_one_shape(&cluster, 2);
+        let fabric = assert_one_shape(&run_fabric_bench(2, 20, 40), 2 * FABRIC_POINTS.len());
+        let metrics: Vec<String> = legs(&fabric)
+            .iter()
+            .map(|l| keys(l.get("metrics").unwrap()))
+            .collect();
+        for pair in metrics.chunks(2) {
+            let ff = "baseline baseline_ipc chips dr dr_ipc dr_over_baseline lat_mult \
+                      reply_width rp rp_ipc";
+            assert_eq!(pair, [ff, "chips lat_mult reply_width"]);
         }
     }
 
@@ -974,9 +983,18 @@ mod tests {
         let checks = json.get("checks").unwrap();
         let want = "beats_worst_somewhere identical_reports within_5pct_of_best_everywhere";
         assert_eq!(keys(checks), want);
-        for check in ["beats_worst_somewhere", "within_5pct_of_best_everywhere"] {
-            assert!(checks.get(check).unwrap().as_bool().is_some(), "{check}");
-        }
+        // The verdicts, on points built by hand: static IPCs x, x and 2x.
+        let statics = [1.0, 1.0, 2.0];
+        assert_eq!(best_and_worst([1.0, 3.0, 2.0]), (3.0, 1.0));
+        assert_eq!(control_checks(&[(1.95, statics)]), (true, true));
+        // Exactly 5% below the best is within; further below is not.
+        assert_eq!(control_checks(&[(1.9, statics)]), (true, true));
+        assert_eq!(control_checks(&[(1.85, statics)]), (false, true));
+        // Matching the worst static scheme does not beat it.
+        assert_eq!(control_checks(&[(1.0, [1.0; 3])]), (true, false));
+        // One point outside 5% fails the first check; one win passes the second.
+        let mixed = [(1.95, statics), (1.0, statics)];
+        assert_eq!(control_checks(&mixed), (false, true));
         let all = labels(&json);
         let points = legs(&json).chunks(3).zip(all.chunks(3)).zip(CONTROL_POINTS);
         for ((point, got), (gpu, cpu, injbuf)) in points {
