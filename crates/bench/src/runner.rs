@@ -19,6 +19,7 @@
 //! long-lived services (`clognet-serve`) that need a bounded queue,
 //! admission control, and graceful drain.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
@@ -168,12 +169,16 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
                         break; // Pool dropped its sender: drain complete.
                     };
                     let start = Instant::now();
-                    let result = handler(job);
+                    // A panicking job costs its reply, not the worker:
+                    // dropping `reply` unsent tells the submitter.
+                    let result = catch_unwind(AssertUnwindSafe(|| handler(job)));
                     busy_ns[w].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     depth.fetch_sub(1, Ordering::Relaxed);
                     // The submitter may have given up (timeout); a dead
                     // receiver is not the pool's problem.
-                    let _ = reply.send(result);
+                    if let Ok(result) = result {
+                        let _ = reply.send(result);
+                    }
                 })
             })
             .collect();
@@ -187,7 +192,8 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
     }
 
     /// Submit a job without blocking. On acceptance returns the
-    /// receiver the result will arrive on; on a full queue returns
+    /// receiver the result will arrive on (it disconnects without one
+    /// if the job panics; the worker lives on); on a full queue returns
     /// [`QueueFull`] immediately.
     ///
     /// # Errors

@@ -39,6 +39,12 @@ impl std::fmt::Display for ParseArgsError {
 
 impl std::error::Error for ParseArgsError {}
 
+impl From<clognet_proto::ConfigError> for ParseArgsError {
+    fn from(e: clognet_proto::ConfigError) -> Self {
+        ParseArgsError(e.to_string())
+    }
+}
+
 impl Args {
     /// Parse raw arguments (without the program name).
     ///
@@ -113,6 +119,20 @@ impl Args {
                 .parse()
                 .map_err(|_| ParseArgsError(format!("--{key} {v}: not a valid number"))),
         }
+    }
+
+    /// Fetch a number that must be at least `min`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if present but unparseable, or below `min`.
+    pub fn get_at_least<T>(&self, key: &str, default: T, min: T) -> Result<T, ParseArgsError>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    {
+        let n = self.get_num(key, default)?;
+        let floor = || ParseArgsError(format!("--{key} must be at least {min}"));
+        (n >= min).then_some(n).ok_or_else(floor)
     }
 
     /// Error on any option not in `allowed` (typo protection).

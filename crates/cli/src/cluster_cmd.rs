@@ -44,19 +44,17 @@ pub fn parse_peers(list: &str) -> Vec<String> {
 ///
 /// # Errors
 ///
-/// Non-numeric numeric options.
+/// Non-numeric numeric options, and counts below their floor.
 pub fn cluster_config_from(args: &Args) -> Result<ClusterConfig, ParseArgsError> {
     let default = ClusterConfig::default();
+    let beat_ms = default.heartbeat.as_millis() as u64;
     Ok(ClusterConfig {
         serve: serve_config_from(args)?,
         advertise: args.get("advertise").map(String::from),
         seeds: args.get("peers").map(parse_peers).unwrap_or_default(),
         replicas: args.get_num("replicas", default.replicas)?,
-        vnodes: args.get_num("vnodes", default.vnodes)?.max(1),
-        heartbeat: Duration::from_millis(
-            args.get_num("heartbeat-ms", default.heartbeat.as_millis() as u64)?
-                .max(1),
-        ),
+        vnodes: args.get_at_least("vnodes", default.vnodes, 1)?,
+        heartbeat: Duration::from_millis(args.get_at_least("heartbeat-ms", beat_ms, 1)?),
         suspect_after: args.get_num("suspect-after", default.suspect_after)?,
         dead_after: args.get_num("dead-after", default.dead_after)?,
         backoff_cap: default.backoff_cap,
@@ -222,7 +220,7 @@ pub fn cmd_cluster_bench(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&[
         "nodes", "jobs", "warm", "cycles", "workers", "clients", "out", "quick", "json",
     ])?;
-    let nodes: usize = args.get_num("nodes", 3usize)?.max(2);
+    let nodes = args.get_at_least("nodes", 3usize, 2)?;
     let (dwarm, dcycles, djobs) = if args.flag("quick") {
         (200u64, 800u64, 8usize)
     } else {
@@ -230,9 +228,9 @@ pub fn cmd_cluster_bench(args: &Args) -> Result<(), ParseArgsError> {
     };
     let warm = args.get_num("warm", dwarm)?;
     let cycles = args.get_num("cycles", dcycles)?;
-    let jobs: usize = args.get_num("jobs", djobs)?.max(1);
-    let workers: usize = args.get_num("workers", 2usize)?.max(1);
-    let clients: usize = args.get_num("clients", 8usize)?.max(1);
+    let jobs = args.get_at_least("jobs", djobs, 1)?;
+    let workers = args.get_at_least("workers", 2usize, 1)?;
+    let clients = args.get_at_least("clients", 8usize, 1)?;
     let specs: Vec<JobSpec> = (0..jobs as u64)
         .map(|j| bench_spec(warm, cycles, j))
         .collect();

@@ -5,7 +5,7 @@ use crate::args::{Args, ParseArgsError};
 use clognet_proto::knobs::{self, Group, Knob};
 #[cfg(test)]
 use clognet_proto::{ControlConfig, ControlPolicyKind, CtaSched, L1Org, LayoutKind, RoutingPolicy};
-use clognet_proto::{FabricTopology, Scheme, SystemConfig, VirtualNetConfig};
+use clognet_proto::{FabricTopology, Scheme, SystemConfig};
 
 /// The job fields every simulating command takes beside its config.
 pub const JOB_KEYS: [&str; 4] = ["gpu", "cpu", "warm", "cycles"];
@@ -35,14 +35,9 @@ pub fn parse_scheme(s: &str) -> Result<Scheme, ParseArgsError> {
 }
 
 /// Check that `gpu` and `cpu` name benchmarks of the workload tables
-/// (`clognet list`). Every subcommand that builds a system calls this
-/// before building one, and the service resolves job specs through it,
-/// so an unknown name is a usage error instead of a panic.
-///
-/// # Errors
-///
-/// The first name the tables do not know.
-pub fn check_benchmarks(gpu: &str, cpu: &str) -> Result<(), ParseArgsError> {
+/// (`clognet list`), so an unknown name is a usage error instead of a
+/// panic inside system construction.
+fn check_benchmarks(gpu: &str, cpu: &str) -> Result<(), ParseArgsError> {
     if clognet_workloads::gpu_benchmark(gpu).is_none() {
         return Err(ParseArgsError(format!(
             "unknown GPU benchmark `{gpu}` (see `clognet list`)"
@@ -56,23 +51,61 @@ pub fn check_benchmarks(gpu: &str, cpu: &str) -> Result<(), ParseArgsError> {
     Ok(())
 }
 
-/// Validate the `--chips` / `--fabric-*` combination up front, before
-/// any simulation is built.
+/// One simulation job, resolved: the workload pair, the cycle budget,
+/// a validated config and the engine mode.
+#[derive(Debug, Clone)]
+pub struct Job<'a> {
+    /// GPU benchmark (Table II).
+    pub gpu: &'a str,
+    /// CPU benchmark (PARSEC).
+    pub cpu: &'a str,
+    /// Warmup cycles.
+    pub warm: u64,
+    /// Measured cycles.
+    pub cycles: u64,
+    /// The configuration, past [`SystemConfig::validate`].
+    pub cfg: SystemConfig,
+    /// Event-horizon fast-forward (off under `--no-ff`).
+    pub ff: bool,
+}
+
+/// Resolve the job `args` describe, taking `gpu`, `cpu`, `warm` and
+/// `cycles` where the options leave them out: the one path from options
+/// to a buildable job, shared by every simulating command and the
+/// service, so all of them refuse the same jobs with the same message.
 ///
 /// # Errors
 ///
-/// The package the options describe cannot be built.
-pub fn check_fabric(cfg: &SystemConfig) -> Result<(), ParseArgsError> {
-    clognet_core::validate_fabric(cfg).map_err(|e| ParseArgsError(format!("--chips/--fabric: {e}")))
+/// Unknown benchmarks, unparseable options, and configs that fail
+/// [`SystemConfig::validate`].
+pub fn resolve_job<'a>(
+    args: &'a Args,
+    gpu: &'a str,
+    cpu: &'a str,
+    warm: u64,
+    cycles: u64,
+) -> Result<Job<'a>, ParseArgsError> {
+    let (gpu, cpu) = (args.get_or("gpu", gpu), args.get_or("cpu", cpu));
+    check_benchmarks(gpu, cpu)?;
+    Ok(Job {
+        gpu,
+        cpu,
+        warm: args.get_num("warm", warm)?,
+        cycles: args.get_num("cycles", cycles)?,
+        cfg: config_from(args)?,
+        ff: !args.flag("no-ff"),
+    })
 }
 
 /// Build a [`SystemConfig`] from the parsed arguments: apply each
 /// [`knobs::RUN_KEYS`] option present, in table order, then the rules
-/// that span a group.
+/// about which options were given together, then
+/// [`SystemConfig::validate`].
 ///
 /// # Errors
 ///
-/// Any unparseable option, and contradictory fabric or control options.
+/// Any unparseable option, fabric or control options without the option
+/// that switches their group on, and configs that cannot be built.
 pub fn config_from(args: &Args) -> Result<SystemConfig, ParseArgsError> {
     let mut cfg = SystemConfig::default();
     for key in knobs::RUN_KEYS {
@@ -80,17 +113,6 @@ pub fn config_from(args: &Args) -> Result<SystemConfig, ParseArgsError> {
             (key.set)(&mut cfg, v)
                 .map_err(|e| ParseArgsError(format!("--{} {v}: {e}", key.name)))?;
         }
-    }
-    if cfg.noc.mem_inj_buf_pkts == 0 {
-        return Err(ParseArgsError("--injbuf must be at least 1".into()));
-    }
-    if let Some(v) = cfg.noc.virtual_nets.filter(|v| !v.fits(cfg.noc.topology)) {
-        let need = VirtualNetConfig::vcs_needed(cfg.noc.topology);
-        let topology = cfg.noc.topology.name();
-        return Err(ParseArgsError(format!(
-            "--vnets {}+{}: every traffic class needs at least {need} VC(s) on --topology {topology}",
-            v.request_vcs, v.reply_vcs
-        )));
     }
     let given = |keys: &[&str]| keys.iter().any(|k| args.get(k).is_some());
     if let Some(fab) = &mut cfg.fabric {
@@ -111,26 +133,12 @@ pub fn config_from(args: &Args) -> Result<SystemConfig, ParseArgsError> {
     }
     // Threshold knobs without a policy, or beside an explicit `none`,
     // are contradictions, not silent defaults.
-    let Some(ctl) = cfg.control else {
-        if given(&CONTROL_KEYS[1..]) {
-            return Err(ParseArgsError(
-                "--control-* options require --control noop|hysteresis".into(),
-            ));
-        }
-        return Ok(cfg);
-    };
-    if ctl.interval == 0 {
+    if cfg.control.is_none() && given(&CONTROL_KEYS[1..]) {
         return Err(ParseArgsError(
-            "--control-interval must be at least 1".into(),
+            "--control-* options require --control noop|hysteresis".into(),
         ));
     }
-    if ctl.exit_blocked_pm > ctl.enter_blocked_pm {
-        return Err(ParseArgsError(format!(
-            "--control-exit {} must not exceed --control-enter {} \
-             (hysteresis needs exit <= enter)",
-            ctl.exit_blocked_pm, ctl.enter_blocked_pm
-        )));
-    }
+    cfg.validate()?;
     Ok(cfg)
 }
 

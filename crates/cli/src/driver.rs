@@ -11,6 +11,7 @@
 
 use crate::args::ParseArgsError;
 use crate::bench_doc::{ratio, BenchDoc, Leg};
+use crate::config::Job;
 use crate::report::report_json;
 use clognet_bench::runner::{run_jobs, run_jobs_with_state, timed};
 use clognet_core::{MultiChipSystem, Report, Snapshot, System};
@@ -45,28 +46,13 @@ pub fn compare_schemes() -> [Scheme; 3] {
     ]
 }
 
-/// Run the scheme comparison across `threads` workers; rows come back
-/// in scheme order regardless of which finishes first.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface 1:1
-pub fn run_compare(
-    base: &SystemConfig,
-    gpu: &str,
-    cpu: &str,
-    warm: u64,
-    cycles: u64,
-    threads: usize,
-    ff: bool,
-) -> Vec<(Scheme, Report)> {
-    let jobs: Vec<(Scheme, SystemConfig)> = compare_schemes()
-        .into_iter()
-        .map(|scheme| {
-            let mut cfg = base.clone();
-            cfg.scheme = scheme;
-            (scheme, cfg)
-        })
-        .collect();
-    run_jobs(jobs, threads, |(scheme, cfg)| {
-        (scheme, measure(cfg, gpu, cpu, warm, cycles, ff))
+/// Run the scheme comparison of `job` across `threads` workers; rows
+/// come back in scheme order regardless of which finishes first.
+pub fn run_compare(job: &Job, threads: usize) -> Vec<(Scheme, Report)> {
+    let schemes = compare_schemes().map(|s| (s, job.cfg.clone().with_scheme(s)));
+    run_jobs(schemes.to_vec(), threads, |(scheme, cfg)| {
+        let report = measure(cfg, job.gpu, job.cpu, job.warm, job.cycles, job.ff);
+        (scheme, report)
     })
 }
 
@@ -98,19 +84,31 @@ pub fn parse_sweep_values(s: &str) -> Result<Vec<u64>, ParseArgsError> {
 
 /// One parameter `clognet sweep --param` can vary: its name, whether a
 /// warmed system takes it without a rebuild (so `--warm-from` can fork
-/// it; see [`System::apply_warm_param`]), and how it retargets a config.
-pub type SweepParam = (&'static str, bool, fn(&mut SystemConfig, u64));
+/// it; see [`MultiChipSystem::retarget`]), and how it sets a config
+/// field, failing on a value the field cannot hold.
+pub type SweepParam = (&'static str, bool, fn(&mut SystemConfig, u64) -> Option<()>);
 
-/// Every sweep parameter. None moves nodes or re-interleaves addresses,
-/// so [`run_sweep`] derives the layout and [`AddressMap`] once.
+/// Every sweep parameter: the only list of the warm-applicable ones.
+/// None moves nodes or re-interleaves addresses, so [`run_sweep`]
+/// derives the layout and [`AddressMap`] once.
 const SWEEP_PARAMS: [SweepParam; 5] = [
-    ("width", false, |c, v| c.noc.channel_bytes = v as u32),
-    ("l1kb", false, |c, v| c.gpu.l1.capacity_bytes = v * 1024),
-    ("llcmb", false, |c, v| {
-        c.llc.slice.capacity_bytes = v * 1024 * 1024 / c.n_mem as u64
+    ("width", false, |c, v| {
+        v.try_into().ok().map(|v| c.noc.channel_bytes = v)
     }),
-    ("injbuf", true, |c, v| c.noc.mem_inj_buf_pkts = v as usize),
-    ("drmax", true, |c, v| c.dr.max_per_cycle = v as usize),
+    ("l1kb", false, |c, v| {
+        v.checked_mul(1 << 10).map(|b| c.gpu.l1.capacity_bytes = b)
+    }),
+    ("llcmb", false, |c, v| {
+        let n_mem = c.n_mem as u64;
+        v.checked_mul(1 << 20)
+            .map(|b| c.llc.slice.capacity_bytes = b / n_mem)
+    }),
+    ("injbuf", true, |c, v| {
+        v.try_into().ok().map(|v| c.noc.mem_inj_buf_pkts = v)
+    }),
+    ("drmax", true, |c, v| {
+        v.try_into().ok().map(|v| c.dr.max_per_cycle = v)
+    }),
 ];
 
 /// The sweep parameter names (only the warm-applicable ones when
@@ -120,32 +118,74 @@ pub fn sweep_param_names(warm_only: bool) -> String {
     names.map(|p| p.0).collect::<Vec<_>>().join("|")
 }
 
-/// Look up a sweep parameter by name.
+/// Look up a sweep parameter by name; with `warm`, only one a warmed
+/// system takes without a rebuild.
 ///
 /// # Errors
 ///
-/// Fails on an unknown parameter name.
-pub fn sweep_param(name: &str) -> Result<SweepParam, ParseArgsError> {
-    let known = SWEEP_PARAMS.into_iter().find(|p| p.0 == name);
-    known.ok_or_else(|| {
-        let names = sweep_param_names(false);
-        ParseArgsError(format!("unknown sweep param `{name}` ({names})"))
-    })
+/// Fails on an unknown parameter name, or a structural one with `warm`.
+pub fn sweep_param(name: &str, warm: bool) -> Result<SweepParam, ParseArgsError> {
+    let names = sweep_param_names(warm);
+    match SWEEP_PARAMS.into_iter().find(|p| p.0 == name) {
+        None => Err(ParseArgsError(format!(
+            "unknown sweep param `{name}` ({names})"
+        ))),
+        Some(p) if warm && !p.1 => Err(ParseArgsError(format!(
+            "`{name}` is structural: a warmed system takes only {names}"
+        ))),
+        Some(p) => Ok(p),
+    }
 }
 
-/// Apply one sweep parameter to a config.
+/// Set one sweep parameter on a config. The result is not validated.
 ///
 /// # Errors
 ///
-/// Fails on an unknown parameter name.
+/// Fails on an unknown parameter name, or a value its field cannot hold.
 pub fn apply_sweep_param(
     cfg: &mut SystemConfig,
     param: &str,
     v: u64,
 ) -> Result<(), ParseArgsError> {
-    let (_, _, apply) = sweep_param(param)?;
-    apply(cfg, v);
-    Ok(())
+    let (_, _, set) = sweep_param(param, false)?;
+    set(cfg, v).ok_or_else(|| ParseArgsError(format!("{param}={v}: value out of range")))
+}
+
+/// Every sweep point as its pair of jobs, baseline then DR: `param` set
+/// to each value on a copy of `base`, validated, so a point that cannot
+/// be built fails before any job starts.
+///
+/// # Errors
+///
+/// Fails on an unknown parameter name or a point that cannot be built.
+pub fn sweep_configs(
+    base: &SystemConfig,
+    param: &str,
+    values: &[u64],
+) -> Result<Vec<SystemConfig>, ParseArgsError> {
+    let mut jobs = Vec::with_capacity(values.len() * 2);
+    for &v in values {
+        let mut cfg = base.clone();
+        apply_sweep_param(&mut cfg, param, v)?;
+        cfg.validate()
+            .map_err(|e| ParseArgsError(format!("{param}={v}: {e}")))?;
+        for scheme in [Scheme::Baseline, Scheme::DelegatedReplies] {
+            jobs.push(cfg.clone().with_scheme(scheme));
+        }
+    }
+    Ok(jobs)
+}
+
+/// Pair a sweep's reports, in [`sweep_configs`] order, into points.
+fn sweep_points(values: &[u64], reports: Vec<Report>) -> Vec<SweepPoint> {
+    let mut it = reports.into_iter();
+    let mut next = || it.next().expect("one report per job");
+    let points = values.iter().map(|&value| SweepPoint {
+        value,
+        baseline: next(),
+        dr: next(),
+    });
+    points.collect()
 }
 
 /// How a multi-variant command (`sweep`, `compare`) obtains its warmed
@@ -172,22 +212,12 @@ pub fn parse_warm_start(s: &str) -> WarmStart {
     }
 }
 
-/// Whether a sweep parameter can be retargeted on a warmed system
-/// without rebuilding it (see [`System::apply_warm_param`]).
-pub fn is_warm_param(param: &str) -> bool {
-    sweep_param(param).is_ok_and(|(_, warm, _)| warm)
-}
-
 /// Load and identity-check a snapshot file for `--warm-from <path>`:
 /// the embedded config and benchmark names must match what the command
 /// would otherwise simulate, or every variant would silently measure a
 /// different chip.
-fn load_warm_snapshot(
-    path: &str,
-    base: &SystemConfig,
-    gpu: &str,
-    cpu: &str,
-) -> Result<Snapshot, ParseArgsError> {
+fn load_warm_snapshot(path: &str, job: &Job) -> Result<Snapshot, ParseArgsError> {
+    let (gpu, cpu) = (job.gpu, job.cpu);
     let bytes = std::fs::read(path).map_err(|e| ParseArgsError(format!("reading {path}: {e}")))?;
     let snap = Snapshot::from_bytes(bytes)
         .map_err(|e| ParseArgsError(format!("{path} is not a usable snapshot: {e}")))?;
@@ -198,7 +228,7 @@ fn load_warm_snapshot(
             snap.cpu_bench()
         )));
     }
-    if snap.config() != base {
+    if snap.config() != &job.cfg {
         return Err(ParseArgsError(format!(
             "{path} was taken under a different configuration; \
              rerun `clognet snapshot` with the same options"
@@ -207,38 +237,35 @@ fn load_warm_snapshot(
     Ok(snap)
 }
 
-/// Hand each job a system warmed `warm` cycles under `base` and collect
-/// `f`'s results in job order on `threads` workers. `mode` says where the
-/// warmup comes from: re-simulated per job (`Each`), simulated once and
-/// its snapshot restored per job (`Fork`), or a snapshot file restored
-/// per job (`File`, identity-checked up front).
-#[allow(clippy::too_many_arguments)] // the warm-start surface of both commands
+/// Hand each of `jobs` a system warmed `job.warm` cycles under
+/// `job.cfg` and collect `f`'s results in order on `threads` workers.
+/// `mode` says where the warmup comes from: re-simulated per job
+/// (`Each`), simulated once and its snapshot restored per job (`Fork`),
+/// or a snapshot file restored per job (`File`, identity-checked up
+/// front).
 fn run_warm_jobs<J: Send, T: Send>(
-    base: &SystemConfig,
-    gpu: &str,
-    cpu: &str,
-    warm: u64,
+    job: &Job,
     jobs: Vec<J>,
     threads: usize,
     mode: &WarmStart,
     f: impl Fn(&mut MultiChipSystem, J) -> T + Sync,
 ) -> Result<Vec<T>, ParseArgsError> {
     let warmed = || {
-        let mut sys = MultiChipSystem::new(base.clone(), gpu, cpu);
-        sys.run(warm);
+        let mut sys = MultiChipSystem::new(job.cfg.clone(), job.gpu, job.cpu);
+        sys.run(job.warm);
         sys
     };
     let snap = match mode {
         WarmStart::Each => None,
         WarmStart::Fork => Some(warmed().snapshot()),
-        WarmStart::File(path) => Some(load_warm_snapshot(path, base, gpu, cpu)?),
+        WarmStart::File(path) => Some(load_warm_snapshot(path, job)?),
     };
-    Ok(run_jobs(jobs, threads, |job| {
+    Ok(run_jobs(jobs, threads, |variant| {
         let mut sys = match &snap {
             Some(snap) => MultiChipSystem::restore(snap).expect("snapshot taken or validated"),
             None => warmed(),
         };
-        f(&mut sys, job)
+        f(&mut sys, variant)
     }))
 }
 
@@ -252,64 +279,25 @@ fn run_warm_jobs<J: Send, T: Send>(
 ///
 /// # Errors
 ///
-/// Fails on a structural (non-warm-applicable) parameter, a bad value,
-/// or an unreadable/mismatched snapshot file.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface 1:1
+/// Fails on a structural (non-warm-applicable) parameter, a point that
+/// cannot be built, or an unreadable/mismatched snapshot file.
 pub fn run_sweep_warm(
-    base: &SystemConfig,
+    job: &Job,
     param: &str,
     values: &[u64],
-    gpu: &str,
-    cpu: &str,
-    warm: u64,
-    cycles: u64,
     threads: usize,
     mode: &WarmStart,
 ) -> Result<Vec<SweepPoint>, ParseArgsError> {
-    if !is_warm_param(param) {
-        return Err(ParseArgsError(format!(
-            "--warm-from sweeps only warm-applicable params ({}); \
-             `{param}` is structural — rerun without --warm-from",
-            sweep_param_names(true)
-        )));
-    }
-    if param == "injbuf" && values.contains(&0) {
-        return Err(ParseArgsError("injbuf must be at least 1".into()));
-    }
-    let jobs: Vec<(Scheme, u64)> = values
-        .iter()
-        .flat_map(|&v| {
-            [Scheme::Baseline, Scheme::DelegatedReplies]
-                .into_iter()
-                .map(move |s| (s, v))
-        })
-        .collect();
-    let reports = run_warm_jobs(
-        base,
-        gpu,
-        cpu,
-        warm,
-        jobs,
-        threads,
-        mode,
-        |sys, (scheme, v)| {
-            sys.set_scheme(scheme);
-            sys.apply_warm_param(param, v)
-                .expect("warm param validated up front");
-            sys.reset_stats();
-            sys.run(cycles);
-            sys.report()
-        },
-    )?;
-    let mut it = reports.into_iter();
-    Ok(values
-        .iter()
-        .map(|&value| SweepPoint {
-            value,
-            baseline: it.next().expect("one report per job"),
-            dr: it.next().expect("one report per job"),
-        })
-        .collect())
+    sweep_param(param, true).map_err(|e| ParseArgsError(format!("--warm-from: {e}")))?;
+    let jobs = sweep_configs(&job.cfg, param, values)?;
+    let reports = run_warm_jobs(job, jobs, threads, mode, |sys, cfg| {
+        sys.set_scheme(cfg.scheme);
+        sys.retarget(&cfg);
+        sys.reset_stats();
+        sys.run(job.cycles);
+        sys.report()
+    })?;
+    Ok(sweep_points(values, reports))
 }
 
 /// Run a warm-started scheme comparison: warm once under the base
@@ -324,21 +312,16 @@ pub fn run_sweep_warm(
 /// # Errors
 ///
 /// Fails on an unreadable/mismatched snapshot file.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface 1:1
 pub fn run_compare_warm(
-    base: &SystemConfig,
-    gpu: &str,
-    cpu: &str,
-    warm: u64,
-    cycles: u64,
+    job: &Job,
     threads: usize,
     mode: &WarmStart,
 ) -> Result<Vec<(Scheme, Report)>, ParseArgsError> {
     let jobs = compare_schemes().to_vec();
-    run_warm_jobs(base, gpu, cpu, warm, jobs, threads, mode, |sys, scheme| {
+    run_warm_jobs(job, jobs, threads, mode, |sys, scheme| {
         sys.set_scheme(scheme);
         sys.reset_stats();
-        sys.run(cycles);
+        sys.run(job.cycles);
         (scheme, sys.report())
     })
 }
@@ -348,49 +331,27 @@ pub fn run_compare_warm(
 ///
 /// # Errors
 ///
-/// Fails on an unknown parameter name.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI surface 1:1
+/// Fails on an unknown parameter name or a point that cannot be built.
 pub fn run_sweep(
-    base: &SystemConfig,
+    job: &Job,
     param: &str,
     values: &[u64],
-    gpu: &str,
-    cpu: &str,
-    warm: u64,
-    cycles: u64,
     threads: usize,
-    ff: bool,
 ) -> Result<Vec<SweepPoint>, ParseArgsError> {
+    let jobs = sweep_configs(&job.cfg, param, values)?;
     // None of the sweep parameters move nodes or re-interleave
     // addresses, so derive both once instead of per (point, scheme).
-    let layout = base.layout();
-    let map = AddressMap::new(base.n_mem, base.seed);
-    let mut jobs = Vec::with_capacity(values.len() * 2);
-    for &v in values {
-        for scheme in [Scheme::Baseline, Scheme::DelegatedReplies] {
-            let mut cfg = base.clone();
-            cfg.scheme = scheme;
-            apply_sweep_param(&mut cfg, param, v)?;
-            jobs.push(cfg);
-        }
-    }
+    let layout = job.cfg.layout();
+    let map = AddressMap::new(job.cfg.n_mem, job.cfg.seed);
     let reports = run_jobs(jobs, threads, |cfg| {
-        let mut sys = MultiChipSystem::new_prebuilt(cfg, gpu, cpu, layout.clone(), map);
-        sys.set_fast_forward(ff);
-        sys.run(warm);
+        let mut sys = MultiChipSystem::new_prebuilt(cfg, job.gpu, job.cpu, layout.clone(), map);
+        sys.set_fast_forward(job.ff);
+        sys.run(job.warm);
         sys.reset_stats();
-        sys.run(cycles);
+        sys.run(job.cycles);
         sys.report()
     });
-    let mut it = reports.into_iter();
-    Ok(values
-        .iter()
-        .map(|&value| SweepPoint {
-            value,
-            baseline: it.next().expect("one report per job"),
-            dr: it.next().expect("one report per job"),
-        })
-        .collect())
+    Ok(sweep_points(values, reports))
 }
 
 impl SweepPoint {
@@ -416,10 +377,10 @@ pub fn sweep_point_json(param: &str, p: &SweepPoint) -> String {
 pub const LEG_REPS: usize = 3;
 
 /// One job of a timed leg: its config and workload pair.
-type Job = (SystemConfig, &'static str, &'static str);
+type LegJob = (SystemConfig, &'static str, &'static str);
 
 /// `cfg` under every compared scheme, for each workload pair in turn.
-fn scheme_matrix(cfg: &SystemConfig, pairs: &[(&'static str, &'static str)]) -> Vec<Job> {
+fn scheme_matrix(cfg: &SystemConfig, pairs: &[(&'static str, &'static str)]) -> Vec<LegJob> {
     let jobs = pairs.iter().flat_map(|&(gpu, cpu)| {
         let with = move |scheme| (cfg.clone().with_scheme(scheme), gpu, cpu);
         compare_schemes().into_iter().map(with)
@@ -429,7 +390,7 @@ fn scheme_matrix(cfg: &SystemConfig, pairs: &[(&'static str, &'static str)]) -> 
 
 /// The fixed `compare`-shaped workload matrix the benchmark times:
 /// every scheme over a small, diverse set of Table-II pairings.
-pub fn bench_matrix() -> Vec<Job> {
+pub fn bench_matrix() -> Vec<LegJob> {
     let pairs = [("HS", "bodytrack"), ("MM", "canneal"), ("BP", "ferret")];
     scheme_matrix(&SystemConfig::default(), &pairs)
 }
@@ -439,7 +400,7 @@ pub fn bench_matrix() -> Vec<Job> {
 /// (large L1, periodic flush off) and an L1-resident CPU workload
 /// leaves the NoC drained most cycles, so the quiescence engine is the
 /// dominant factor in wall-clock time.
-pub fn low_intensity_matrix() -> Vec<Job> {
+pub fn low_intensity_matrix() -> Vec<LegJob> {
     let mut cfg = SystemConfig {
         mesh_width: 2,
         mesh_height: 2,
@@ -471,7 +432,7 @@ enum Clock {
 /// deterministic, so every rep does identical work).
 fn time_leg(
     label: &str,
-    jobs: &[Job],
+    jobs: &[LegJob],
     threads: usize,
     warm: u64,
     cycles: u64,
@@ -571,26 +532,22 @@ pub const WARMSTART_VALUES: [u64; 8] = [2, 3, 4, 6, 8, 12, 16, 24];
 /// variant) on the same thread count. Cold runs first so the forked leg
 /// cannot ride its cache warmth.
 pub fn run_warmstart_bench(threads: usize, warm: u64, cycles: u64) -> BenchDoc {
-    let (values, base) = (WARMSTART_VALUES, SystemConfig::default());
+    let values = WARMSTART_VALUES;
+    let job = Job {
+        gpu: "HS",
+        cpu: "bodytrack",
+        warm,
+        cycles,
+        cfg: SystemConfig::default(),
+        ff: true,
+    };
     let jobs = 2 * values.len() as u64;
     let tags = [
         ("param", "\"injbuf\"".into()),
         ("values", format!("{values:?}")),
     ];
     let leg = |label: &str, mode: WarmStart, sim_cycles: u64| {
-        let sweep = || {
-            run_sweep_warm(
-                &base,
-                "injbuf",
-                &values,
-                "HS",
-                "bodytrack",
-                warm,
-                cycles,
-                threads,
-                &mode,
-            )
-        };
+        let sweep = || run_sweep_warm(&job, "injbuf", &values, threads, &mode);
         let (points, wall) = timed(|| sweep().expect("injbuf is warm-applicable"));
         let docs: Vec<String> = points.iter().flat_map(SweepPoint::report_docs).collect();
         Leg::new(label, threads, vec![wall], sim_cycles, &docs).tagged(&tags)
@@ -615,8 +572,16 @@ fn compare_leg(
     ff: bool,
     threads: usize,
 ) -> (Leg, Vec<(Scheme, Report)>) {
-    let (warm, cycles) = (doc.warm, doc.cycles);
-    let (rows, wall) = timed(|| run_compare(cfg, gpu, cpu, warm, cycles, threads, ff));
+    let (warm, cycles, cfg) = (doc.warm, doc.cycles, cfg.clone());
+    let job = Job {
+        gpu,
+        cpu,
+        warm,
+        cycles,
+        cfg,
+        ff,
+    };
+    let (rows, wall) = timed(|| run_compare(&job, threads));
     let docs: Vec<String> = rows.iter().map(|(s, r)| report_json(*s, r)).collect();
     let sim_cycles = docs.len() as u64 * (warm + cycles);
     let leg = Leg::new(label, threads, vec![wall], sim_cycles, &docs);
@@ -796,6 +761,17 @@ mod tests {
         apply_sweep_param(&mut cfg, "drmax", 5).unwrap();
         assert_eq!(cfg.dr.max_per_cycle, 5);
         assert!(apply_sweep_param(&mut cfg, "bogus", 1).is_err());
+        // A value the field cannot hold is an error, not a wrapped cast.
+        assert!(apply_sweep_param(&mut cfg, "width", 5_000_000_000).is_err());
+        assert!(apply_sweep_param(&mut cfg, "l1kb", u64::MAX).is_err());
+        // Every warm parameter is a field a warmed system takes.
+        for (name, _, set) in SWEEP_PARAMS.into_iter().filter(|p| p.1) {
+            let mut sys = System::new(SystemConfig::default(), "HS", "bodytrack");
+            let mut cfg = SystemConfig::default();
+            set(&mut cfg, 3).unwrap();
+            sys.retarget(&cfg);
+            assert_eq!(sys.config(), &cfg, "{name}");
+        }
     }
 
     #[test]
@@ -806,8 +782,9 @@ mod tests {
             parse_warm_start("snap.bin"),
             WarmStart::File("snap.bin".into())
         );
-        assert!(is_warm_param("injbuf") && is_warm_param("drmax"));
-        assert!(!is_warm_param("width") && !is_warm_param("l1kb"));
+        let warm = |name| sweep_param(name, true).is_ok();
+        assert!(warm("injbuf") && warm("drmax"));
+        assert!(!warm("width") && !warm("l1kb") && sweep_param("width", false).is_ok());
     }
 
     /// A warm-started 100+100-cycle HS+bodytrack sweep on one thread.
@@ -816,8 +793,15 @@ mod tests {
         values: &[u64],
         mode: WarmStart,
     ) -> Result<Vec<SweepPoint>, ParseArgsError> {
-        let cfg = SystemConfig::default();
-        run_sweep_warm(&cfg, param, values, "HS", "bodytrack", 100, 100, 1, &mode)
+        let job = Job {
+            gpu: "HS",
+            cpu: "bodytrack",
+            warm: 100,
+            cycles: 100,
+            cfg: SystemConfig::default(),
+            ff: true,
+        };
+        run_sweep_warm(&job, param, values, 1, &mode)
     }
 
     #[test]

@@ -122,10 +122,7 @@ fn minimize(mut case: FuzzCase) -> FuzzCase {
 pub fn cmd_fuzz(args: &Args) -> Result<(), ParseArgsError> {
     args.reject_unknown(&["seed", "cases"])?;
     let seed = args.get_num("seed", 1u64)?;
-    let cases = args.get_num("cases", 25usize)?;
-    if cases == 0 {
-        return Err(ParseArgsError("--cases must be at least 1".into()));
-    }
+    let cases = args.get_at_least("cases", 25usize, 1)?;
     let gpu_profiles = clognet_workloads::gpu_benchmarks();
     let cpu_profiles = clognet_workloads::cpu_benchmarks();
     let gpus: Vec<&str> = gpu_profiles.iter().map(|p| p.name).collect();

@@ -25,9 +25,7 @@
 
 use clognet_bench::runner::default_threads;
 use clognet_cli::args::{Args, ParseArgsError};
-use clognet_cli::config::{
-    check_benchmarks, check_fabric, config_from, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS,
-};
+use clognet_cli::config::{parse_scheme, resolve_job, Job, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS};
 use clognet_cli::{cluster_cmd, driver, fuzz_cmd, report, serve_cmd, timeline};
 use clognet_core::{DecisionLog, MultiChipSystem, System, TelemetryConfig};
 use clognet_proto::{knobs, Knob, Scheme};
@@ -84,22 +82,13 @@ fn run_keys() -> Vec<&'static str> {
     [&JOB_KEYS[..], &CONFIG_KEYS, &EXEC_KEYS].concat()
 }
 
-/// Telemetry epoch length from `--sample` (default 500 cycles).
-fn sample_len(args: &Args) -> Result<u64, ParseArgsError> {
-    let n = args.get_num("sample", 500u64)?;
-    if n == 0 {
-        return Err(ParseArgsError("--sample must be at least 1".into()));
-    }
-    Ok(n)
-}
-
 /// Telemetry session config from `--sample` plus the episode-detector
 /// thresholds `--episode-enter` (minimum episode duration in cycles)
 /// and `--episode-exit` (re-block merge gap in cycles). Both default
 /// to 0 — record every blocked interval, the historical fold.
 fn telemetry_config(args: &Args) -> Result<TelemetryConfig, ParseArgsError> {
     Ok(TelemetryConfig {
-        epoch_len: sample_len(args)?,
+        epoch_len: args.get_at_least("sample", 500, 1)?,
         episode_min_duration: args.get_num("episode-enter", 0u64)?,
         episode_merge_gap: args.get_num("episode-exit", 0u64)?,
         ..TelemetryConfig::default()
@@ -148,11 +137,7 @@ fn print_decision_logs(logs: &[(usize, &DecisionLog)], chips: usize, json: bool)
 /// Worker threads from `--threads` (default: available parallelism, or
 /// `CLOGNET_THREADS`).
 fn thread_count(args: &Args) -> Result<usize, ParseArgsError> {
-    let n = args.get_num("threads", default_threads())?;
-    if n == 0 {
-        return Err(ParseArgsError("--threads must be at least 1".into()));
-    }
-    Ok(n)
+    args.get_at_least("threads", default_threads(), 1)
 }
 
 fn cmd_run(args: &Args) -> Result<(), ParseArgsError> {
@@ -169,14 +154,8 @@ fn cmd_run(args: &Args) -> Result<(), ParseArgsError> {
     ]);
     args.reject_unknown(&keys)?;
     args.reject_conflicts(&[("json", "csv")])?;
-    let gpu = args.get_or("gpu", "HS");
-    let cpu = args.get_or("cpu", "bodytrack");
-    check_benchmarks(gpu, cpu)?;
-    let warm = args.get_num("warm", 6_000u64)?;
-    let cycles = args.get_num("cycles", 15_000u64)?;
-    let cfg = config_from(args)?;
-    check_fabric(&cfg)?;
-    let scheme = cfg.scheme;
+    let job = resolve_job(args, "HS", "bodytrack", 6_000, 15_000)?;
+    let scheme = job.cfg.scheme;
     let metrics_path = args.get("metrics");
     let csv_path = args.get("csv");
     let want_telemetry = metrics_path.is_some()
@@ -184,28 +163,23 @@ fn cmd_run(args: &Args) -> Result<(), ParseArgsError> {
         || args.get("sample").is_some()
         || args.get("episode-enter").is_some()
         || args.get("episode-exit").is_some();
-    let snap_every = match args.get("snapshot-every") {
-        None => None,
-        Some(_) => {
-            let n = args.get_num("snapshot-every", 0u64)?;
-            if n == 0 {
-                return Err(ParseArgsError("--snapshot-every must be at least 1".into()));
-            }
-            Some(n)
-        }
-    };
+    let snap_every = args.get("snapshot-every");
+    let snap_every = snap_every
+        .map(|_| args.get_at_least("snapshot-every", 1u64, 1))
+        .transpose()?;
     if args.get("snapshot-out").is_some() && snap_every.is_none() {
         return Err(ParseArgsError(
             "--snapshot-out needs --snapshot-every <cycles>".into(),
         ));
     }
-    let mut sys = MultiChipSystem::new(cfg, gpu, cpu);
-    sys.set_fast_forward(!args.flag("no-ff"));
+    let mut sys = MultiChipSystem::new(job.cfg, job.gpu, job.cpu);
+    sys.set_fast_forward(job.ff);
     if want_telemetry {
         sys.enable_telemetry(telemetry_config(args)?);
     }
-    sys.run(warm);
+    sys.run(job.warm);
     sys.reset_stats();
+    let cycles = job.cycles;
     if let Some(every) = snap_every {
         // Periodic snapshots across the measured span: the run pauses
         // at each multiple of `every` (plus the end) and writes the
@@ -262,19 +236,13 @@ fn cmd_timeline(args: &Args) -> Result<(), ParseArgsError> {
         "episode-exit",
     ]);
     args.reject_unknown(&keys)?;
-    let gpu = args.get_or("gpu", "NN");
-    let cpu = args.get_or("cpu", "canneal");
-    check_benchmarks(gpu, cpu)?;
-    let warm = args.get_num("warm", 2_000u64)?;
-    let cycles = args.get_num("cycles", 20_000u64)?;
+    let job = resolve_job(args, "NN", "canneal", 2_000, 20_000)?;
     let cols = args.get_num("width-cols", 72usize)?;
-    let cfg = config_from(args)?;
-    check_fabric(&cfg)?;
-    let scheme = cfg.scheme;
-    let mut sys = MultiChipSystem::new(cfg, gpu, cpu);
-    sys.set_fast_forward(!args.flag("no-ff"));
+    let (gpu, cpu, scheme) = (job.gpu, job.cpu, job.cfg.scheme);
+    let mut sys = MultiChipSystem::new(job.cfg, gpu, cpu);
+    sys.set_fast_forward(job.ff);
     sys.enable_telemetry(telemetry_config(args)?);
-    sys.run(warm + cycles);
+    sys.run(job.warm + job.cycles);
     sys.finish_telemetry();
     let t = sys.telemetry().expect("telemetry enabled");
     println!(
@@ -298,35 +266,33 @@ fn cmd_timeline(args: &Args) -> Result<(), ParseArgsError> {
     Ok(())
 }
 
-/// Why `--warm-from` refuses `--no-ff`: engine modes never change
+/// `--warm-from`, which refuses `--no-ff`: engine modes never change
 /// results, so the forked runs keep the default engine.
-const WARM_FROM_NO_FF: &str =
-    "--warm-from does not compose with --no-ff; engine modes never change results, so drop it";
+fn warm_from(args: &Args, job: &Job) -> Result<Option<driver::WarmStart>, ParseArgsError> {
+    if args.get("warm-from").is_some() && !job.ff {
+        return Err(ParseArgsError(
+            "--warm-from does not compose with --no-ff; engine modes never change results, \
+             so drop it"
+                .into(),
+        ));
+    }
+    Ok(args.get("warm-from").map(driver::parse_warm_start))
+}
 
 fn cmd_compare(args: &Args) -> Result<(), ParseArgsError> {
     let mut keys = run_keys();
     keys.extend_from_slice(&["json", "threads", "warm-from"]);
     args.reject_unknown(&keys)?;
-    let gpu = args.get_or("gpu", "HS");
-    let cpu = args.get_or("cpu", "bodytrack");
-    check_benchmarks(gpu, cpu)?;
-    let warm = args.get_num("warm", 6_000u64)?;
-    let cycles = args.get_num("cycles", 15_000u64)?;
+    let job = resolve_job(args, "HS", "bodytrack", 6_000, 15_000)?;
     let threads = thread_count(args)?;
+    let warm_from = warm_from(args, &job)?;
     if !args.flag("json") {
+        let (gpu, cpu, warm, cycles) = (job.gpu, job.cpu, job.warm, job.cycles);
         println!("comparing schemes on {gpu}+{cpu} ({warm} warm + {cycles} measured cycles)\n");
     }
-    let base = config_from(args)?;
-    check_fabric(&base)?;
-    let rows = match args.get("warm-from") {
-        Some(mode) => {
-            if args.flag("no-ff") {
-                return Err(ParseArgsError(WARM_FROM_NO_FF.into()));
-            }
-            let mode = driver::parse_warm_start(mode);
-            driver::run_compare_warm(&base, gpu, cpu, warm, cycles, threads, &mode)?
-        }
-        None => driver::run_compare(&base, gpu, cpu, warm, cycles, threads, !args.flag("no-ff")),
+    let rows = match warm_from {
+        Some(mode) => driver::run_compare_warm(&job, threads, &mode)?,
+        None => driver::run_compare(&job, threads),
     };
     if args.flag("json") {
         print!("{}", report::comparison_json(&rows));
@@ -340,11 +306,7 @@ fn cmd_sweep(args: &Args) -> Result<(), ParseArgsError> {
     let mut keys = run_keys();
     keys.extend_from_slice(&["param", "values", "json", "threads", "warm-from"]);
     args.reject_unknown(&keys)?;
-    let gpu = args.get_or("gpu", "HS");
-    let cpu = args.get_or("cpu", "bodytrack");
-    check_benchmarks(gpu, cpu)?;
-    let warm = args.get_num("warm", 6_000u64)?;
-    let cycles = args.get_num("cycles", 15_000u64)?;
+    let job = resolve_job(args, "HS", "bodytrack", 6_000, 15_000)?;
     let threads = thread_count(args)?;
     let param = args.get("param").ok_or_else(|| {
         ParseArgsError(format!(
@@ -356,36 +318,18 @@ fn cmd_sweep(args: &Args) -> Result<(), ParseArgsError> {
         args.get("values")
             .ok_or_else(|| ParseArgsError("sweep needs --values v1,v2,...".into()))?,
     )?;
-    driver::sweep_param(param)?;
+    // Every point must be buildable before the header prints.
+    driver::sweep_configs(&job.cfg, param, &values)?;
+    let warm_from = warm_from(args, &job)?;
     if !args.flag("json") {
         println!(
             "{:<10} {:>10} {:>10} {:>10} {:>13} {:>11}",
             param, "base IPC", "DR IPC", "DR/base", "base blocked%", "DR blocked%"
         );
     }
-    let base = config_from(args)?;
-    check_fabric(&base)?;
-    let points = match args.get("warm-from") {
-        Some(mode) => {
-            if args.flag("no-ff") {
-                return Err(ParseArgsError(WARM_FROM_NO_FF.into()));
-            }
-            let mode = driver::parse_warm_start(mode);
-            driver::run_sweep_warm(
-                &base, param, &values, gpu, cpu, warm, cycles, threads, &mode,
-            )?
-        }
-        None => driver::run_sweep(
-            &base,
-            param,
-            &values,
-            gpu,
-            cpu,
-            warm,
-            cycles,
-            threads,
-            !args.flag("no-ff"),
-        )?,
+    let points = match warm_from {
+        Some(mode) => driver::run_sweep_warm(&job, param, &values, threads, &mode)?,
+        None => driver::run_sweep(&job, param, &values, threads)?,
     };
     for p in &points {
         if args.flag("json") {
@@ -448,10 +392,6 @@ fn cmd_snapshot(args: &Args) -> Result<(), ParseArgsError> {
     let mut keys = run_keys();
     keys.push("out");
     args.reject_unknown(&keys)?;
-    let gpu = args.get_or("gpu", "HS");
-    let cpu = args.get_or("cpu", "bodytrack");
-    check_benchmarks(gpu, cpu)?;
-    let warm = args.get_num("warm", 6_000u64)?;
     let out = args
         .get("out")
         .ok_or_else(|| ParseArgsError("snapshot needs --out <path>".into()))?;
@@ -460,11 +400,11 @@ fn cmd_snapshot(args: &Args) -> Result<(), ParseArgsError> {
             "snapshot takes --warm (cycles to simulate before snapshotting), not --cycles".into(),
         ));
     }
-    let cfg = config_from(args)?;
-    check_fabric(&cfg)?;
-    let mut sys = MultiChipSystem::new(cfg, gpu, cpu);
-    sys.set_fast_forward(!args.flag("no-ff"));
-    sys.run(warm);
+    let job = resolve_job(args, "HS", "bodytrack", 6_000, 0)?;
+    let (gpu, cpu) = (job.gpu, job.cpu);
+    let mut sys = MultiChipSystem::new(job.cfg, gpu, cpu);
+    sys.set_fast_forward(job.ff);
+    sys.run(job.warm);
     let snap = sys.snapshot();
     std::fs::write(out, snap.as_bytes())
         .map_err(|e| ParseArgsError(format!("writing {out}: {e}")))?;
@@ -489,22 +429,28 @@ fn cmd_resume(args: &Args) -> Result<(), ParseArgsError> {
     let bytes = std::fs::read(path).map_err(|e| ParseArgsError(format!("reading {path}: {e}")))?;
     let snap = clognet_core::Snapshot::from_bytes(bytes)
         .map_err(|e| ParseArgsError(format!("{path} is not a usable snapshot: {e}")))?;
+    // The retargeted config is validated before the system is touched.
+    let mut cfg = snap.config().clone();
+    if let Some(s) = args.get("scheme") {
+        cfg.scheme = parse_scheme(s)?;
+    }
+    for kv in args.get("set").into_iter().flat_map(|sets| sets.split(',')) {
+        let (k, v) = kv
+            .split_once('=')
+            .ok_or_else(|| ParseArgsError(format!("--set wants k=v[,k=v...], got `{kv}`")))?;
+        let v: u64 = v
+            .parse()
+            .map_err(|_| ParseArgsError(format!("--set {k}: bad value `{v}`")))?;
+        driver::sweep_param(k, true).map_err(|e| ParseArgsError(format!("--set: {e}")))?;
+        driver::apply_sweep_param(&mut cfg, k, v)?;
+    }
+    cfg.validate()?;
     let mut sys = MultiChipSystem::restore(&snap)
         .map_err(|e| ParseArgsError(format!("{path} failed to restore: {e}")))?;
-    if let Some(s) = args.get("scheme") {
-        sys.set_scheme(clognet_cli::config::parse_scheme(s)?);
+    if args.get("scheme").is_some() {
+        sys.set_scheme(cfg.scheme);
     }
-    if let Some(sets) = args.get("set") {
-        for kv in sets.split(',') {
-            let (k, v) = kv
-                .split_once('=')
-                .ok_or_else(|| ParseArgsError(format!("--set wants k=v[,k=v...], got `{kv}`")))?;
-            let v: u64 = v
-                .parse()
-                .map_err(|_| ParseArgsError(format!("--set {k}: bad value `{v}`")))?;
-            sys.apply_warm_param(k, v).map_err(ParseArgsError)?;
-        }
-    }
+    sys.retarget(&cfg);
     sys.set_fast_forward(!args.flag("no-ff"));
     let scheme = sys.config().scheme;
     eprintln!(
@@ -528,14 +474,9 @@ fn cmd_trace(args: &Args) -> Result<(), ParseArgsError> {
     let mut keys = run_keys();
     keys.extend_from_slice(&["last", "kind", "episode-enter", "episode-exit"]);
     args.reject_unknown(&keys)?;
-    let gpu = args.get_or("gpu", "HS");
-    let cpu = args.get_or("cpu", "bodytrack");
-    check_benchmarks(gpu, cpu)?;
-    let warm = args.get_num("warm", 4_000u64)?;
-    let cycles = args.get_num("cycles", 4_000u64)?;
+    let job = resolve_job(args, "HS", "bodytrack", 4_000, 4_000)?;
+    let (gpu, cpu, warm, cycles, mut cfg) = (job.gpu, job.cpu, job.warm, job.cycles, job.cfg);
     let last = args.get_num("last", 40usize)?;
-    let mut cfg = config_from(args)?;
-    check_fabric(&cfg)?;
     if cfg.chips() > 1 {
         return Err(ParseArgsError(
             "trace is single-chip only; drop --chips / --fabric-*".into(),
@@ -548,7 +489,7 @@ fn cmd_trace(args: &Args) -> Result<(), ParseArgsError> {
     // the episode detector on alongside the protocol trace.
     let want_episodes = args.get("episode-enter").is_some() || args.get("episode-exit").is_some();
     let mut sys = System::new(cfg, gpu, cpu);
-    sys.set_fast_forward(!args.flag("no-ff"));
+    sys.set_fast_forward(job.ff);
     if want_episodes {
         sys.enable_telemetry(telemetry_config(args)?);
     }

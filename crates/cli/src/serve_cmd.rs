@@ -12,9 +12,7 @@
 
 use crate::args::{Args, ParseArgsError};
 use crate::cluster_cmd::parse_peers;
-use crate::config::{
-    check_benchmarks, check_fabric, config_from, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS,
-};
+use crate::config::{resolve_job, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS};
 use crate::report;
 use clognet_core::{MultiChipSystem, Snapshot};
 use clognet_proto::{
@@ -44,16 +42,16 @@ pub struct SimHandler;
 
 impl SimHandler {
     /// Resolve a wire spec into a validated `(config, fast-forward)`
-    /// pair, rejecting unknown benchmarks and options.
+    /// pair, as `clognet run` resolves its options: unknown options,
+    /// unknown benchmarks and configs that cannot be built are bad
+    /// requests.
     fn resolve(spec: &JobSpec) -> Result<(SystemConfig, bool), JobError> {
-        check_benchmarks(&spec.gpu, &spec.cpu).map_err(|e| JobError::bad_request(e.0))?;
         let args = Args::from_opts("run", &spec.opts);
-        args.reject_unknown(&job_opt_keys())
-            .map_err(|e| JobError::bad_request(e.0))?;
-        let cfg = config_from(&args).map_err(|e| JobError::bad_request(e.0))?;
-        clognet_core::validate_fabric(&cfg)
-            .map_err(|e| JobError::bad_request(format!("chips/fabric: {e}")))?;
-        Ok((cfg, !args.flag("no-ff")))
+        let job = args
+            .reject_unknown(&job_opt_keys())
+            .and_then(|()| resolve_job(&args, &spec.gpu, &spec.cpu, spec.warm, spec.cycles));
+        let job = job.map_err(|e| JobError::bad_request(e.0))?;
+        Ok((job.cfg, job.ff))
     }
 }
 
@@ -222,13 +220,13 @@ pub const SERVE_KEYS: &[&str] = &[
 ///
 /// # Errors
 ///
-/// Non-numeric numeric options.
+/// Non-numeric numeric options, and no workers or queue slots.
 pub fn serve_config_from(args: &Args) -> Result<ServeConfig, ParseArgsError> {
     let default = ServeConfig::default();
     Ok(ServeConfig {
         addr: args.get_or("addr", DEFAULT_ADDR).to_string(),
-        workers: args.get_num("workers", default.workers)?.max(1),
-        queue_cap: args.get_num("queue", default.queue_cap)?.max(1),
+        workers: args.get_at_least("workers", default.workers, 1)?,
+        queue_cap: args.get_at_least("queue", default.queue_cap, 1)?,
         cache_cap: args.get_num("cache", default.cache_cap)?,
         snap_cache_cap: args.get_num("snap-cache", default.snap_cache_cap)?,
         max_job_cycles: args.get_num("max-cycles", default.max_job_cycles)?,
@@ -399,16 +397,11 @@ pub fn cmd_fingerprint(args: &Args) -> Result<(), ParseArgsError> {
     let mut keys = [&job_opt_keys()[..], &JOB_KEYS].concat();
     keys.extend_from_slice(&["canonical", "peers", "owner", "replicas", "vnodes"]);
     args.reject_unknown(&keys)?;
-    let gpu = args.get_or("gpu", "HS");
-    let cpu = args.get_or("cpu", "bodytrack");
     // A job `run` would refuse has no fingerprint: same checks, same
     // messages.
-    check_benchmarks(gpu, cpu)?;
-    let warm = args.get_num("warm", 6_000u64)?;
-    let cycles = args.get_num("cycles", 15_000u64)?;
-    let cfg = config_from(args)?;
-    check_fabric(&cfg)?;
-    let fp = job_fingerprint(&cfg, gpu, cpu, warm, cycles);
+    let job = resolve_job(args, "HS", "bodytrack", 6_000, 15_000)?;
+    let (gpu, cpu, warm, cycles, cfg) = (job.gpu, job.cpu, job.warm, job.cycles, &job.cfg);
+    let fp = job_fingerprint(cfg, gpu, cpu, warm, cycles);
     let peers = args.get("peers").map(parse_peers).unwrap_or_default();
     if peers.is_empty() {
         if args.flag("owner") {
@@ -417,14 +410,12 @@ pub fn cmd_fingerprint(args: &Args) -> Result<(), ParseArgsError> {
             ));
         }
         if args.flag("canonical") {
-            println!("{}", knobs::job_options(&cfg, gpu, cpu, warm, cycles));
+            println!("{}", knobs::job_options(cfg, gpu, cpu, warm, cycles));
         }
         println!("{}", fingerprint_hex(fp));
         return Ok(());
     }
-    let vnodes = args
-        .get_num("vnodes", clognet_proto::DEFAULT_VNODES)?
-        .max(1);
+    let vnodes = args.get_at_least("vnodes", clognet_proto::DEFAULT_VNODES, 1)?;
     let replicas: usize = args.get_num("replicas", 1usize)?;
     let ring = HashRing::with_nodes(peers.iter().map(String::as_str), vnodes);
     let placement = ring.placement(fp, replicas + 1);
@@ -438,7 +429,7 @@ pub fn cmd_fingerprint(args: &Args) -> Result<(), ParseArgsError> {
         return Ok(());
     }
     if args.flag("canonical") {
-        println!("{}", knobs::job_options(&cfg, gpu, cpu, warm, cycles));
+        println!("{}", knobs::job_options(cfg, gpu, cpu, warm, cycles));
     }
     println!("{}", fingerprint_hex(fp));
     eprintln!("owner {owner}");
@@ -563,22 +554,31 @@ mod tests {
     }
 
     #[test]
-    fn jobs_leaving_a_class_without_a_usable_vc_are_bad_requests() {
+    fn unbuildable_jobs_are_bad_requests_to_fingerprint_and_run() {
         let h = SimHandler;
-        for (topology, vnets) in [("dragonfly", "1+3"), ("dragonfly", "3+1"), ("mesh", "0+4")] {
+        for (opts, want) in [
+            ("topology=dragonfly vnets=1+3", "every traffic class needs"),
+            ("topology=dragonfly vnets=3+1", "every traffic class needs"),
+            ("topology=mesh vnets=0+4", "every traffic class needs"),
+            ("width=0", "--width must be at least 1"),
+            ("mesh=4x1", "at least 2x2"),
+            ("mesh=3x0", "at least 2x2"),
+            ("mesh=300x300", "node id"),
+            ("vnets=33+32", "at most 64"),
+            ("layout=b mesh=5x10", "top row"),
+            ("layout=c mesh=4x4", "memory block"),
+            ("topology=dragonfly mesh=4x6", "dragonfly"),
+        ] {
             let mut spec = JobSpec::new("BT", "ferret");
-            spec.opts.insert("topology".into(), topology.into());
-            spec.opts.insert("vnets".into(), vnets.into());
+            for (k, v) in opts.split_whitespace().filter_map(|kv| kv.split_once('=')) {
+                spec.opts.insert(k.into(), v.into());
+            }
             let err = h.fingerprint(&spec).unwrap_err();
-            assert_eq!(err.code, ErrorCode::BadRequest);
-            assert!(
-                err.message.contains("every traffic class needs"),
-                "{}",
-                err.message
-            );
+            assert_eq!(err.code, ErrorCode::BadRequest, "{opts}");
+            assert!(err.message.contains(want), "{opts}: {}", err.message);
             let deadline = Instant::now() + Duration::from_secs(60);
             let err = h.run(&spec, deadline).unwrap_err();
-            assert_eq!(err.code, ErrorCode::BadRequest);
+            assert_eq!(err.code, ErrorCode::BadRequest, "{opts}");
         }
     }
 
@@ -669,6 +669,24 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(60);
         let err = h.run(&spec, deadline).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);
+    }
+
+    #[test]
+    fn serve_options_below_their_floor_are_usage_errors() {
+        let parse = |line: &str| Args::parse(line.split_whitespace().map(String::from)).unwrap();
+        for (line, want) in [
+            ("serve --workers 0", "--workers must be at least 1"),
+            ("serve --queue 0", "--queue must be at least 1"),
+        ] {
+            let err = serve_config_from(&parse(line)).unwrap_err();
+            assert_eq!(err.0, want, "{line}");
+        }
+        assert_eq!(
+            serve_config_from(&parse("serve --workers 3"))
+                .unwrap()
+                .workers,
+            3
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! state) and the runner returns results in submission order, so
 //! neither thread count nor execution mode can change what's printed.
 
+use clognet_cli::config::Job;
 use clognet_cli::driver;
 use clognet_cli::report;
 use clognet_proto::SystemConfig;
@@ -12,12 +13,23 @@ use clognet_proto::SystemConfig;
 const WARM: u64 = 300;
 const CYCLES: u64 = 900;
 
+/// The default chip running `gpu`+`cpu` at the test budget.
+fn job(gpu: &'static str, cpu: &'static str, ff: bool) -> Job<'static> {
+    Job {
+        gpu,
+        cpu,
+        warm: WARM,
+        cycles: CYCLES,
+        cfg: SystemConfig::default(),
+        ff,
+    }
+}
+
 #[test]
 fn compare_json_identical_across_thread_counts_and_ff_modes() {
-    let cfg = SystemConfig::default();
-    let seq = driver::run_compare(&cfg, "HS", "bodytrack", WARM, CYCLES, 1, true);
-    let par = driver::run_compare(&cfg, "HS", "bodytrack", WARM, CYCLES, 4, true);
-    let no_ff = driver::run_compare(&cfg, "HS", "bodytrack", WARM, CYCLES, 4, false);
+    let seq = driver::run_compare(&job("HS", "bodytrack", true), 1);
+    let par = driver::run_compare(&job("HS", "bodytrack", true), 4);
+    let no_ff = driver::run_compare(&job("HS", "bodytrack", false), 4);
     assert_eq!(
         report::comparison_json(&seq),
         report::comparison_json(&par),
@@ -32,7 +44,6 @@ fn compare_json_identical_across_thread_counts_and_ff_modes() {
 
 #[test]
 fn sweep_json_identical_across_thread_counts_and_ff_modes() {
-    let cfg = SystemConfig::default();
     let values = [8u64, 16];
     let render = |points: &[driver::SweepPoint]| {
         points
@@ -41,18 +52,11 @@ fn sweep_json_identical_across_thread_counts_and_ff_modes() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let seq = driver::run_sweep(
-        &cfg, "width", &values, "MM", "canneal", WARM, CYCLES, 1, true,
-    )
-    .unwrap();
-    let par = driver::run_sweep(
-        &cfg, "width", &values, "MM", "canneal", WARM, CYCLES, 3, true,
-    )
-    .unwrap();
-    let no_ff = driver::run_sweep(
-        &cfg, "width", &values, "MM", "canneal", WARM, CYCLES, 3, false,
-    )
-    .unwrap();
+    let sweep =
+        |ff, threads| driver::run_sweep(&job("MM", "canneal", ff), "width", &values, threads);
+    let seq = sweep(true, 1).unwrap();
+    let par = sweep(true, 3).unwrap();
+    let no_ff = sweep(false, 3).unwrap();
     assert_eq!(
         render(&seq),
         render(&par),

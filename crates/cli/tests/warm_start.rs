@@ -5,6 +5,7 @@
 //! same way. This is the same invariant the CI warm-start smoke
 //! checks end-to-end through the binary.
 
+use clognet_cli::config::Job;
 use clognet_cli::driver::{
     parse_warm_start, run_compare_warm, run_sweep_warm, sweep_point_json, WarmStart,
 };
@@ -22,9 +23,21 @@ fn base() -> SystemConfig {
     config_from(&Args::from_opts("run", &BTreeMap::new())).expect("default config")
 }
 
+/// `gpu`+[`CPU`] on `cfg` at the test budget.
+fn job(gpu: &'static str, cfg: SystemConfig) -> Job<'static> {
+    Job {
+        gpu,
+        cpu: CPU,
+        warm: WARM,
+        cycles: CYCLES,
+        cfg,
+        ff: true,
+    }
+}
+
 fn sweep_lines(param: &str, values: &[u64], mode: &WarmStart) -> Vec<String> {
-    let points = run_sweep_warm(&base(), param, values, GPU, CPU, WARM, CYCLES, 2, mode)
-        .expect("warm sweep runs");
+    let points =
+        run_sweep_warm(&job(GPU, base()), param, values, 2, mode).expect("warm sweep runs");
     points.iter().map(|p| sweep_point_json(param, p)).collect()
 }
 
@@ -48,10 +61,8 @@ fn drmax_sweep_forks_deterministically() {
 
 #[test]
 fn forked_compare_is_byte_identical_to_rewarmed_compare() {
-    let fork = run_compare_warm(&base(), GPU, CPU, WARM, CYCLES, 2, &WarmStart::Fork)
-        .expect("warm compare runs");
-    let each = run_compare_warm(&base(), GPU, CPU, WARM, CYCLES, 2, &WarmStart::Each)
-        .expect("warm compare runs");
+    let fork = run_compare_warm(&job(GPU, base()), 2, &WarmStart::Fork).expect("warm compare runs");
+    let each = run_compare_warm(&job(GPU, base()), 2, &WarmStart::Each).expect("warm compare runs");
     assert_eq!(fork.len(), each.len());
     for ((fs, fr), (es, er)) in fork.iter().zip(&each) {
         assert_eq!(fs, es, "schemes come back in table order");
@@ -91,7 +102,7 @@ fn mismatched_snapshot_files_are_rejected_up_front() {
     let mode = WarmStart::File(path.to_str().expect("utf-8 temp path").to_string());
 
     let wrong_bench =
-        run_sweep_warm(&cfg, "injbuf", &[2], "MM", CPU, WARM, CYCLES, 1, &mode).unwrap_err();
+        run_sweep_warm(&job("MM", cfg.clone()), "injbuf", &[2], 1, &mode).unwrap_err();
     assert!(
         wrong_bench.0.contains("was taken on"),
         "bench mismatch names the snapshot's workloads: {wrong_bench:?}"
@@ -99,25 +110,14 @@ fn mismatched_snapshot_files_are_rejected_up_front() {
 
     let mut other = cfg.clone();
     other.noc.channel_bytes *= 2;
-    let wrong_cfg =
-        run_sweep_warm(&other, "injbuf", &[2], GPU, CPU, WARM, CYCLES, 1, &mode).unwrap_err();
+    let wrong_cfg = run_sweep_warm(&job(GPU, other), "injbuf", &[2], 1, &mode).unwrap_err();
     assert!(
         wrong_cfg.0.contains("different configuration"),
         "config mismatch is detected: {wrong_cfg:?}"
     );
 
-    let structural = run_sweep_warm(
-        &cfg,
-        "width",
-        &[16],
-        GPU,
-        CPU,
-        WARM,
-        CYCLES,
-        1,
-        &WarmStart::Fork,
-    )
-    .unwrap_err();
+    let structural =
+        run_sweep_warm(&job(GPU, cfg), "width", &[16], 1, &WarmStart::Fork).unwrap_err();
     assert!(
         structural.0.contains("structural"),
         "structural params cannot be warm-forked: {structural:?}"

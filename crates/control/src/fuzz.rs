@@ -121,9 +121,9 @@ impl<'a> ScenarioGen<'a> {
         cfg.noc.mem_inj_buf_pkts = [4usize, 8, 16][rng.gen_range(0..3usize)];
         // Multi-chip occasionally: 2 chips, pair fabric, maybe a
         // degraded reply plane. The fabric gateway adapter needs
-        // physically separate request/reply networks (`validate_fabric`
-        // rejects --vnets with --chips), so a package drops the shared
-        // net.
+        // physically separate request/reply networks
+        // (`SystemConfig::validate` rejects --vnets with --chips), so a
+        // package drops the shared net.
         if rng.gen_bool(0.2) {
             cfg.noc.virtual_nets = None;
             let mut fab = FabricConfig::default();
@@ -192,14 +192,8 @@ mod tests {
         let mut g = ScenarioGen::new(1, &GPUS, &CPUS);
         for _ in 0..200 {
             let c = g.next_case();
-            if let Some(f) = &c.cfg.fabric {
-                assert_eq!(f.chips, 2);
-                assert!(f.gateways <= c.cfg.n_mem);
-                assert!(c.cfg.noc.virtual_nets.is_none(), "fabric excludes --vnets");
-            }
-            if let Some(v) = c.cfg.noc.virtual_nets {
-                assert!(v.fits(c.cfg.noc.topology), "{}", c.repro_line());
-            }
+            assert_eq!(c.cfg.validate(), Ok(()), "{}", c.repro_line());
+            assert!(c.cfg.fabric.is_none_or(|f| f.chips == 2));
             assert!(c.warm >= 200 && c.cycles >= 400);
         }
     }

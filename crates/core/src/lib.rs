@@ -33,7 +33,7 @@ pub mod trace;
 pub use clognet_control::{Action, Decision, DecisionLog};
 pub use clognet_telemetry::TelemetryConfig;
 pub use memnode::{MemNode, MemNodeStats, PendingReply};
-pub use multichip::{validate_fabric, FabricSummary, MultiChipSystem};
+pub use multichip::{FabricSummary, MultiChipSystem};
 pub use nets::Nets;
 pub use report::{MissBreakdown, Report};
 pub use snapshot::Snapshot;

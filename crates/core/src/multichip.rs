@@ -28,70 +28,10 @@ use crate::system::System;
 use clognet_fabric::{FabricMsg, FabricNetwork};
 use clognet_proto::snap::{self as snap, SnapError};
 use clognet_proto::{
-    Addr, AddressMap, Cycle, FabricTopology, MsgKind, NodeId, Priority, Scheme, SystemConfig,
-    TrafficClass,
+    Addr, AddressMap, Cycle, MsgKind, NodeId, Priority, Scheme, SystemConfig, TrafficClass,
 };
 use clognet_telemetry::{SeriesId, TelemetryConfig};
 use std::collections::VecDeque;
-
-/// Validate a prospective fabric configuration without building a
-/// package — the CLI and serve/cluster layers reject a bad `--chips` /
-/// `--fabric-*` combination with a clear message before any
-/// construction work.
-///
-/// # Errors
-///
-/// Fails when the fabric config is degenerate: zero chips, zero link
-/// width on either plane, zero queue depth, fewer than two gateways
-/// (the ingress adapter needs a gateway distinct from any line's home
-/// controller), more gateways than memory nodes, or a pair topology
-/// spanning more than two chips.
-pub fn validate_fabric(cfg: &SystemConfig) -> Result<(), String> {
-    let Some(f) = &cfg.fabric else {
-        return Ok(());
-    };
-    if f.chips == 0 {
-        return Err("fabric chips must be at least 1".into());
-    }
-    if f.link_flits == 0 {
-        return Err("fabric link width must be at least 1 flit/cycle".into());
-    }
-    if f.reply_link_flits == 0 {
-        return Err("fabric reply link width must be at least 1 flit/cycle".into());
-    }
-    if f.queue_pkts == 0 {
-        return Err("fabric queue depth must be at least 1 packet".into());
-    }
-    if f.gateways < 2 {
-        return Err(
-            "fabric gateway count must be at least 2 (a line's home controller \
-             cannot proxy its own cross-chip traffic)"
-                .into(),
-        );
-    }
-    if f.gateways > cfg.n_mem {
-        return Err(format!(
-            "fabric gateway count {} exceeds the {} memory nodes per chip",
-            f.gateways, cfg.n_mem
-        ));
-    }
-    if f.topology == FabricTopology::Pair && f.chips > 2 {
-        return Err(format!(
-            "pair topology connects exactly 2 chips, got {}",
-            f.chips
-        ));
-    }
-    if f.chips > 1 && cfg.noc.virtual_nets.is_some() {
-        // The gateway adapter separates cross-chip replies from local
-        // requests by physical network; a shared-VC net mixes both
-        // classes in one ejection queue, which the adapter cannot
-        // disentangle. (Found by `clognet fuzz`.)
-        return Err("virtual-net sharing (--vnets) is single-chip only; \
-                    use separate request/reply networks with --chips"
-            .into());
-    }
-    Ok(())
-}
 
 /// Package-level fabric traffic totals since construction or the last
 /// [`MultiChipSystem::reset_stats`].
@@ -175,9 +115,8 @@ impl MultiChipSystem {
     ///
     /// # Panics
     ///
-    /// Panics if a benchmark name is unknown, the configuration is
-    /// inconsistent, or the fabric config is invalid (callers should
-    /// screen with [`validate_fabric`] first).
+    /// Panics if a benchmark name is unknown or the configuration fails
+    /// [`SystemConfig::validate`] (callers validate first).
     pub fn new(cfg: SystemConfig, gpu_bench: &str, cpu_bench: &str) -> Self {
         let layout = cfg.layout();
         let map = AddressMap::new(cfg.n_mem, cfg.seed);
@@ -200,7 +139,7 @@ impl MultiChipSystem {
         layout: clognet_proto::Layout,
         map: AddressMap,
     ) -> Self {
-        validate_fabric(&cfg).expect("invalid fabric configuration");
+        cfg.validate().expect("a validated configuration");
         let n = cfg.chips();
         if n <= 1 {
             let sys = System::new_prebuilt(cfg.clone(), gpu_bench, cpu_bench, layout, map);
@@ -617,24 +556,15 @@ impl MultiChipSystem {
         })
     }
 
-    /// Apply a warm-applicable sweep parameter to every chip (see
-    /// [`System::apply_warm_param`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`System::apply_warm_param`].
-    pub fn apply_warm_param(&mut self, key: &str, value: u64) -> Result<(), String> {
+    /// Take `cfg`'s warm-applicable fields on every chip (see
+    /// [`System::retarget`]); `cfg` becomes the package config, so
+    /// snapshots stay coherent. It must differ from the current config
+    /// only in those fields and the scheme.
+    pub fn retarget(&mut self, cfg: &SystemConfig) {
         for c in &mut self.chips {
-            c.apply_warm_param(key, value)?;
+            c.retarget(cfg);
         }
-        // Mirror into the package config so snapshots stay coherent.
-        let v = usize::try_from(value).map_err(|_| format!("{key}={value} out of range"))?;
-        match key {
-            "injbuf" => self.cfg.noc.mem_inj_buf_pkts = v,
-            "drmax" => self.cfg.dr.max_per_cycle = v,
-            _ => unreachable!("per-chip apply validated the key"),
-        }
-        Ok(())
+        self.cfg = cfg.clone();
     }
 
     /// Switch the delegation scheme on every chip.
@@ -780,12 +710,6 @@ impl MultiChipSystem {
                 snapshot: chips_in,
                 expected,
             });
-        }
-        if clognet_workloads::gpu_benchmark(snapshot.gpu_bench()).is_none() {
-            return Err(SnapError::Corrupt("unknown GPU benchmark in snapshot"));
-        }
-        if clognet_workloads::cpu_benchmark(snapshot.cpu_bench()).is_none() {
-            return Err(SnapError::Corrupt("unknown CPU benchmark in snapshot"));
         }
         let mut sys = Self::new(cfg, snapshot.gpu_bench(), snapshot.cpu_bench());
         for c in &mut sys.chips {

@@ -36,14 +36,21 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Fails on a bad magic/version header or a truncated/corrupt
-    /// identifying prefix. The body is validated lazily by
+    /// Fails on a bad magic/version header, a truncated/corrupt
+    /// identifying prefix, an unknown benchmark, or a config no system
+    /// can be built from ([`SnapError::Config`]), so a parsed snapshot
+    /// always rebuilds. The body is validated lazily by
     /// [`System::restore`](crate::System::restore).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(&bytes)?;
         let cfg = snap::load_config(&mut r)?;
+        cfg.validate().map_err(SnapError::Config)?;
         let gpu_bench = r.str()?;
         let cpu_bench = r.str()?;
+        let gpu_known = clognet_workloads::gpu_benchmark(&gpu_bench).is_some();
+        if !gpu_known || clognet_workloads::cpu_benchmark(&cpu_bench).is_none() {
+            return Err(SnapError::Corrupt("unknown benchmark in snapshot"));
+        }
         let cycle = r.u64()?;
         Ok(Snapshot {
             bytes,

@@ -295,7 +295,7 @@ impl System {
         let gateways: Vec<NodeId> = self.layout.mem_nodes().take(fc.gateways).collect();
         assert!(
             !gateways.is_empty() && gateways.len() == fc.gateways,
-            "gateway count exceeds memory nodes (validate_fabric should have rejected this)"
+            "gateway count exceeds memory nodes (SystemConfig::validate rejects this)"
         );
         self.port = Some(FabricPort {
             chip,
@@ -360,7 +360,7 @@ impl System {
         // The gateway proxies both NoC legs (gateway -> home request,
         // home -> gateway reply), so it must differ from the line's
         // home controller — a self-send on either leg is illegal. At
-        // most one gateway can be the home, and `validate_fabric`
+        // most one gateway can be the home, and `SystemConfig::validate`
         // guarantees at least two, so stepping once always resolves.
         let mut gi = port.gateway_index_for(line);
         if port.gateways[gi] == home {
@@ -1388,12 +1388,6 @@ impl System {
     /// Fails when the snapshot body is truncated, carries trailing
     /// bytes, or disagrees with the structure its own config implies.
     pub fn restore(snapshot: &Snapshot) -> Result<System, SnapError> {
-        if clognet_workloads::gpu_benchmark(snapshot.gpu_bench()).is_none() {
-            return Err(SnapError::Corrupt("unknown GPU benchmark in snapshot"));
-        }
-        if clognet_workloads::cpu_benchmark(snapshot.cpu_bench()).is_none() {
-            return Err(SnapError::Corrupt("unknown CPU benchmark in snapshot"));
-        }
         let mut r = snapshot::body_reader(snapshot)?;
         if r.bool()? {
             let chips = r.usize()?;
@@ -1490,42 +1484,17 @@ impl System {
         Ok(())
     }
 
-    /// Apply a warm-applicable sweep parameter to a running (typically
-    /// just-restored) system. Only parameters that retarget live state
-    /// without rebuilding structure qualify:
-    ///
-    /// - `injbuf` — memory-node injection-buffer capacity in packets;
-    /// - `drmax` — delegations per memory node per cycle.
-    ///
-    /// Structural parameters (channel width, cache geometry, topology)
-    /// are rejected: forking those from a shared warmup would silently
-    /// diverge from a cold run.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the parameter when it is not
-    /// warm-applicable or the value is out of range.
-    pub fn apply_warm_param(&mut self, key: &str, value: u64) -> Result<(), String> {
-        let v = usize::try_from(value).map_err(|_| format!("{key}={value} out of range"))?;
-        match key {
-            "injbuf" => {
-                if v == 0 {
-                    return Err("injbuf must be at least 1".into());
-                }
-                self.cfg.noc.mem_inj_buf_pkts = v;
-                for m in &mut self.mems {
-                    m.set_cap(v);
-                }
-                Ok(())
-            }
-            "drmax" => {
-                self.cfg.dr.max_per_cycle = v;
-                Ok(())
-            }
-            other => Err(format!(
-                "parameter `{other}` is structural and cannot be warm-applied to a \
-                 restored snapshot (warm-applicable: injbuf, drmax)"
-            )),
+    /// Take the fields of `cfg` that a running (typically just-restored)
+    /// system can change without a rebuild: the memory-node
+    /// injection-buffer capacity and the delegations per memory node
+    /// per cycle. Every other field keeps the value the system was
+    /// built with; which sweep parameters may differ is the caller's
+    /// list, and `cfg` must have passed [`SystemConfig::validate`].
+    pub fn retarget(&mut self, cfg: &SystemConfig) {
+        self.cfg.noc.mem_inj_buf_pkts = cfg.noc.mem_inj_buf_pkts;
+        self.cfg.dr.max_per_cycle = cfg.dr.max_per_cycle;
+        for m in &mut self.mems {
+            m.set_cap(cfg.noc.mem_inj_buf_pkts);
         }
     }
 

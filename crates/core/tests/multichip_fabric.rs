@@ -160,7 +160,7 @@ fn degenerate_fabric_configs_are_rejected_up_front() {
         let mut f = FabricConfig::default();
         mutate(&mut f);
         cfg.fabric = Some(f);
-        clognet_core::validate_fabric(&cfg).unwrap_err()
+        cfg.validate().unwrap_err().to_string()
     };
     assert!(reject(|f| f.chips = 0).contains("chip"));
     assert!(reject(|f| f.link_flits = 0).contains("link width"));
@@ -181,9 +181,7 @@ fn degenerate_fabric_configs_are_rejected_up_front() {
         request_vcs: 2,
         reply_vcs: 2,
     });
-    assert!(clognet_core::validate_fabric(&cfg)
-        .unwrap_err()
-        .contains("vnets"));
+    assert!(cfg.validate().unwrap_err().to_string().contains("vnets"));
     // No fabric at all is always fine.
-    clognet_core::validate_fabric(&SystemConfig::default()).unwrap();
+    SystemConfig::default().validate().unwrap();
 }

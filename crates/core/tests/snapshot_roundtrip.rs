@@ -6,7 +6,7 @@
 //! stats-reset in the middle.
 
 use clognet_core::{Snapshot, System};
-use clognet_proto::{Scheme, SystemConfig, Topology, VirtualNetConfig, SNAP_VERSION};
+use clognet_proto::{Scheme, SnapError, SystemConfig, Topology, VirtualNetConfig, SNAP_VERSION};
 use clognet_telemetry::TelemetryConfig;
 
 /// Run `straight` to K+M in one go; fork `forked` at K through a full
@@ -136,15 +136,18 @@ fn roundtrip_carries_telemetry() {
 }
 
 /// Warm-applied parameters: forking a warmup and retargeting `injbuf` /
-/// `drmax` must equal a cold run that applies the same values at the
-/// same cycle; structural parameters are rejected.
+/// `drmax` must equal a cold run that takes the same config at the same
+/// cycle. (Which parameters may be retargeted, and to what values, is
+/// the sweep's and `SystemConfig::validate`'s to decide.)
 #[test]
-fn warm_params_apply_and_structural_ones_are_rejected() {
+fn warm_params_retarget_a_forked_system() {
     let cfg = SystemConfig::default().with_scheme(Scheme::DelegatedReplies);
+    let mut retargeted = cfg.clone();
+    retargeted.noc.mem_inj_buf_pkts = 4;
+    retargeted.dr.max_per_cycle = 1;
     let mut cold = System::new(cfg.clone(), "HS", "bodytrack");
     cold.run(1_500);
-    cold.apply_warm_param("injbuf", 4).unwrap();
-    cold.apply_warm_param("drmax", 1).unwrap();
+    cold.retarget(&retargeted);
     cold.reset_stats();
     cold.run(1_500);
 
@@ -152,18 +155,30 @@ fn warm_params_apply_and_structural_ones_are_rejected() {
     warm.run(1_500);
     let snap = warm.snapshot();
     let mut forked = System::restore(&snap).unwrap();
-    forked.apply_warm_param("injbuf", 4).unwrap();
-    forked.apply_warm_param("drmax", 1).unwrap();
+    forked.retarget(&retargeted);
     forked.reset_stats();
     forked.run(1_500);
 
     assert_eq!(cold.report(), forked.report());
-    assert_eq!(forked.config().noc.mem_inj_buf_pkts, 4);
-    assert_eq!(forked.config().dr.max_per_cycle, 1);
+    assert_eq!(forked.config(), &retargeted);
+}
 
-    let err = forked.apply_warm_param("width", 32).unwrap_err();
-    assert!(err.contains("structural"), "{err}");
-    assert!(forked.apply_warm_param("injbuf", 0).is_err());
+/// A snapshot whose config no system can be built from (here its mesh
+/// height patched to 3, so the 64 nodes no longer tile the grid) is a
+/// decode error, not a panic inside the rebuild.
+#[test]
+fn snapshots_of_unbuildable_configs_are_errors() {
+    let mut bytes = System::new(SystemConfig::default(), "HS", "bodytrack")
+        .snapshot()
+        .into_bytes();
+    // Header (8-byte magic, 4-byte version), layout tag, mesh width:
+    // the low byte of the mesh height is at 0x15.
+    assert_eq!(bytes[0x15], 8);
+    bytes[0x15] = 3;
+    match Snapshot::from_bytes(bytes) {
+        Err(SnapError::Config(e)) => assert!(e.to_string().contains("8x3"), "{e}"),
+        other => panic!("expected SnapError::Config, got {other:?}"),
+    }
 }
 
 /// Scheme warm-apply: forking one Baseline warmup into a

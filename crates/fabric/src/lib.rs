@@ -329,7 +329,7 @@ impl FabricNetwork {
     ///
     /// Panics on fewer than two chips or a `Pair` topology with a chip
     /// count other than two — callers validate configs up front (see
-    /// `clognet_core::validate_fabric`).
+    /// `SystemConfig::validate`).
     pub fn new(cfg: &FabricConfig) -> Self {
         assert!(cfg.chips >= 2, "a fabric needs at least two chips");
         assert!(

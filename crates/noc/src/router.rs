@@ -28,7 +28,7 @@
 use crate::flit::{Flit, Slot};
 use crate::topology::{PortLink, TopologyGraph};
 use clognet_proto::snap::{SnapError, SnapReader, SnapWriter};
-use clognet_proto::{Cycle, NodeId, Priority, TrafficClass};
+use clognet_proto::{Cycle, NodeId, Priority, TrafficClass, MAX_VCS_PER_PORT};
 use std::ops::Range;
 
 /// An output allocation held by an input VC.
@@ -182,9 +182,13 @@ impl RouterState {
     ///
     /// # Panics
     ///
-    /// Panics if `vcs` exceeds the 64 bits of a free-VC mask.
+    /// Panics if `vcs` exceeds the 64 bits of a free-VC mask
+    /// ([`MAX_VCS_PER_PORT`]).
     pub fn new(topo: &TopologyGraph, vcs: usize, depth: u8) -> Self {
-        assert!(vcs <= 64, "at most 64 VCs per port");
+        assert!(
+            vcs <= MAX_VCS_PER_PORT,
+            "at most {MAX_VCS_PER_PORT} VCs per port"
+        );
         let routers = topo.routers();
         let (mut vc_base, mut port_base, mut word_base) = (vec![0], vec![0], vec![0]);
         let mut links = Vec::new();

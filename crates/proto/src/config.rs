@@ -164,14 +164,22 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly.
+    /// Panics if the capacity does not divide into at least one set of
+    /// `ways` lines (see [`Self::checked_sets`]).
     pub fn sets(&self) -> u64 {
-        let lines = self.capacity_bytes / self.line_bytes as u64;
-        assert!(
-            lines.is_multiple_of(self.ways as u64),
-            "capacity must divide into ways"
-        );
-        lines / self.ways as u64
+        let sets = self.checked_sets();
+        sets.expect("capacity must divide into at least one set of ways")
+    }
+
+    /// Number of sets, or `None` unless the capacity divides into at
+    /// least one whole set of `ways` lines: the rule [`Self::sets`]
+    /// asserts and [`SystemConfig::validate`] reports.
+    pub fn checked_sets(&self) -> Option<u64> {
+        let lines = self
+            .capacity_bytes
+            .checked_div(u64::from(self.line_bytes))?;
+        let sets = lines.checked_div(u64::from(self.ways))?;
+        (sets > 0 && lines.is_multiple_of(u64::from(self.ways))).then_some(sets)
     }
 
     /// Total number of lines.
@@ -614,13 +622,162 @@ impl Default for SystemConfig {
     }
 }
 
+/// VCs one router port can hold: its free-VC masks are one `u64`.
+pub const MAX_VCS_PER_PORT: usize = 64;
+
+/// Nodes one chip can hold: a [`NodeId`](crate::NodeId) is a `u16`.
+pub const MAX_NODES: usize = 1 << 16;
+
+/// Why [`SystemConfig::validate`] refuses a configuration. `Display`
+/// names the options that set the offending fields, so `clognet`'s
+/// `error:` line and the service's `bad_request` message read the same.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A count of zero where one is needed: the option that sets it.
+    TooSmall(&'static str),
+    /// A grid, node mix or layout placement no chip can be built on:
+    /// the grid's width and height, and the rule it breaks.
+    Grid(usize, usize, &'static str),
+    /// More VCs per router port than [`MAX_VCS_PER_PORT`].
+    TooManyVcs(usize),
+    /// A virtual-net split that leaves a class without a VC it may use.
+    VirtualNets(VirtualNetConfig, Topology),
+    /// A cache (named) whose capacity is not a whole number of sets.
+    Cache(&'static str, CacheGeometry),
+    /// A control exit threshold above the enter one: (enter, exit).
+    ControlBand(u32, u32),
+    /// A package the fabric cannot wire: the rule it breaks.
+    Fabric(&'static str),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::TooSmall(option) => write!(f, "--{option} must be at least 1"),
+            ConfigError::Grid(w, h, why) => write!(f, "--mesh {w}x{h}: {why}"),
+            ConfigError::TooManyVcs(n) => {
+                write!(f, "--vnets: {n} VCs per port; at most {MAX_VCS_PER_PORT}")
+            }
+            ConfigError::VirtualNets(v, t) => write!(
+                f,
+                "--vnets {}+{}: every traffic class needs at least {} VC(s) on --topology {}",
+                v.request_vcs,
+                v.reply_vcs,
+                VirtualNetConfig::vcs_needed(*t),
+                t.name()
+            ),
+            ConfigError::Cache(cache, g) => write!(
+                f,
+                "{cache} of {} bytes is not a whole number of {}-way sets of {}-byte lines",
+                g.capacity_bytes, g.ways, g.line_bytes
+            ),
+            ConfigError::ControlBand(enter, exit) => write!(
+                f,
+                "--control-exit {exit} must not exceed --control-enter {enter} \
+                 (hysteresis needs exit <= enter)"
+            ),
+            ConfigError::Fabric(why) => write!(f, "--chips/--fabric: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// The reason of the first broken rule among `(broken, why)` pairs.
+fn first_broken<const N: usize>(rules: [(bool, &'static str); N]) -> Option<&'static str> {
+    rules.into_iter().find(|r| r.0).map(|r| r.1)
+}
+
 impl SystemConfig {
+    /// Whether this configuration can be built: the one place that
+    /// decides. Every command, sweep point, decoded snapshot and served
+    /// job asks before anything is built.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the configuration breaks.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let (w, h, noc) = (self.mesh_width, self.mesh_height, &self.noc);
+        let nodes = w.saturating_mul(h);
+        let dragonfly = noc.topology == Topology::Dragonfly;
+        if let Some(why) = first_broken([
+            (w < 2 || h < 2, "the grid needs at least 2x2 nodes"),
+            (nodes > MAX_NODES, "more nodes than a node id numbers"),
+            (self.n_mem == 0, "a chip needs at least one memory node"),
+            (dragonfly && w < h, "a dragonfly needs width >= height"),
+        ]) {
+            return Err(ConfigError::Grid(w, h, why));
+        }
+        self.try_layout()?;
+        let counts = [
+            ("width", u64::from(noc.channel_bytes)),
+            ("injbuf", noc.mem_inj_buf_pkts as u64),
+            ("control-interval", self.control.map_or(1, |c| c.interval)),
+        ];
+        if let Some((option, _)) = counts.into_iter().find(|c| c.1 == 0) {
+            return Err(ConfigError::TooSmall(option));
+        }
+        let nets = noc.virtual_nets;
+        let vcs = nets.map_or(noc.vcs, |v| v.request_vcs.saturating_add(v.reply_vcs));
+        if vcs > MAX_VCS_PER_PORT {
+            return Err(ConfigError::TooManyVcs(vcs));
+        }
+        if let Some(v) = nets.filter(|v| !v.fits(noc.topology)) {
+            return Err(ConfigError::VirtualNets(v, noc.topology));
+        }
+        let caches = [("GPU L1", self.gpu.l1), ("CPU L1", self.cpu.l1)];
+        for (cache, g) in caches.into_iter().chain([("LLC slice", self.llc.slice)]) {
+            g.checked_sets().ok_or(ConfigError::Cache(cache, g))?;
+        }
+        if let Some(c) = self.control {
+            let (enter, exit) = (c.enter_blocked_pm, c.exit_blocked_pm);
+            if exit > enter {
+                return Err(ConfigError::ControlBand(enter, exit));
+            }
+        }
+        let Some(f) = &self.fabric else {
+            return Ok(());
+        };
+        let pair = f.topology == FabricTopology::Pair;
+        let broken = first_broken([
+            (f.chips == 0, "fabric chips must be at least 1"),
+            (f.link_flits == 0, "fabric link width must be at least 1"),
+            (
+                f.reply_link_flits == 0,
+                "fabric reply link width must be at least 1",
+            ),
+            (f.queue_pkts == 0, "fabric queue depth must be at least 1"),
+            (
+                f.gateways < 2,
+                "fabric gateway count must be at least 2 (a line's home controller \
+                 cannot proxy its own cross-chip traffic)",
+            ),
+            (f.gateways > self.n_mem, "more gateways than memory nodes"),
+            (pair && f.chips > 2, "a pair fabric joins exactly 2 chips"),
+            // The gateway adapter separates cross-chip replies from local
+            // requests by physical network; a shared-VC net mixes both
+            // classes in one ejection queue. (Found by `clognet fuzz`.)
+            (
+                f.chips > 1 && nets.is_some(),
+                "virtual-net sharing (--vnets) is single-chip only; \
+                 use separate request/reply networks with --chips",
+            ),
+        ]);
+        broken.map_or(Ok(()), |why| Err(ConfigError::Fabric(why)))
+    }
+
     /// Resolve the configured [`Layout`].
     ///
     /// # Panics
     ///
-    /// Panics if the node counts do not tile the mesh.
+    /// Panics if the layout cannot place the node counts on the grid;
+    /// [`Self::validate`] reports that instead.
     pub fn layout(&self) -> Layout {
+        self.try_layout().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resolve the configured [`Layout`], or say why it cannot be placed.
+    fn try_layout(&self) -> Result<Layout, ConfigError> {
         Layout::build(
             self.layout,
             self.mesh_width,

@@ -404,19 +404,17 @@ fn mesh(c: &mut SystemConfig, v: &str) -> Result<(), String> {
     let (w, h) = v.split_once('x').ok_or("must be <w>x<h>, e.g. 10x10")?;
     let (w, h): (usize, usize) = (num(w)?, num(h)?);
     // The node mix scales with the rows: one memory node and two CPU
-    // cores per row, GPU cores everywhere else.
-    c.n_gpu = w
-        .checked_sub(3)
-        .and_then(|cols| cols.checked_mul(h))
-        .ok_or("too few columns for the memory and CPU nodes")?;
-    (c.mesh_width, c.mesh_height, c.n_mem, c.n_cpu) = (w, h, h, 2 * h);
+    // cores per row, GPU cores everywhere else (`SystemConfig::validate`
+    // refuses a grid too narrow to hold them).
+    let (gpu, cpu) = (w.saturating_sub(3).saturating_mul(h), h.saturating_mul(2));
+    (c.mesh_width, c.mesh_height, c.n_gpu, c.n_mem, c.n_cpu) = (w, h, gpu, h, cpu);
     Ok(())
 }
 
 /// Every `clognet run` option that sets [`SystemConfig`] fields, in the
 /// order `config_from` applies them: routing follows layout and
 /// topology, and each group's switch comes first. Range checks
-/// (`--injbuf`, `--control-interval`) are `config_from`'s.
+/// (`--injbuf`, `--control-interval`) are [`SystemConfig::validate`]'s.
 pub const RUN_KEYS: &[RunKey] = &[
     field!("scheme", Scheme, Core, scheme),
     choice::<LayoutKind>(

@@ -19,7 +19,7 @@
 //! paper's node-count (10×10, 12×12) and node-mix sensitivity studies can
 //! reuse them.
 
-use crate::config::LayoutKind;
+use crate::config::{ConfigError, LayoutKind};
 use crate::ids::{CoreId, MemId, NodeId};
 use std::fmt;
 
@@ -60,11 +60,11 @@ pub struct Layout {
 impl Layout {
     /// Build a layout.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `n_gpu + n_cpu + n_mem != width * height`, or if the
-    /// requested counts cannot be placed by the chosen generator (e.g.
-    /// more memory nodes than grid rows for [`LayoutKind::Baseline`]).
+    /// [`ConfigError::Grid`] if `n_gpu + n_cpu + n_mem != width * height`,
+    /// or if the chosen generator cannot place the counts (e.g. more
+    /// memory nodes than columns for [`LayoutKind::EdgeB`]).
     pub fn build(
         kind: LayoutKind,
         width: usize,
@@ -72,18 +72,19 @@ impl Layout {
         n_gpu: usize,
         n_cpu: usize,
         n_mem: usize,
-    ) -> Self {
-        assert_eq!(
-            n_gpu + n_cpu + n_mem,
-            width * height,
-            "node counts must tile the {width}x{height} grid"
-        );
+    ) -> Result<Self, ConfigError> {
+        let place = |why| ConfigError::Grid(width, height, why);
+        let nodes = n_gpu.checked_add(n_cpu).and_then(|n| n.checked_add(n_mem));
+        if nodes != Some(width * height) {
+            return Err(place("node counts must tile the grid"));
+        }
         let raw = match kind {
             LayoutKind::Baseline => assign_baseline(width, height, n_cpu, n_mem),
             LayoutKind::EdgeB => assign_edge_b(width, height, n_cpu, n_mem),
             LayoutKind::ClusteredC => assign_clustered_c(width, height, n_cpu, n_mem),
             LayoutKind::DistributedD => assign_distributed_d(width, height, n_cpu, n_mem),
-        };
+        }
+        .map_err(place)?;
         // Densely number each kind in row-major encounter order.
         let (mut g, mut c, mut m) = (0u16, 0u16, 0u16);
         let mut nodes = Vec::with_capacity(raw.len());
@@ -111,7 +112,7 @@ impl Layout {
         assert_eq!(gpu_nodes.len(), n_gpu, "{kind:?} placed wrong GPU count");
         assert_eq!(cpu_nodes.len(), n_cpu, "{kind:?} placed wrong CPU count");
         assert_eq!(mem_nodes.len(), n_mem, "{kind:?} placed wrong mem count");
-        Layout {
+        Ok(Layout {
             kind,
             width,
             height,
@@ -119,7 +120,7 @@ impl Layout {
             gpu_nodes,
             cpu_nodes,
             mem_nodes,
-        }
+        })
     }
 
     /// Which layout family this is.
@@ -229,10 +230,18 @@ enum RawKind {
     Mem,
 }
 
+/// A generator's grid, or the placement rule the counts break.
+type Placed = Result<Vec<RawKind>, &'static str>;
+
+/// `Err(why)` unless the placement rule holds.
+fn fits(holds: bool, why: &'static str) -> Result<(), &'static str> {
+    holds.then_some(()).ok_or(why)
+}
+
 /// Baseline (Fig. 1a): CPU columns left, memory column(s) in the middle,
 /// GPU columns right. CPU cells fill column-major from the left; memory
 /// cells fill the next column(s) top-down; everything else is GPU.
-fn assign_baseline(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Vec<RawKind> {
+fn assign_baseline(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Placed {
     let mut grid = vec![RawKind::Gpu; w * h];
     let mut placed_cpu = 0;
     let mut col = 0;
@@ -259,15 +268,15 @@ fn assign_baseline(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Vec<RawKin
             placed_mem += 1;
         }
     }
-    assert_eq!(placed_mem, n_mem, "grid too small for memory column");
-    grid
+    fits(placed_mem == n_mem, "layout a: no room for memory column")?;
+    Ok(grid)
 }
 
 /// Layout B (Fig. 1b): memory nodes occupy the top row left-to-right;
 /// below it, CPU columns fill from the left, the remainder of a mixed
 /// column is GPU, and the rest is GPU.
-fn assign_edge_b(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Vec<RawKind> {
-    assert!(n_mem <= w, "layout B puts all memory nodes in the top row");
+fn assign_edge_b(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Placed {
+    fits(n_mem <= w, "layout b: memory overflows the top row")?;
     let mut grid = vec![RawKind::Gpu; w * h];
     for cell in grid.iter_mut().take(n_mem) {
         *cell = RawKind::Mem;
@@ -282,14 +291,14 @@ fn assign_edge_b(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Vec<RawKind>
             placed += 1;
         }
     }
-    assert_eq!(placed, n_cpu, "grid too small for CPU columns");
-    grid
+    fits(placed == n_cpu, "layout b: no room for the CPU columns")?;
+    Ok(grid)
 }
 
 /// Layout C (Fig. 1c): a square-ish CPU cluster in the top-left corner and
 /// a block of memory nodes directly below it (4 columns wide on the
 /// baseline, so vertical GPU traffic multiplexes onto 4 links).
-fn assign_clustered_c(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Vec<RawKind> {
+fn assign_clustered_c(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Placed {
     let mut grid = vec![RawKind::Gpu; w * h];
     // CPU cluster: smallest square that holds n_cpu, filled row-major.
     let side = (n_cpu as f64).sqrt().ceil() as usize;
@@ -306,7 +315,7 @@ fn assign_clustered_c(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Vec<Raw
             cluster_rows = y + 1;
         }
     }
-    assert_eq!(placed, n_cpu, "grid too small for CPU cluster");
+    fits(placed == n_cpu, "layout c: no room for the CPU cluster")?;
     // Memory block below the cluster, `side` columns wide.
     let mut placed_mem = 0;
     'mem: for y in cluster_rows..h {
@@ -318,14 +327,17 @@ fn assign_clustered_c(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Vec<Raw
             placed_mem += 1;
         }
     }
-    assert_eq!(placed_mem, n_mem, "grid too small for memory block");
-    grid
+    fits(placed_mem == n_mem, "layout c: no room for memory block")?;
+    Ok(grid)
 }
 
 /// Layout D (Fig. 1d): memory nodes one per row alternating between a
 /// left-of-center and right-of-center column; CPU cores spread evenly
 /// over the remaining cells; GPUs elsewhere.
-fn assign_distributed_d(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Vec<RawKind> {
+fn assign_distributed_d(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Placed {
+    // Two columns hold the memory nodes, at most one per row each; with
+    // more, the loop below would never finish.
+    fits(n_mem <= 2 * h, "layout d: too many memory nodes")?;
     let mut grid = vec![RawKind::Gpu; w * h];
     let (lc, rc) = (w / 4, w - 1 - w / 4);
     let mut placed_mem = 0;
@@ -355,12 +367,12 @@ fn assign_distributed_d(w: usize, h: usize, n_cpu: usize, n_mem: usize) -> Vec<R
     }
     // Spread CPUs with an even stride over the remaining cells.
     let free: Vec<usize> = (0..w * h).filter(|&i| grid[i] == RawKind::Gpu).collect();
-    assert!(free.len() >= n_cpu, "grid too small for CPUs");
+    fits(free.len() >= n_cpu, "layout d: no room for the CPUs")?;
     for k in 0..n_cpu {
         let idx = k * free.len() / n_cpu + free.len() / (2 * n_cpu);
         grid[free[idx]] = RawKind::Cpu;
     }
-    grid
+    Ok(grid)
 }
 
 #[cfg(test)]
@@ -377,7 +389,7 @@ mod tests {
 
     #[test]
     fn baseline_matches_paper() {
-        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8);
+        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8).unwrap();
         assert_eq!(counts(&l), (40, 16, 8));
         // Memory nodes form column 2 (between CPUs and GPUs).
         for m in l.mem_nodes() {
@@ -394,7 +406,7 @@ mod tests {
 
     #[test]
     fn edge_b_matches_paper() {
-        let l = Layout::build(LayoutKind::EdgeB, 8, 8, 40, 16, 8);
+        let l = Layout::build(LayoutKind::EdgeB, 8, 8, 40, 16, 8).unwrap();
         assert_eq!(counts(&l), (40, 16, 8));
         // All memory nodes in the top row.
         for m in l.mem_nodes() {
@@ -407,7 +419,7 @@ mod tests {
 
     #[test]
     fn clustered_c_matches_paper() {
-        let l = Layout::build(LayoutKind::ClusteredC, 8, 8, 40, 16, 8);
+        let l = Layout::build(LayoutKind::ClusteredC, 8, 8, 40, 16, 8).unwrap();
         assert_eq!(counts(&l), (40, 16, 8));
         // CPU cluster is the 4x4 top-left block.
         for c in l.cpu_nodes() {
@@ -424,7 +436,7 @@ mod tests {
 
     #[test]
     fn distributed_d_spreads_nodes() {
-        let l = Layout::build(LayoutKind::DistributedD, 8, 8, 40, 16, 8);
+        let l = Layout::build(LayoutKind::DistributedD, 8, 8, 40, 16, 8).unwrap();
         assert_eq!(counts(&l), (40, 16, 8));
         // One memory node per row.
         for y in 0..8 {
@@ -448,7 +460,7 @@ mod tests {
                 LayoutKind::ClusteredC,
                 LayoutKind::DistributedD,
             ] {
-                let l = Layout::build(kind, w, h, gpu, cpu, mem);
+                let l = Layout::build(kind, w, h, gpu, cpu, mem).unwrap();
                 assert_eq!(counts(&l), (gpu, cpu, mem), "{kind:?} {w}x{h}");
             }
         }
@@ -458,14 +470,14 @@ mod tests {
     fn node_mix_variants_build() {
         // Section VII node-mix sweep on the baseline layout.
         for (gpu, cpu, mem) in [(48, 8, 8), (32, 24, 8), (52, 8, 4), (40, 8, 16)] {
-            let l = Layout::build(LayoutKind::Baseline, 8, 8, gpu, cpu, mem);
+            let l = Layout::build(LayoutKind::Baseline, 8, 8, gpu, cpu, mem).unwrap();
             assert_eq!(counts(&l), (gpu, cpu, mem));
         }
     }
 
     #[test]
     fn core_numbering_is_dense_and_stable() {
-        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8);
+        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8).unwrap();
         for (i, n) in l.gpu_nodes().enumerate() {
             assert_eq!(l.kind_of(n), NodeKind::Gpu(CoreId(i as u16)));
             assert_eq!(l.gpu_node(CoreId(i as u16)), n);
@@ -477,7 +489,7 @@ mod tests {
 
     #[test]
     fn coords_round_trip() {
-        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8);
+        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8).unwrap();
         for i in 0..64 {
             let n = NodeId(i);
             let (x, y) = l.coords(n);
@@ -487,7 +499,7 @@ mod tests {
 
     #[test]
     fn ascii_renders_grid() {
-        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8);
+        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8).unwrap();
         let art = l.ascii();
         assert_eq!(art.lines().count(), 8);
         assert!(art.lines().next().unwrap().starts_with("C C M G"));
@@ -495,7 +507,7 @@ mod tests {
 
     #[test]
     fn mesh_hops_is_manhattan() {
-        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8);
+        let l = Layout::build(LayoutKind::Baseline, 8, 8, 40, 16, 8).unwrap();
         assert_eq!(l.mesh_hops(l.node_at(0, 0), l.node_at(3, 4)), 7);
         assert_eq!(l.mesh_hops(l.node_at(5, 5), l.node_at(5, 5)), 0);
     }

@@ -37,9 +37,10 @@ pub mod snap;
 
 pub use addr_map::AddressMap;
 pub use config::{
-    CacheGeometry, ControlConfig, ControlPolicyKind, CpuConfig, CtaSched, DrKnobs, DramConfig,
-    FabricConfig, FabricInterleave, FabricTopology, GpuConfig, L1Org, LayoutKind, LlcConfig,
-    NocConfig, RoutingPolicy, Scheme, SystemConfig, Topology, VirtualNetConfig,
+    CacheGeometry, ConfigError, ControlConfig, ControlPolicyKind, CpuConfig, CtaSched, DrKnobs,
+    DramConfig, FabricConfig, FabricInterleave, FabricTopology, GpuConfig, L1Org, LayoutKind,
+    LlcConfig, NocConfig, RoutingPolicy, Scheme, SystemConfig, Topology, VirtualNetConfig,
+    MAX_NODES, MAX_VCS_PER_PORT,
 };
 pub use fingerprint::{fingerprint_hex, job_fingerprint, snapshot_key, FINGERPRINT_VERSION};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

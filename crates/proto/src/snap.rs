@@ -43,9 +43,9 @@
 //! ```
 
 use crate::config::{
-    CacheGeometry, ControlConfig, ControlPolicyKind, CpuConfig, CtaSched, DrKnobs, DramConfig,
-    FabricConfig, FabricInterleave, FabricTopology, GpuConfig, L1Org, LayoutKind, LlcConfig,
-    NocConfig, RoutingPolicy, Scheme, SystemConfig, Topology, VirtualNetConfig,
+    CacheGeometry, ConfigError, ControlConfig, ControlPolicyKind, CpuConfig, CtaSched, DrKnobs,
+    DramConfig, FabricConfig, FabricInterleave, FabricTopology, GpuConfig, L1Org, LayoutKind,
+    LlcConfig, NocConfig, RoutingPolicy, Scheme, SystemConfig, Topology, VirtualNetConfig,
 };
 use crate::ids::{Addr, NodeId};
 use crate::knobs::Knob;
@@ -104,6 +104,9 @@ pub enum SnapError {
         /// Chips the restoring system expects.
         expected: usize,
     },
+    /// The decoded configuration fails [`SystemConfig::validate`]: no
+    /// system can be built from it.
+    Config(ConfigError),
 }
 
 impl fmt::Display for SnapError {
@@ -125,6 +128,7 @@ impl fmt::Display for SnapError {
                 "snapshot chip arrangement mismatch: snapshot has {snapshot} chip(s), \
                  system expects {expected}"
             ),
+            SnapError::Config(e) => write!(f, "snapshot config cannot be built: {e}"),
         }
     }
 }

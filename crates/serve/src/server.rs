@@ -37,6 +37,7 @@ use clognet_telemetry::Registry;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -739,7 +740,12 @@ impl Local {
                 self.count("jobs_failed");
                 error_response(e.code, &e.message)
             }
-            Err(_) => {
+            Err(RecvTimeoutError::Disconnected) => {
+                // The handler panicked; its worker caught it and lives on.
+                self.count("jobs_failed");
+                error_response(ErrorCode::Internal, "the job failed inside the simulator")
+            }
+            Err(RecvTimeoutError::Timeout) => {
                 self.count("jobs_timed_out");
                 error_response(
                     ErrorCode::Timeout,

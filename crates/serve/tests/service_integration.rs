@@ -22,7 +22,8 @@ fn fast_retry() -> RetryPolicy {
 
 /// A deterministic stub: fingerprint hashes the spec's workload names
 /// and cycle counts; `run` counts invocations and renders a small
-/// report. Optionally stalls until released (for overload/drain tests).
+/// report, or panics on gpu `PANIC`. Optionally stalls until released
+/// (for overload/drain tests).
 struct StubHandler {
     runs: AtomicUsize,
     stall: Option<Arc<AtomicUsize>>,
@@ -70,6 +71,7 @@ impl JobHandler for StubHandler {
 
     fn run(&self, spec: &JobSpec, deadline: Instant) -> Result<String, JobError> {
         self.runs.fetch_add(1, Ordering::SeqCst);
+        assert_ne!(spec.gpu, "PANIC", "a job that panics inside the handler");
         if let Some(release) = &self.stall {
             while release.load(Ordering::SeqCst) == 0 {
                 if Instant::now() >= deadline {
@@ -266,6 +268,33 @@ fn handler_rejections_map_to_bad_request() {
         }
         other => panic!("expected bad_request, got {other:?}"),
     }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn a_panicking_job_answers_internal_and_keeps_its_worker() {
+    let handler = Arc::new(StubHandler::new());
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = serve(cfg, Arc::clone(&handler));
+    let mut client = Client::connect(&addr, &fast_retry()).unwrap();
+
+    for _ in 0..2 {
+        match client.request(&JobSpec::new("PANIC", "bodytrack").to_request_line()) {
+            Ok(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Internal),
+            other => panic!("expected internal, got {other:?}"),
+        }
+    }
+    // The one worker survived both panics and runs the next job.
+    let ok = client.submit(&JobSpec::new("HS", "bodytrack")).unwrap();
+    assert!(!ok.cache_hit);
+    assert_eq!(handler.runs.load(Ordering::SeqCst), 3);
+    let stats = Json::parse(&client.stats().unwrap()).unwrap();
+    assert_eq!(stats.get("queue_depth").and_then(Json::as_u64), Some(0));
 
     client.shutdown().unwrap();
     handle.join().unwrap();
