@@ -1,113 +1,12 @@
 //! # clognet-bench
 //!
-//! Shared infrastructure for the experiment harnesses that regenerate
-//! every table and figure of *Delegated Replies* (HPCA 2022). Each
-//! figure is a separate `cargo bench` target (`harness = false`) under
-//! `benches/`; running `cargo bench --workspace` reproduces the whole
-//! evaluation section and prints the same rows/series the paper reports.
+//! The std-only job runner behind every multi-run command
+//! ([`runner::run_jobs`]) and the service's worker pool
+//! ([`runner::WorkerPool`]), plus the substrate micro-benchmarks in
+//! `benches/micro.rs` (opt-in:
+//! `cargo bench -p clognet-bench --features micro --bench micro`).
 //!
-//! Absolute numbers differ from the paper (the substrate is the clognet
-//! simulator with synthetic workloads, not GPGPU-sim on a testbed); the
-//! *shape* — who wins, by roughly what factor, where the crossovers fall
-//! — is the reproduction target. `EXPERIMENTS.md` records
-//! paper-vs-measured for every experiment.
-//!
-//! Run length is controlled by `CLOGNET_WARM` / `CLOGNET_RUN`
-//! (cycles; defaults 10000 / 25000) so quick smoke runs and
-//! high-fidelity runs use the same binaries.
-
-use clognet_core::{Report, System};
-use clognet_proto::SystemConfig;
+//! The paper's tables and figures are rows of `clognet paper`
+//! (`crates/cli/src/paper.rs`).
 
 pub mod runner;
-
-/// Warmup cycles (statistics excluded), from `CLOGNET_WARM`.
-pub fn warm_cycles() -> u64 {
-    std::env::var("CLOGNET_WARM")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000)
-}
-
-/// Measured cycles, from `CLOGNET_RUN`.
-pub fn run_cycles() -> u64 {
-    std::env::var("CLOGNET_RUN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25_000)
-}
-
-/// Build, warm up, run, and report one workload under one configuration.
-pub fn run_workload(cfg: SystemConfig, gpu: &str, cpu: &str) -> Report {
-    let mut sys = System::new(cfg, gpu, cpu);
-    sys.run(warm_cycles());
-    sys.reset_stats();
-    sys.run(run_cycles());
-    sys.report()
-}
-
-/// The representative benchmark subset used by the wide sensitivity
-/// sweeps (chosen to span high/low locality and read/write mixes).
-pub const SENSITIVITY_BENCHES: [&str; 4] = ["HS", "3DCON", "MM", "BP"];
-
-/// Geometric mean.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Harmonic mean (the paper reports HM for some figures).
-pub fn harmonic_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.len() as f64 / xs.iter().map(|x| 1.0 / x).sum::<f64>()
-}
-
-/// Print a standard figure header.
-pub fn banner(fig: &str, claim: &str) {
-    println!();
-    println!("=== {fig} ===");
-    println!("paper: {claim}");
-    println!(
-        "(warm {} + run {} cycles per configuration)",
-        warm_cycles(),
-        run_cycles()
-    );
-}
-
-/// Format a normalized series as a row.
-pub fn row(label: &str, values: &[(String, f64)]) {
-    print!("{label:<12}");
-    for (name, v) in values {
-        print!(" {name}={v:.3}");
-    }
-    println!();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn geomean_and_hm() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((harmonic_mean(&[1.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!((harmonic_mean(&[2.0, 2.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-        assert_eq!(harmonic_mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn run_workload_produces_activity() {
-        std::env::set_var("CLOGNET_WARM", "500");
-        std::env::set_var("CLOGNET_RUN", "1500");
-        let r = run_workload(SystemConfig::default(), "NN", "vips");
-        assert!(r.gpu_ipc > 0.0);
-        assert!(r.cycles >= 1500);
-        std::env::remove_var("CLOGNET_WARM");
-        std::env::remove_var("CLOGNET_RUN");
-    }
-}

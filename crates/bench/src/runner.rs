@@ -1,7 +1,7 @@
 //! Thread-per-job parallel runner for independent simulations.
 //!
 //! Every experiment in this repo — `clognet compare`, `clognet sweep`,
-//! the figure harnesses — boils down to a batch of *independent*
+//! `clognet paper` — boils down to a batch of *independent*
 //! (configuration, workload, scheme) simulations whose results are then
 //! laid out in a table. Each simulation is single-threaded and owns all
 //! of its state, so the batch is embarrassingly parallel; the only
@@ -15,7 +15,7 @@
 //! slow job never stalls the queue behind it.
 //!
 //! Two faces share the module: [`run_jobs`] for one-shot batches
-//! (`compare`, `sweep`, the figure harnesses) and [`WorkerPool`] for
+//! (`compare`, `sweep`, `paper`) and [`WorkerPool`] for
 //! long-lived services (`clognet-serve`) that need a bounded queue,
 //! admission control, and graceful drain.
 
@@ -257,15 +257,9 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Thread count for parallel harnesses: `CLOGNET_THREADS` if set,
-/// otherwise the machine's available parallelism (1 if unknown).
+/// Thread count for parallel harnesses: the machine's available
+/// parallelism (1 if unknown).
 pub fn default_threads() -> usize {
-    if let Some(n) = std::env::var("CLOGNET_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -13,9 +13,9 @@ use crate::args::ParseArgsError;
 use crate::bench_doc::{ratio, BenchDoc, Leg};
 use crate::config::Job;
 use crate::report::report_json;
-use clognet_bench::runner::{run_jobs, run_jobs_with_state, timed};
+use clognet_bench::runner::{run_jobs, timed};
 use clognet_core::{MultiChipSystem, Report, Snapshot, System};
-use clognet_proto::{AddressMap, ControlConfig, FabricConfig, Layout, Scheme, SystemConfig};
+use clognet_proto::{ControlConfig, FabricConfig, Scheme, SystemConfig};
 
 /// Build, warm, measure, and report one workload under one config.
 /// `ff` selects event-horizon fast-forward (the default) or the
@@ -89,8 +89,6 @@ pub fn parse_sweep_values(s: &str) -> Result<Vec<u64>, ParseArgsError> {
 pub type SweepParam = (&'static str, bool, fn(&mut SystemConfig, u64) -> Option<()>);
 
 /// Every sweep parameter: the only list of the warm-applicable ones.
-/// None moves nodes or re-interleaves addresses, so [`run_sweep`]
-/// derives the layout and [`AddressMap`] once.
 const SWEEP_PARAMS: [SweepParam; 5] = [
     ("width", false, |c, v| {
         v.try_into().ok().map(|v| c.noc.channel_bytes = v)
@@ -327,7 +325,7 @@ pub fn run_compare_warm(
 }
 
 /// Run a parameter sweep (each point under baseline and DR) across
-/// `threads` workers, reusing one pre-derived layout/address map.
+/// `threads` workers.
 ///
 /// # Errors
 ///
@@ -339,17 +337,8 @@ pub fn run_sweep(
     threads: usize,
 ) -> Result<Vec<SweepPoint>, ParseArgsError> {
     let jobs = sweep_configs(&job.cfg, param, values)?;
-    // None of the sweep parameters move nodes or re-interleave
-    // addresses, so derive both once instead of per (point, scheme).
-    let layout = job.cfg.layout();
-    let map = AddressMap::new(job.cfg.n_mem, job.cfg.seed);
     let reports = run_jobs(jobs, threads, |cfg| {
-        let mut sys = MultiChipSystem::new_prebuilt(cfg, job.gpu, job.cpu, layout.clone(), map);
-        sys.set_fast_forward(job.ff);
-        sys.run(job.warm);
-        sys.reset_stats();
-        sys.run(job.cycles);
-        sys.report()
+        measure(cfg, job.gpu, job.cpu, job.warm, job.cycles, job.ff)
     });
     Ok(sweep_points(values, reports))
 }
@@ -442,27 +431,15 @@ fn time_leg(
     let mut walls = Vec::with_capacity(LEG_REPS);
     let mut runs = Vec::new();
     for _ in 0..LEG_REPS {
-        let rep_jobs = jobs.to_vec();
-        // Every job in a matrix shares one chip shape, so each worker
-        // derives the node layout and address map once and reuses them
-        // for every job it claims.
         let (done, wall) = timed(|| {
-            run_jobs_with_state(
-                rep_jobs,
-                threads,
-                || None::<(Layout, AddressMap)>,
-                |prebuilt, (cfg, gpu, cpu)| {
-                    let (layout, map) = prebuilt.get_or_insert_with(|| {
-                        (cfg.layout(), AddressMap::new(cfg.n_mem, cfg.seed))
-                    });
-                    let mut sys = System::new_prebuilt(cfg, gpu, cpu, layout.clone(), *map);
-                    sys.run(warm);
-                    sys.reset_stats();
-                    sys.set_fast_forward(ff);
-                    let ((), span) = timed(|| sys.run(cycles));
-                    (sys.report(), sys.skipped_cycles(), span)
-                },
-            )
+            run_jobs(jobs.to_vec(), threads, |(cfg, gpu, cpu)| {
+                let mut sys = System::new(cfg, gpu, cpu);
+                sys.run(warm);
+                sys.reset_stats();
+                sys.set_fast_forward(ff);
+                let ((), span) = timed(|| sys.run(cycles));
+                (sys.report(), sys.skipped_cycles(), span)
+            })
         });
         walls.push(match clock {
             Clock::Batch => wall,

@@ -10,6 +10,7 @@ pub mod cluster_cmd;
 pub mod config;
 pub mod driver;
 pub mod fuzz_cmd;
+pub mod paper;
 pub mod report;
 pub mod serve_cmd;
 pub mod timeline;

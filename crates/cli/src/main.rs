@@ -13,6 +13,7 @@
 //! clognet timeline --gpu NN --cpu canneal --scheme baseline     # ASCII clog timeline
 //! clognet trace    --gpu HS --cpu bodytrack [--last N] [--kind k]  # protocol events
 //! clognet fuzz     [--seed N] [--cases N]    # seeded engine-equivalence fuzzing
+//! clognet paper    [--figures fig10,fig12] [--warm N] [--cycles N] [--threads N]
 //! clognet serve    [--addr HOST:PORT] [--workers N] [--queue N]  # persistent service
 //! clognet cluster  --addr H:P --peers H:P,... [--replicas N]  # sharded service node
 //! clognet cluster-bench [--nodes N] [--quick] [--out BENCH_cluster.json]
@@ -26,7 +27,7 @@
 use clognet_bench::runner::default_threads;
 use clognet_cli::args::{Args, ParseArgsError};
 use clognet_cli::config::{parse_scheme, resolve_job, Job, CONFIG_KEYS, EXEC_KEYS, JOB_KEYS};
-use clognet_cli::{cluster_cmd, driver, fuzz_cmd, report, serve_cmd, timeline};
+use clognet_cli::{cluster_cmd, driver, fuzz_cmd, paper, report, serve_cmd, timeline};
 use clognet_core::{DecisionLog, MultiChipSystem, System, TelemetryConfig};
 use clognet_proto::{knobs, Knob, Scheme};
 
@@ -58,6 +59,7 @@ fn dispatch(raw: Vec<String>) -> Result<(), ParseArgsError> {
         "timeline" => cmd_timeline(&args),
         "trace" => cmd_trace(&args),
         "fuzz" => fuzz_cmd::cmd_fuzz(&args),
+        "paper" => paper::cmd_paper(&args),
         "serve" => serve_cmd::cmd_serve(&args),
         "cluster" => cluster_cmd::cmd_cluster(&args),
         "cluster-bench" => cluster_cmd::cmd_cluster_bench(&args),
@@ -134,8 +136,7 @@ fn print_decision_logs(logs: &[(usize, &DecisionLog)], chips: usize, json: bool)
     }
 }
 
-/// Worker threads from `--threads` (default: available parallelism, or
-/// `CLOGNET_THREADS`).
+/// Worker threads from `--threads` (default: available parallelism).
 fn thread_count(args: &Args) -> Result<usize, ParseArgsError> {
     args.get_at_least("threads", default_threads(), 1)
 }
@@ -583,6 +584,7 @@ fn print_help() {
          \x20 timeline ASCII per-epoch clog timeline + detected clog episodes\n\
          \x20 trace    protocol-event trace (delegations, blocking, probes)\n\
          \x20 fuzz     seeded scenario fuzzing of the engine-equivalence contract\n\
+         \x20 paper    the paper's tables and figures, each distinct job simulated once\n\
          \x20 serve    persistent simulation service (job queue + result cache)\n\
          \x20 cluster  one node of a sharded multi-node service (serve --peers works too)\n\
          \x20 cluster-bench  1-node vs N-node cluster throughput (JSON report)\n\
@@ -607,7 +609,9 @@ fn print_help() {
          \x20 --warm/--cycles    warmup / measured cycles (6000 / 15000)\n\
          \x20 --no-ff            disable event-horizon fast-forward (reference loop)\n\
          \x20 --seed <n>         workload + mapping seed\n\
-         \x20 --threads <n>      compare/sweep/bench worker threads (default: all cores)\n\n\
+         \x20 --threads <n>      compare/sweep/bench/paper worker threads (default: all cores)\n\
+         \x20 --figures <ids>    paper: rows to print, e.g. fig10,fig12 (default: all;\n\
+         \x20                    paper --warm/--cycles default to 10000 / 25000)\n\n\
          MULTI-CHIP OPTIONS (run/compare/sweep/timeline/snapshot/serve):\n\
          \x20 --chips <n>        chips in the package (default 1 = no fabric)\n\
          \x20 --fabric-topology <t>   pair | ring | all (default: pair, ring when >2)\n\
@@ -681,6 +685,7 @@ fn print_help() {
          \x20 clognet run --gpu HS --cpu bodytrack --injbuf 4 --control hysteresis\n\
          \x20 clognet bench --adaptive --quick --out BENCH_control.json\n\
          \x20 clognet fuzz --seed 1 --cases 25\n\
+         \x20 clognet paper --figures fig10,fig14 --warm 2000 --cycles 5000\n\
          \x20 clognet serve --workers 4 &\n\
          \x20 clognet submit --gpu MM --cpu canneal --scheme dr\n\
          \x20 clognet serve --addr 127.0.0.1:9401 --peers 127.0.0.1:9402,127.0.0.1:9403 &\n\

@@ -1,10 +1,10 @@
-//! Bad benchmark names, removed options, numbers below their floor and
-//! unbuildable jobs (a traffic class left without a usable VC, a grid the
-//! layout cannot place, a sweep point or retargeted snapshot that fails
-//! `SystemConfig::validate`) are usage errors: the `clognet` binary exits
-//! 2 with an `error:` line, before printing anything, instead of
-//! panicking inside system construction, and `fingerprint` refuses
-//! exactly what `run` refuses.
+//! Bad benchmark names and figure ids, removed options, numbers below
+//! their floor and unbuildable jobs (a traffic class left without a
+//! usable VC, a grid the layout cannot place, a sweep point or
+//! retargeted snapshot that fails `SystemConfig::validate`) are usage
+//! errors: the `clognet` binary exits 2 with an `error:` line, before
+//! printing anything, instead of panicking inside system construction,
+//! and `fingerprint` refuses exactly what `run` refuses.
 
 use std::process::Command;
 
@@ -101,6 +101,14 @@ fn unknown_benchmarks_exit_2_with_an_error_line() {
             "fingerprint --peers 127.0.0.1:1 --vnodes 0",
             "error: --vnodes must be at least 1",
         ),
+        // `paper` takes figure ids, not job options.
+        (
+            "paper --figures fig99",
+            "error: unknown figure `fig99`; valid ids: tab1, tab2, fig02, fig05, fig06, fig07, \
+             fig09, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17, fig18, fig19, \
+             nodemix, energy, ablation",
+        ),
+        ("paper --mesh 4x4", "error: unknown option --mesh"),
     ];
     for (line, want) in rows {
         let out = clognet(line);

@@ -27,9 +27,7 @@ use crate::snapshot::{self, Snapshot};
 use crate::system::System;
 use clognet_fabric::{FabricMsg, FabricNetwork};
 use clognet_proto::snap::{self as snap, SnapError};
-use clognet_proto::{
-    Addr, AddressMap, Cycle, MsgKind, NodeId, Priority, Scheme, SystemConfig, TrafficClass,
-};
+use clognet_proto::{Addr, Cycle, MsgKind, NodeId, Priority, Scheme, SystemConfig, TrafficClass};
 use clognet_telemetry::{SeriesId, TelemetryConfig};
 use std::collections::VecDeque;
 
@@ -118,31 +116,10 @@ impl MultiChipSystem {
     /// Panics if a benchmark name is unknown or the configuration fails
     /// [`SystemConfig::validate`] (callers validate first).
     pub fn new(cfg: SystemConfig, gpu_bench: &str, cpu_bench: &str) -> Self {
-        let layout = cfg.layout();
-        let map = AddressMap::new(cfg.n_mem, cfg.seed);
-        Self::new_prebuilt(cfg, gpu_bench, cpu_bench, layout, map)
-    }
-
-    /// Build a package from a pre-derived layout and address map (the
-    /// sweep fast path; see [`System::new_prebuilt`]). The layout is
-    /// seed-independent and shared by every chip; per-chip address maps
-    /// are derived from per-chip seeds, so `map` is used only by the
-    /// degenerate single-chip path.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::new`].
-    pub fn new_prebuilt(
-        cfg: SystemConfig,
-        gpu_bench: &str,
-        cpu_bench: &str,
-        layout: clognet_proto::Layout,
-        map: AddressMap,
-    ) -> Self {
         cfg.validate().expect("a validated configuration");
         let n = cfg.chips();
         if n <= 1 {
-            let sys = System::new_prebuilt(cfg.clone(), gpu_bench, cpu_bench, layout, map);
+            let sys = System::new(cfg.clone(), gpu_bench, cpu_bench);
             return Self::from_single(cfg, sys);
         }
         let fc = cfg.fabric.expect("chips > 1 implies a fabric config");
@@ -150,8 +127,7 @@ impl MultiChipSystem {
         for i in 0..n {
             let mut ccfg = cfg.clone();
             ccfg.seed = chip_seed(cfg.seed, i);
-            let cmap = AddressMap::new(ccfg.n_mem, ccfg.seed);
-            let mut sys = System::new_prebuilt(ccfg, gpu_bench, cpu_bench, layout.clone(), cmap);
+            let mut sys = System::new(ccfg, gpu_bench, cpu_bench);
             sys.attach_fabric_port(i, &fc, cfg.seed);
             chips.push(sys);
         }

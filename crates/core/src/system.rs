@@ -155,34 +155,6 @@ impl System {
     pub fn new(cfg: SystemConfig, gpu_bench: &str, cpu_bench: &str) -> Self {
         let layout = cfg.layout();
         let map = AddressMap::new(cfg.n_mem, cfg.seed);
-        Self::new_prebuilt(cfg, gpu_bench, cpu_bench, layout, map)
-    }
-
-    /// Build a system from a pre-derived [`Layout`] and [`AddressMap`].
-    ///
-    /// Sweeps that vary a parameter which does not affect node placement
-    /// or address interleaving (channel width, cache capacities, buffer
-    /// depths) derive both once and clone them per point instead of
-    /// re-deriving them for every (scheme, point) pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a benchmark name is unknown, the configuration is
-    /// inconsistent, or `layout`/`map` do not match `cfg` (they must
-    /// come from `cfg.layout()` / `AddressMap::new(cfg.n_mem, cfg.seed)`
-    /// on an equivalent configuration).
-    pub fn new_prebuilt(
-        cfg: SystemConfig,
-        gpu_bench: &str,
-        cpu_bench: &str,
-        layout: Layout,
-        map: AddressMap,
-    ) -> Self {
-        assert_eq!(
-            layout.node_count(),
-            cfg.nodes(),
-            "prebuilt layout does not match the configuration"
-        );
         let nets = Nets::new(&cfg);
         let gpu_profile =
             gpu_benchmark(gpu_bench).unwrap_or_else(|| panic!("unknown GPU benchmark {gpu_bench}"));
